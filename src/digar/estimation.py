@@ -92,8 +92,26 @@ def _require_match(path: SamplePath, vseq: VarianceSequence) -> None:
         )
 
 
+def _time_sum(terms: np.ndarray) -> float:
+    # Terms added one by one in time order, as the batch kernel adds them,
+    # so a batch row's estimates equal its single path's bit for bit.
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _lag_square_sum(path: SamplePath) -> float:
+    lag = path.y[1:-1]
+    den = _time_sum(lag * lag)
+    if den <= 0.0:
+        raise DegenerateDenominatorError(
+            "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
+        )
+    return den
+
+
 def ols_estimate(path: SamplePath) -> float:
     """Least-squares slope sum(Y_t*Y_{t-1})/sum(Y_{t-1}^2), sums over t=2..T.
+
+    Both sums add their terms sequentially in time order.
 
     Raises
     ------
@@ -101,13 +119,8 @@ def ols_estimate(path: SamplePath) -> float:
         If the path is too short (T < 2) or all lagged values are zero.
     """
     y = path.y
-    lag = y[1:-1]
-    den = float(np.dot(lag, lag))
-    if den <= 0.0:
-        raise DegenerateDenominatorError(
-            "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
-        )
-    return float(np.dot(y[2:], lag)) / den
+    den = _lag_square_sum(path)
+    return _time_sum(y[2:] * y[1:-1]) / den
 
 
 def correction_term(path: SamplePath, vseq: VarianceSequence) -> float:
@@ -131,16 +144,10 @@ def correction_term(path: SamplePath, vseq: VarianceSequence) -> float:
         As in ols_estimate.
     """
     _require_match(path, vseq)
-    y = path.y
-    T = path.horizon
-    lag = y[1:-1]
-    den = float(np.dot(lag, lag))
-    if den <= 0.0:
-        raise DegenerateDenominatorError(
-            "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
-        )
-    v = vseq.values[: T - 1]  # V_{t-1} for t = 2..T
-    num = float(np.sum(lag * lag / v))
+    den = _lag_square_sum(path)
+    lag = path.y[1:-1]
+    v = vseq.values[: path.horizon - 1]  # V_{t-1} for t = 2..T
+    num = _time_sum(lag * lag / v)
     return path.params.rho * path.params.sigma_xi * num / den
 
 

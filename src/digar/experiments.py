@@ -23,8 +23,8 @@ from .errors import (
     NonFiniteError,
     OutOfRangeError,
 )
-from .model import ModelParams, validate_params, variance_sequence, vbar_limit
-from .simulation import BatchSpec, iter_path_blocks
+from .model import validate_params, vbar_limit
+from .simulation import BatchSpec, _run_blocks
 
 __all__ = [
     "Moments",
@@ -196,21 +196,6 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[float], float] | None = 
     return max(d_plus, d_minus, 0.0)
 
 
-def _block_estimates(
-    params: ModelParams, v: np.ndarray, y_block: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Row-wise plain and corrected slope estimates for a block of paths.
-    lag = y_block[:, 1:-1]
-    lead = y_block[:, 2:]
-    den = np.einsum("ij,ij->i", lag, lag)
-    if np.any(den <= 0.0):
-        raise DegenerateDenominatorError("a replication produced an all-zero lag sequence")
-    phi_hat = np.einsum("ij,ij->i", lead, lag) / den
-    weighted = np.einsum("ij,ij->i", lag / v[:-1], lag)  # sum of Y_{t-1}^2/V_{t-1}
-    correction = params.rho * params.sigma_xi * weighted / den
-    return phi_hat, phi_hat - correction
-
-
 def _moments(sample: np.ndarray) -> Moments:
     mean = float(np.mean(sample))
     centered = sample - mean
@@ -247,13 +232,17 @@ def _summary(
 
 
 def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
-    v = variance_sequence(spec.params, spec.path_length).values
+    # Plain and corrected slopes of every replication, from the sums the
+    # batch kernel accumulates in time order, as infeasible_estimate does.
     hats = np.empty(spec.replications)
     tildes = np.empty(spec.replications)
-    for start, y, _ in iter_path_blocks(spec):
-        h, td = _block_estimates(spec.params, v, y)
+    coef = spec.params.rho * spec.params.sigma_xi
+    for start, _, _, (den, cross, weighted) in _run_blocks(spec, sums=True):
+        if np.any(den <= 0.0):
+            raise DegenerateDenominatorError("a replication produced an all-zero lag sequence")
+        h = cross / den
         hats[start : start + h.size] = h
-        tildes[start : start + td.size] = td
+        tildes[start : start + h.size] = h - coef * weighted / den
     return hats, tildes
 
 
@@ -329,10 +318,9 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     n_cols = k_max + 1
     ys = np.empty((spec.replications, n_cols))
     xs = np.empty((spec.replications, n_cols))
-    for start, y, xi in iter_path_blocks(spec):
-        stop = start + y.shape[0]
-        ys[start:stop] = y[:, t_obs : t_obs + n_cols]
-        xs[start:stop] = xi[:, t_obs - 1 : t_obs - 1 + n_cols]
+    for start, y, xi, _ in _run_blocks(spec, keep=(t_obs, t_obs + n_cols)):
+        ys[start : start + y.shape[0]] = y
+        xs[start : start + xi.shape[0]] = xi
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []

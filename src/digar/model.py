@@ -10,6 +10,7 @@ closed-form limit vbar; both are implemented here.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,8 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
     with V_1 = sigma_xi, which is Var(phi*Y_{t-1} + xi_t) with
     Cov(Y_{t-1}, xi_t) = rho*sigma_xi*V_{t-1}.  O(T) cost; the expanded
     sum form in variance_sum_sequence is the independent cross-check.
+    Once an entry maps exactly onto itself, the rest of the sequence is
+    filled with it instead of iterating further; the values are the same.
 
     Parameters
     ----------
@@ -146,13 +149,19 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
     a = params.phi * params.phi
     b = 2.0 * params.phi * params.rho * params.sigma_xi
     c = params.sigma_xi * params.sigma_xi
-    out = np.empty(T)
+    out = array("d", [0.0]) * T  # cheaper to store into from Python than numpy
     v = params.sigma_xi
     out[0] = v
+    sqrt = math.sqrt
     for t in range(1, T):
-        v = math.sqrt(a * v * v + b * v + c)
+        nxt = sqrt(a * v * v + b * v + c)
+        if nxt == v:
+            # An exact fixed point of the map: every later entry equals it.
+            np.frombuffer(out)[t:] = v
+            break
+        v = nxt
         out[t] = v
-    return VarianceSequence(params, out, T)
+    return VarianceSequence(params, np.frombuffer(out), T)
 
 
 def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:

@@ -11,19 +11,18 @@ Markov property, so simulating it is exact, not approximate.
 
 Reproducibility contract: standard normals come from numpy's PCG64 bit
 generator through Generator.standard_normal (the ziggurat method); each
-path consumes exactly T variates drawn as one block.  Replication r of a
-batch uses the derived seed mix_seed(master_seed, r), a SplitMix64 step,
-so batch output is independent of execution order and worker count, and
-batch rows are bit-identical to the corresponding single-path calls.
+path consumes exactly T variates.  The batch kernel draws them in chunks
+of time steps, which yields the same variates as one T-length draw.
+Replication r of a batch uses the derived seed mix_seed(master_seed, r),
+a SplitMix64 step, so batch output is independent of execution order,
+batch rows are bit-identical to the corresponding single-path calls, and
+the estimator sums the kernel accumulates in time order equal those of
+estimation.infeasible_estimate on that path bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,9 +47,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-# Rows per block in batch generation.  Fixed independently of the worker
-# count so that chunking never affects the bytes produced.
+# Rows per block in batch generation.  Every operation of the kernel is
+# elementwise across rows, so the block size never affects the bytes.
 BLOCK_SIZE = 500
+
+# Time steps per chunk of the batch kernel.  A block's buffers hold one
+# chunk, so the kernel's memory does not grow with T.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -150,20 +153,99 @@ def standard_normal(stream: np.random.Generator) -> float:
     return float(stream.standard_normal())
 
 
-def _drive(params: ModelParams, v: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Vectorized over replication rows; every operation is elementwise, so
-    # each row's arithmetic is identical whatever the batch size.
-    n, T = eps.shape
-    y = np.zeros((n, T + 1))
-    xi = np.empty((n, T))
-    cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)
-    slope = params.rho * params.sigma_xi / v  # conditional-mean slope at each t
-    xi[:, 0] = params.sigma_xi * eps[:, 0]
-    y[:, 1] = params.phi * y[:, 0] + xi[:, 0]
-    for t in range(2, T + 1):
-        xi[:, t - 1] = slope[t - 2] * y[:, t - 1] + cond_sd * eps[:, t - 1]
-        y[:, t] = params.phi * y[:, t - 1] + xi[:, t - 1]
-    return y, xi
+def _simulate_block(
+    params: ModelParams,
+    v: np.ndarray,
+    slope: list[float],
+    streams: list[np.random.Generator],
+    keep: tuple[int, int] | None,
+    sums: bool,
+    chunk: int,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    # One block of paths, time-major: time is walked in chunks of `chunk`
+    # steps with the rows contiguous at each step, and each row's normals
+    # are drawn chunk by chunk from its own stream.  Every operation is
+    # elementwise, so each row's arithmetic is that of simulate_path.
+    #
+    # keep=(lo, hi) returns Y_t for lo <= t < hi and xi_t for
+    # max(lo, 1) <= t < hi, one row per path.  sums=True returns the (3, n)
+    # sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1},
+    # each accumulated in time order, as np.cumsum adds.  Without sums the
+    # walk stops at the last kept step.
+    T = v.shape[0]
+    n = len(streams)
+    ys = xs = acc = None
+    last = T
+    if keep is not None:
+        lo, hi = keep
+        xlo = max(lo, 1)
+        ys = np.zeros((n, hi - lo))
+        xs = np.empty((n, hi - xlo))
+        if not sums:
+            last = min(T, hi - 1)
+    if sums:
+        acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
+    phi = params.phi
+    sig = params.sigma_xi
+    cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
+    c = min(chunk, last)
+    raw = np.empty(n * c)  # the chunk's draws, then scratch for the sums
+    eps = raw.reshape(n, c)
+    eps_rows = list(eps)
+    xi = np.empty((c, n))
+    y = np.zeros((c + 1, n))  # y[0] is the level before the chunk
+    tmp = np.empty(n)
+    y_rows = list(y)
+    xi_rows = list(xi)
+    mul = np.multiply
+    add = np.add
+    for t0 in range(1, last + 1, c):
+        m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; xi[j] is xi_{t0+j}
+        rows = eps_rows if m == c else [row[:m] for row in eps_rows]
+        for row, stream in zip(rows, streams):
+            stream.standard_normal(out=row)
+        mul(eps[:, :m].T, cond_sd, out=xi[:m])
+        j0 = 0
+        if t0 == 1:
+            mul(eps[:, 0], sig, out=xi[0])
+            mul(y[0], phi, out=y[1])
+            add(y[1], xi[0], out=y[1])
+            j0 = 1
+        for lag, lead, x, s in zip(
+            y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m], slope[t0 + j0 - 2 : t0 + m - 2]
+        ):
+            mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
+            add(tmp, x, x)
+            mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
+            add(lead, x, lead)
+        if acc is not None:
+            d = 1 if t0 == 1 else 0  # the sums start at t = 2
+            k = m - d
+            if k > 0:
+                lags = y[d:m]
+                terms = raw[: k * n].reshape(k, n)
+                _accumulate(acc[0], mul(lags, lags, out=terms))
+                _accumulate(acc[1], mul(y[d + 1 : m + 1], lags, out=terms))
+                mul(lags, lags, out=terms)
+                _accumulate(acc[2], np.divide(terms, v[t0 + d - 2 : t0 + m - 2, None], out=terms))
+        if ys is not None:
+            a, b = max(lo, t0), min(hi, t0 + m)
+            if a < b:
+                ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
+                xs[:, a - xlo : b - xlo] = xi[a - t0 : b - t0].T
+        y[0] = y[m]
+    return ys, xs, acc
+
+
+def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
+    # acc + terms[0] + terms[1] + ..., added in that order.  Reducing axis 0
+    # of a C-ordered array adds whole rows in turn; numpy sums pairwise only
+    # along the fast axis, which a single column becomes.
+    terms[0] += acc
+    if terms.shape[1] > 1:
+        np.add.reduce(terms, axis=0, out=acc)
+    else:
+        acc[0] = np.cumsum(terms[:, 0])[-1]
 
 
 def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
@@ -203,19 +285,23 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     return SamplePath(params, y, xi, seed)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DIGAR_THREADS", "").strip()
-    if raw == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise OutOfRangeError(f"DIGAR_THREADS must be a nonnegative integer, got {raw!r}")
-    if n < 0:
-        raise OutOfRangeError(f"DIGAR_THREADS must be a nonnegative integer, got {n}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
+def _run_blocks(
+    spec: BatchSpec,
+    keep: tuple[int, int] | None = None,
+    sums: bool = False,
+    block_size: int = BLOCK_SIZE,
+    chunk: int = _CHUNK,
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
+    # Yield (start_index, ys, xs, sums) per block of replications, in
+    # replication order; see _simulate_block for keep and sums.
+    if block_size < 1:
+        raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
+    v = variance_sequence(spec.params, spec.path_length).values
+    slope = (spec.params.rho * spec.params.sigma_xi / v).tolist()
+    for start in range(0, spec.replications, block_size):
+        stop = min(start + block_size, spec.replications)
+        streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, stop)]
+        yield (start, *_simulate_block(spec.params, v, slope, streams, keep, sums, chunk))
 
 
 def iter_path_blocks(
@@ -225,42 +311,11 @@ def iter_path_blocks(
 
     y_block has shape (n, T+1) and xi_block (n, T); row i holds
     replication start_index + i.  The variance sequence is computed once
-    per batch.  DIGAR_THREADS > 1 computes blocks concurrently, but block
-    boundaries and all arithmetic are fixed, so output bytes never depend
-    on the worker count.
+    per batch.
     """
-    if block_size < 1:
-        raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
-    v = variance_sequence(spec.params, spec.path_length).values
-    T = spec.path_length
-
-    def make(start: int) -> tuple[np.ndarray, np.ndarray]:
-        n = min(block_size, spec.replications - start)
-        eps = np.empty((n, T))
-        for i in range(n):
-            eps[i] = normal_stream(mix_seed(spec.master_seed, start + i)).standard_normal(T)
-        return _drive(spec.params, v, eps)
-
-    starts = range(0, spec.replications, block_size)
-    workers = _worker_count()
-    if workers <= 1 or len(starts) <= 1:
-        for start in starts:
-            y, xi = make(start)
-            yield start, y, xi
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Bounded look-ahead keeps at most workers+1 blocks in memory.
-        it = iter(starts)
-        pending: deque[tuple[int, object]] = deque(
-            (s, pool.submit(make, s)) for s in itertools.islice(it, workers + 1)
-        )
-        while pending:
-            start, fut = pending.popleft()
-            y, xi = fut.result()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append((nxt, pool.submit(make, nxt)))
-            yield start, y, xi
+    keep = (0, spec.path_length + 1)
+    for start, y, xi, _ in _run_blocks(spec, keep=keep, block_size=block_size):
+        yield start, y, xi
 
 
 def simulate_batch(spec: BatchSpec) -> tuple[SamplePath, ...]:

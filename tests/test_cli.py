@@ -286,14 +286,6 @@ class TestExperimentCli:
         capsys.readouterr()
         assert serial.read_bytes() == threaded.read_bytes()
 
-    def test_invalid_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIGAR_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "experiment", "consistency", "-T", "100", "-R", "100", "--seed", "7"
-        )
-        assert code == 3
-        assert "error:" in err
-
 
 class TestFigure:
     def test_vbar_values_round_trip_exactly(self, capsys):

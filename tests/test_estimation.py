@@ -18,6 +18,7 @@ from digar import (
     dependence_profile,
     eta_bar,
     infeasible_estimate,
+    mix_seed,
     ols_estimate,
     simulate_batch,
     simulate_path,
@@ -27,6 +28,7 @@ from digar import (
     variance_sequence,
     z_series,
 )
+from digar.experiments import _collect_estimates
 from conftest import params_strategy
 
 P = validate_params(0.5, 0.3, 1.0)
@@ -136,6 +138,30 @@ class TestInfeasibleEstimate:
         den = float(np.dot(lag, lag))
         lhs = res.phi_tilde - p.phi
         assert float(diag.z.sum()) / den == pytest.approx(lhs, rel=1e-9, abs=1e-11)
+
+
+class TestBatchAgreement:
+    """A batch row's estimates equal those of its single path bit for bit:
+    the batch kernel and the estimators add the same terms in time order."""
+
+    @pytest.mark.parametrize("R", [1100, 501])
+    def test_batch_rows_equal_single_path_estimates(self, R):
+        # 1100 spans three blocks; 501 ends in a one-row block.
+        spec = BatchSpec(P, 300, R, 2718)
+        hats, tildes = _collect_estimates(spec)
+        vseq = variance_sequence(P, 300)
+        for r in range(R):
+            res = infeasible_estimate(simulate_path(P, 300, mix_seed(2718, r)), vseq)
+            assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), r
+
+    def test_sums_run_in_time_order(self):
+        path = simulate_path(P, 1000, 5)
+        lag, lead = path.y[1:-1].tolist(), path.y[2:].tolist()
+        den = num = 0.0
+        for a, b in zip(lag, lead):
+            den += a * a
+            num += b * a
+        assert ols_estimate(path) == num / den
 
 
 class TestZSeries:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,17 @@ class TestCltExperiment:
                 ks.append(ks_distance(stats))
             distances[T] = float(np.median(ks))
         assert distances[1000] > distances[10000]
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # The kernel streams time in chunks, so T = 1e5 needs only the
+        # O(T) variance and slope arrays, not (R, T) path arrays (~240 MB).
+        tracemalloc.start()
+        try:
+            run_consistency_experiment(BatchSpec(P, 100_000, 100, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestAcfExperiment:

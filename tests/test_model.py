@@ -123,6 +123,34 @@ class TestVarianceSequence:
                 break
             assert gaps[t + 1] <= abs(p.phi) * gaps[t] + 1e-15 * vb
 
+    @pytest.mark.parametrize(
+        "phi, rho",
+        [(0.5, 0.3), (0.0, 0.5), (0.9999, 0.999), (0.999999, 0.999999), (-0.999, 0.9)],
+    )
+    def test_fixed_point_exit_matches_plain_loop(self, phi, rho):
+        # (-0.999, 0.9) never reaches an exact fixed point, so the loop
+        # runs to T there; the others stop early and fill.
+        p = validate_params(phi, rho, 1.0)
+        T = 200_000
+        assert np.array_equal(variance_sequence(p, T).values, _plain_recursion(p, T))
+
+    @given(params_strategy())
+    def test_fixed_point_exit_matches_plain_loop_generic(self, p):
+        assert np.array_equal(variance_sequence(p, 3000).values, _plain_recursion(p, 3000))
+
+
+def _plain_recursion(p, T):
+    # Reference: the one-step recursion iterated T-1 times, no early exit.
+    a = p.phi * p.phi
+    b = 2.0 * p.phi * p.rho * p.sigma_xi
+    c = p.sigma_xi * p.sigma_xi
+    out = np.empty(T)
+    v = out[0] = p.sigma_xi
+    for t in range(1, T):
+        v = math.sqrt(a * v * v + b * v + c)
+        out[t] = v
+    return out
+
 
 class TestVarianceSumForm:
     def test_t1_empty_sums(self):

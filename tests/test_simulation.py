@@ -23,6 +23,7 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
+from digar.simulation import _run_blocks
 from conftest import params_strategy, seeds_strategy
 
 P = validate_params(0.5, 0.3, 1.0)
@@ -265,10 +266,42 @@ class TestBatch:
             assert np.array_equal(ys, yt)
             assert np.array_equal(xs, xt)
 
-    def test_invalid_worker_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("DIGAR_THREADS", "abc")
-        with pytest.raises(OutOfRangeError):
-            simulate_batch(BatchSpec(P, 10, 600, 0))
+
+class TestKernelChunking:
+    """The batch kernel walks time in chunks; the chunk length is not
+    allowed to change a single bit of what it returns."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        # Each block's arrays are freshly allocated, so both runs can be held.
+        assert len(a) == len(b)
+        for xa, xb in zip(a, b):
+            assert xa[0] == xb[0]
+            for ea, eb in zip(xa[1:], xb[1:]):
+                assert (ea is None and eb is None) or np.array_equal(ea, eb)
+
+    def test_fused_sums_do_not_depend_on_chunk_length(self):
+        spec = BatchSpec(P, 600, 1001, 4242)
+        self._assert_same(
+            list(_run_blocks(spec, sums=True, chunk=7)),
+            list(_run_blocks(spec, sums=True, chunk=256)),
+        )
+
+    def test_acf_window_does_not_depend_on_chunk_length(self):
+        spec = BatchSpec(P, 600, 1001, 4242)
+        short = list(_run_blocks(spec, keep=(200, 205), chunk=7))
+        self._assert_same(short, list(_run_blocks(spec, keep=(200, 205), chunk=256)))
+        assert short[0][1].shape == short[0][2].shape == (500, 5)
+
+    def test_full_window_matches_single_paths_for_any_chunk(self):
+        spec = BatchSpec(P, 30, 3, 17)
+        for chunk in (1, 7, 256):
+            (start, y, xi, sums), = _run_blocks(spec, keep=(0, 31), chunk=chunk)
+            assert sums is None
+            for r in range(3):
+                solo = simulate_path(P, 30, mix_seed(17, r))
+                assert np.array_equal(y[r], solo.y)
+                assert np.array_equal(xi[r], solo.xi)
 
 
 class TestCrossSectionalLaw:
