@@ -7,12 +7,12 @@ from __future__ import annotations
 import argparse
 
 from digar import (
+    ModelParams,
     dependence_profile,
     infeasible_estimate,
     simulate_path,
     stationary_sd,
     studentized_statistic,
-    validate_params,
     variance_sequence,
 )
 
@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=12345)
     args = ap.parse_args()
 
-    params = validate_params(args.phi, args.rho, args.sigma)
+    params = ModelParams(args.phi, args.rho, args.sigma)
     prof = dependence_profile(params)
     vseq = variance_sequence(params, args.T)
 

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .dependence import dependence_profile
 from .errors import DigarError, OutOfRangeError
@@ -28,37 +28,28 @@ from .experiments import (
     run_consistency_experiment,
     vbar_curve,
 )
-from .model import ModelParams, stationary_sd, validate_params, variance_sequence, vbar_limit
+from .model import ModelParams, stationary_sd, variance_sequence, vbar_limit
 from .simulation import BatchSpec, SamplePath, simulate_path
 
-__all__ = ["RunConfig", "DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
+__all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
 
 DEFAULT_SEED = 12345
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus the common knobs it uses."""
-
-    subcommand: str
-    params: ModelParams | None
-    T: int | None
-    R: int | None
-    seed: int | None
-    output_path: str | None
-    format: str | None
+# Rows of a path CSV formatted per write, so a long path is never held as
+# one string.
+_CSV_PIECE = 65_536
 
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(out_path: str | None, text: str) -> None:
+def _write_text(out_path: str | None, pieces: Iterable[str]) -> None:
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -72,8 +63,7 @@ def _seed_banner(seed: int) -> None:
     print(f"seed = {seed}", file=sys.stderr)
 
 
-def _cmd_limits(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    params = cfg.params
+def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
     prof = dependence_profile(params)
     lines = [
         f"vbar    = {vbar_limit(params):.7g}",
@@ -83,30 +73,31 @@ def _cmd_limits(cfg: RunConfig, ns: argparse.Namespace) -> int:
         f"eta_bar = {prof.eta_bar:.7g}",
         f"eta_hat = {prof.eta_hat:.7g}",
     ]
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    _write_text(ns.out, ["\n".join(lines) + "\n"])
     return 0
 
 
-def _cmd_variance_path(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    vseq = variance_sequence(cfg.params, cfg.T)
+def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
+    vseq = variance_sequence(params, ns.T)
     rows = ["t,v"]
     rows.extend(f"{t + 1},{_g17(v)}" for t, v in enumerate(vseq.values))
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
+    _write_text(ns.out, ["\n".join(rows) + "\n"])
     return 0
 
 
-def _path_csv(path: SamplePath) -> str:
-    rows = ["t,y,xi", f"0,{_g17(path.y[0])},"]
-    rows.extend(
-        f"{t},{_g17(path.y[t])},{_g17(path.xi[t - 1])}" for t in range(1, path.horizon + 1)
-    )
-    return "\n".join(rows) + "\n"
+def _path_csv(path: SamplePath) -> Iterator[str]:
+    yield f"t,y,xi\n0,{_g17(path.y[0])},\n"
+    end = path.horizon + 1
+    for lo in range(1, end, _CSV_PIECE):
+        hi = min(lo + _CSV_PIECE, end)
+        rows = zip(range(lo, hi), path.y[lo:hi].tolist(), path.xi[lo - 1 : hi - 1].tolist())
+        yield "".join(f"{t},{y:.17g},{x:.17g}\n" for t, y, x in rows)
 
 
-def _cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _seed_banner(cfg.seed)
-    path = simulate_path(cfg.params, cfg.T, cfg.seed)
-    if cfg.format == "json":
+def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
+    _seed_banner(ns.seed)
+    path = simulate_path(params, ns.T, ns.seed)
+    if ns.format == "json":
         tree = {
             "phi": path.params.phi,
             "rho": path.params.rho,
@@ -115,9 +106,9 @@ def _cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
             "y": path.y.tolist(),
             "xi": path.xi.tolist(),
         }
-        _write_text(cfg.output_path, json.dumps(tree, indent=2) + "\n")
+        _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     else:
-        _write_text(cfg.output_path, _path_csv(path))
+        _write_text(ns.out, _path_csv(path))
     return 0
 
 
@@ -148,15 +139,15 @@ def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
     return SamplePath(params, y, xi, None)
 
 
-def _cmd_estimate(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
     if ns.infile is not None:
-        path = _read_path_csv(ns.infile, cfg.params)
+        path = _read_path_csv(ns.infile, params)
     else:
-        _seed_banner(cfg.seed)
-        path = simulate_path(cfg.params, cfg.T, cfg.seed)
-    vseq = variance_sequence(cfg.params, path.horizon)
+        _seed_banner(ns.seed)
+        path = simulate_path(params, ns.T, ns.seed)
+    vseq = variance_sequence(params, path.horizon)
     res = infeasible_estimate(path, vseq)
-    if cfg.format == "json":
+    if ns.format == "json":
         tree = {
             "phi_hat": res.phi_hat,
             "phi_tilde": res.phi_tilde,
@@ -164,18 +155,18 @@ def _cmd_estimate(cfg: RunConfig, ns: argparse.Namespace) -> int:
             "sample_size": res.sample_size,
             "seed": path.seed,
         }
-        _write_text(cfg.output_path, json.dumps(tree, indent=2) + "\n")
+        _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     else:
         text = (
             "phi_hat,phi_tilde,correction,sample_size\n"
             f"{_g17(res.phi_hat)},{_g17(res.phi_tilde)},{_g17(res.correction)},{res.sample_size}\n"
         )
-        _write_text(cfg.output_path, text)
+        _write_text(ns.out, [text])
     return 0
 
 
-def _cmd_experiment(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    spec = BatchSpec(cfg.params, cfg.T, cfg.R, cfg.seed)
+def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
+    spec = BatchSpec(params, ns.T, ns.R, ns.seed)
     _seed_banner(spec.master_seed)
     if ns.kind == "consistency":
         hat, tilde = run_consistency_experiment(spec)
@@ -186,16 +177,16 @@ def _cmd_experiment(cfg: RunConfig, ns: argparse.Namespace) -> int:
     else:
         table = empirical_acf_experiment(spec, ns.t_obs, ns.k_max)
         tree = {"experiment": "acf", "k_max": ns.k_max, **table.as_tree()}
-    _write_text(cfg.output_path, json.dumps(tree, indent=2) + "\n")
+    _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     return 0
 
 
-def _cmd_figure(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_figure(ns: argparse.Namespace, params: None) -> int:
     build = vbar_curve if ns.kind == "vbar" else bias_curve
     table = build(ns.phi_list, ns.rho_grid, ns.sigma)
     rows = ["phi,rho,value"]
     rows.extend(f"{phi!r},{rho!r},{value!r}" for phi, rho, value in table.rows)
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
+    _write_text(ns.out, ["\n".join(rows) + "\n"])
     return 0
 
 
@@ -304,24 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    subcommand = ns.command
-    if getattr(ns, "kind", None):
-        subcommand = f"{ns.command} {ns.kind}"
-    params = None
-    if hasattr(ns, "phi") and hasattr(ns, "rho"):
-        params = validate_params(ns.phi, ns.rho, ns.sigma)
-    return RunConfig(
-        subcommand=subcommand,
-        params=params,
-        T=getattr(ns, "T", None),
-        R=getattr(ns, "R", None),
-        seed=getattr(ns, "seed", None),
-        output_path=getattr(ns, "out", None),
-        format=getattr(ns, "format", None),
-    )
-
-
 def parse_and_dispatch(argv: list[str]) -> int:
     """Parse argv, run the selected subcommand, return the exit status."""
     parser = build_parser()
@@ -330,8 +303,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
-        cfg = _config_from(ns)
-        return ns.handler(cfg, ns)
+        params = ModelParams(ns.phi, ns.rho, ns.sigma) if hasattr(ns, "phi") else None
+        return ns.handler(ns, params)
     except DigarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    HorizonExceededError,
-    HorizonMismatchError,
-    HorizonTooShortError,
-    OutOfRangeError,
-)
+from .errors import OutOfRangeError
 from .model import ModelParams, VarianceSequence, variance_sequence, vbar_limit
 
 __all__ = [
@@ -68,7 +63,7 @@ class DependenceProfile:
 
 def _require_same_params(params: ModelParams, vseq: VarianceSequence) -> None:
     if vseq.params != params:
-        raise HorizonMismatchError("variance sequence was computed for different parameters")
+        raise OutOfRangeError("variance sequence was computed for different parameters")
 
 
 def tau_one_step(params: ModelParams, vseq: VarianceSequence, t: int) -> float:
@@ -88,14 +83,14 @@ def tau_one_step(params: ModelParams, vseq: VarianceSequence, t: int) -> float:
 
     Raises
     ------
-    HorizonExceededError
+    OutOfRangeError
         If t+1 exceeds the horizon of vseq.
     """
     _require_same_params(params, vseq)
     if t < 1:
         raise OutOfRangeError(f"t must be >= 1, got {t}")
     if t + 1 > vseq.horizon:
-        raise HorizonExceededError(f"t+1={t + 1} exceeds horizon {vseq.horizon}")
+        raise OutOfRangeError(f"t+1={t + 1} exceeds horizon {vseq.horizon}")
     v = vseq.values
     return (params.phi * v[t - 1] + params.rho * params.sigma_xi) / v[t]
 
@@ -111,7 +106,7 @@ def tau_lag_k(params: ModelParams, vseq: VarianceSequence, t: int, k: int) -> fl
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
     if t + k > vseq.horizon:
-        raise HorizonExceededError(f"t+k={t + k} exceeds horizon {vseq.horizon}")
+        raise OutOfRangeError(f"t+k={t + k} exceeds horizon {vseq.horizon}")
     out = 1.0
     for s in range(k):
         out *= tau_one_step(params, vseq, t + s)
@@ -178,13 +173,13 @@ def mixing_decay_bound(params: ModelParams, vseq: VarianceSequence) -> float:
 
     Raises
     ------
-    HorizonTooShortError
+    OutOfRangeError
         If the variance sequence has not yet converged to vbar.
     """
     _require_same_params(params, vseq)
     vb = vbar_limit(params)
     if abs(float(vseq.values[-1]) - vb) >= CONVERGENCE_RTOL * vb:
-        raise HorizonTooShortError(
+        raise OutOfRangeError(
             f"variance sequence not converged at horizon {vseq.horizon}"
         )
     v = vseq.values
@@ -203,7 +198,7 @@ def _converged_sequence(params: ModelParams) -> VarianceSequence:
         if abs(float(vseq.values[-1]) - vb) < CONVERGENCE_RTOL * vb:
             return vseq
         T *= 2
-    raise HorizonTooShortError(
+    raise OutOfRangeError(
         f"variance sequence did not converge within {_MAX_AUTO_HORIZON} steps"
     )
 

@@ -1,32 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = ["DigarError", "OutOfRangeError", "NonFiniteError", "DegenerateDenominatorError"]
+
 
 class DigarError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
 class OutOfRangeError(DigarError):
-    """A parameter or argument violates its admissible range."""
+    """A parameter, argument or horizon violates its admissible range."""
 
 
 class NonFiniteError(DigarError):
     """A numeric input is NaN or infinite."""
-
-
-class HorizonZeroError(DigarError):
-    """A positive path length or horizon was required but not given."""
-
-
-class HorizonExceededError(DigarError):
-    """A time index points past the end of the available horizon."""
-
-
-class HorizonTooShortError(DigarError):
-    """The computed horizon is too short for the requested operation."""
-
-
-class HorizonMismatchError(DigarError):
-    """A variance sequence does not match the path it is used with."""
 
 
 class DegenerateDenominatorError(DigarError):

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import DependenceProfile
-from .errors import (
-    DegenerateDenominatorError,
-    HorizonMismatchError,
-    NonFiniteError,
-    OutOfRangeError,
-)
+from .dependence import DependenceProfile, _require_same_params
+from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .model import VarianceSequence
 from .simulation import SamplePath
 
@@ -84,10 +79,9 @@ class MartingaleDiagnostics:
 
 
 def _require_match(path: SamplePath, vseq: VarianceSequence) -> None:
-    if vseq.params != path.params:
-        raise HorizonMismatchError("variance sequence was computed for different parameters")
+    _require_same_params(path.params, vseq)
     if vseq.horizon < path.horizon:
-        raise HorizonMismatchError(
+        raise OutOfRangeError(
             f"variance horizon {vseq.horizon} shorter than path horizon {path.horizon}"
         )
 
@@ -138,7 +132,7 @@ def correction_term(path: SamplePath, vseq: VarianceSequence) -> float:
 
     Raises
     ------
-    HorizonMismatchError
+    OutOfRangeError
         If vseq does not belong to the path or is too short.
     DegenerateDenominatorError
         As in ols_estimate.

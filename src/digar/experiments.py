@@ -17,13 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dependence import delta_limit, eta_bar, ols_bias, tau_bar
-from .errors import (
-    DegenerateDenominatorError,
-    HorizonExceededError,
-    NonFiniteError,
-    OutOfRangeError,
-)
-from .model import validate_params, vbar_limit
+from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
+from .model import ModelParams, vbar_limit
 from .simulation import BatchSpec, _run_blocks
 
 __all__ = [
@@ -302,15 +297,19 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     errors use the (1-r^2)/sqrt(R-3) approximation for a correlation
     estimate.
 
-    Requires t_obs >= 200 (past the variance burn-in for the admissible
-    parameter range), t_obs + k_max <= T, and R >= 30.
+    The theory columns are t -> infinity limits, so they describe t_obs
+    only once V_t has settled near vbar.  That holds at t_obs = 200 for
+    moderate parameters, but not near the boundary: at phi = rho = 0.99,
+    |V_200 - vbar|/vbar is still 0.134.
+
+    Requires t_obs >= 200, t_obs + k_max <= T, and R >= 30.
     """
     if t_obs < 200:
         raise OutOfRangeError(f"need t_obs >= 200, got {t_obs}")
     if k_max < 1:
         raise OutOfRangeError(f"need k_max >= 1, got {k_max}")
     if t_obs + k_max > spec.path_length:
-        raise HorizonExceededError(
+        raise OutOfRangeError(
             f"t_obs+k_max={t_obs + k_max} exceeds path length {spec.path_length}"
         )
     if spec.replications < 30:
@@ -348,7 +347,7 @@ def vbar_curve(
     rows = []
     for phi in phi_list:
         for rho in rho_grid:
-            p = validate_params(phi, rho, sigma_xi)
+            p = ModelParams(phi, rho, sigma_xi)
             rows.append((p.phi, p.rho, vbar_limit(p)))
     return CurveTable(kind="vbar", rows=tuple(rows))
 
@@ -360,6 +359,6 @@ def bias_curve(
     rows = []
     for phi in phi_list:
         for rho in rho_grid:
-            p = validate_params(phi, rho, sigma_xi)
+            p = ModelParams(phi, rho, sigma_xi)
             rows.append((p.phi, p.rho, ols_bias(p)))
     return CurveTable(kind="bias", rows=tuple(rows))

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceededError, HorizonZeroError, NonFiniteError, OutOfRangeError
+from .errors import NonFiniteError, OutOfRangeError
 
 __all__ = [
     "ModelParams",
     "VarianceSequence",
-    "validate_params",
     "stationary_sd",
     "variance_sequence",
-    "variance_sum_sequence",
-    "variance_sum_form",
     "vbar_limit",
 ]
 
@@ -33,8 +30,25 @@ __all__ = [
 class ModelParams:
     """Validated parameter triple (phi, rho, sigma_xi).
 
-    Construction enforces |phi| < 1, |rho| < 1 strictly and sigma_xi > 0,
-    so every instance in circulation is valid.
+    Construction enforces the constraints below, so every instance in
+    circulation is valid.
+
+    Parameters
+    ----------
+    phi : float
+        Autoregressive coefficient, |phi| < 1 strictly.
+    rho : float
+        Gaussian copula parameter between the innovation and the lagged
+        level, |rho| < 1 strictly.
+    sigma_xi : float
+        Marginal standard deviation of the innovation, > 0.
+
+    Raises
+    ------
+    NonFiniteError
+        If any input is NaN or infinite.
+    OutOfRangeError
+        If any constraint is violated.
     """
 
     phi: float
@@ -58,29 +72,6 @@ class ModelParams:
             raise OutOfRangeError(f"sigma_xi > 0 required, got sigma_xi={self.sigma_xi!r}")
 
 
-def validate_params(phi: float, rho: float, sigma_xi: float) -> ModelParams:
-    """Validate raw reals and pack them into a ModelParams.
-
-    Parameters
-    ----------
-    phi : float
-        Autoregressive coefficient, |phi| < 1 strictly.
-    rho : float
-        Gaussian copula parameter between the innovation and the lagged
-        level, |rho| < 1 strictly.
-    sigma_xi : float
-        Marginal standard deviation of the innovation, > 0.
-
-    Raises
-    ------
-    NonFiniteError
-        If any input is NaN or infinite.
-    OutOfRangeError
-        If any constraint is violated.
-    """
-    return ModelParams(phi, rho, sigma_xi)
-
-
 @dataclass(frozen=True)
 class VarianceSequence:
     """The deterministic sequence V_1..V_T of standard deviations of Y_t."""
@@ -92,7 +83,7 @@ class VarianceSequence:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if self.horizon < 1:
-            raise HorizonZeroError(f"horizon must be >= 1, got {self.horizon}")
+            raise OutOfRangeError(f"horizon must be >= 1, got {self.horizon}")
         if values.shape != (self.horizon,):
             raise OutOfRangeError(
                 f"values must have shape ({self.horizon},), got {values.shape}"
@@ -110,7 +101,7 @@ class VarianceSequence:
     def value_at(self, t: int) -> float:
         """Return V_t for 1 <= t <= horizon."""
         if not 1 <= t <= self.horizon:
-            raise HorizonExceededError(f"t={t} outside 1..{self.horizon}")
+            raise OutOfRangeError(f"t={t} outside 1..{self.horizon}")
         return float(self.values[t - 1])
 
 
@@ -128,10 +119,9 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
 
     Uses V_t^2 = phi^2*V_{t-1}^2 + 2*phi*rho*sigma_xi*V_{t-1} + sigma_xi^2
     with V_1 = sigma_xi, which is Var(phi*Y_{t-1} + xi_t) with
-    Cov(Y_{t-1}, xi_t) = rho*sigma_xi*V_{t-1}.  O(T) cost; the expanded
-    sum form in variance_sum_sequence is the independent cross-check.
-    Once an entry maps exactly onto itself, the rest of the sequence is
-    filled with it instead of iterating further; the values are the same.
+    Cov(Y_{t-1}, xi_t) = rho*sigma_xi*V_{t-1}.  O(T) cost.  Once an entry
+    maps exactly onto itself, the rest of the sequence is filled with it
+    instead of iterating further; the values are the same.
 
     Parameters
     ----------
@@ -141,11 +131,11 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
 
     Raises
     ------
-    HorizonZeroError
+    OutOfRangeError
         If T < 1.
     """
     if T < 1:
-        raise HorizonZeroError(f"T must be >= 1, got {T}")
+        raise OutOfRangeError(f"T must be >= 1, got {T}")
     a = params.phi * params.phi
     b = 2.0 * params.phi * params.rho * params.sigma_xi
     c = params.sigma_xi * params.sigma_xi
@@ -162,37 +152,6 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
         v = nxt
         out[t] = v
     return VarianceSequence(params, np.frombuffer(out), T)
-
-
-def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:
-    """Compute V_1..V_T by the expanded sum formula, O(T^2).
-
-    V_t^2 = sigma^2*(phi^{2(t-1)} + sum_{i=1}^{t-1} phi^{2(i-1)})
-            + 2*rho*sigma*sum_{i=1}^{t-1} phi^{2i-1}*V_{t-i},
-    where the lower-index V values are themselves produced by this same
-    formula, so the route never touches the one-step recursion.
-    """
-    if T < 1:
-        raise HorizonZeroError(f"T must be >= 1, got {T}")
-    phi = params.phi
-    sig = params.sigma_xi
-    even = (phi * phi) ** np.arange(T)  # phi^{2(i-1)} for i = 1..T
-    odd = phi * even  # phi^{2i-1}
-    prefix = np.cumsum(even)
-    sig2 = sig * sig
-    two_rho_sig = 2.0 * params.rho * sig
-    vs = np.empty(T)
-    vs[0] = sig
-    for s in range(2, T + 1):
-        head = even[s - 1] + prefix[s - 2]
-        cross = float(np.dot(odd[: s - 1], vs[s - 2 :: -1]))
-        vs[s - 1] = math.sqrt(sig2 * head + two_rho_sig * cross)
-    return vs
-
-
-def variance_sum_form(params: ModelParams, t: int) -> float:
-    """Return V_t computed purely by the expanded sum formula."""
-    return float(variance_sum_sequence(params, t)[-1])
 
 
 def vbar_limit(params: ModelParams) -> float:

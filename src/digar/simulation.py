@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import HorizonZeroError, NonFiniteError, OutOfRangeError
+from .errors import NonFiniteError, OutOfRangeError
 from .model import ModelParams, variance_sequence
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "BatchSpec",
     "mix_seed",
     "normal_stream",
-    "standard_normal",
     "simulate_path",
     "simulate_batch",
-    "iter_path_blocks",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -49,7 +47,7 @@ _MIX_B = 0x94D049BB133111EB
 
 # Rows per block in batch generation.  Every operation of the kernel is
 # elementwise across rows, so the block size never affects the bytes.
-BLOCK_SIZE = 500
+_BLOCK_SIZE = 500
 
 # Time steps per chunk of the batch kernel.  A block's buffers hold one
 # chunk, so the kernel's memory does not grow with T.
@@ -146,11 +144,6 @@ def normal_stream(seed: int) -> np.random.Generator:
     """Fresh deterministic stream of standard normals for one path."""
     _check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def standard_normal(stream: np.random.Generator) -> float:
-    """Draw one N(0,1) variate, advancing the stream deterministically."""
-    return float(stream.standard_normal())
 
 
 def _simulate_block(
@@ -258,11 +251,11 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
 
     Raises
     ------
-    HorizonZeroError
+    OutOfRangeError
         If T < 1.
     """
     if T < 1:
-        raise HorizonZeroError(f"T must be >= 1, got {T}")
+        raise OutOfRangeError(f"T must be >= 1, got {T}")
     _check_seed(seed)
     eps = normal_stream(seed).standard_normal(T).tolist()
     v = variance_sequence(params, T).values
@@ -289,7 +282,7 @@ def _run_blocks(
     spec: BatchSpec,
     keep: tuple[int, int] | None = None,
     sums: bool = False,
-    block_size: int = BLOCK_SIZE,
+    block_size: int = _BLOCK_SIZE,
     chunk: int = _CHUNK,
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
     # Yield (start_index, ys, xs, sums) per block of replications, in
@@ -304,20 +297,6 @@ def _run_blocks(
         yield (start, *_simulate_block(spec.params, v, slope, streams, keep, sums, chunk))
 
 
-def iter_path_blocks(
-    spec: BatchSpec, block_size: int = BLOCK_SIZE
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (start_index, y_block, xi_block) in replication order.
-
-    y_block has shape (n, T+1) and xi_block (n, T); row i holds
-    replication start_index + i.  The variance sequence is computed once
-    per batch.
-    """
-    keep = (0, spec.path_length + 1)
-    for start, y, xi, _ in _run_blocks(spec, keep=keep, block_size=block_size):
-        yield start, y, xi
-
-
 def simulate_batch(spec: BatchSpec) -> tuple[SamplePath, ...]:
     """Simulate all replications of a batch, in replication order.
 
@@ -325,7 +304,7 @@ def simulate_batch(spec: BatchSpec) -> tuple[SamplePath, ...]:
     output of simulate_path with that seed bit for bit.
     """
     paths = []
-    for start, y, xi in iter_path_blocks(spec):
+    for start, y, xi, _ in _run_blocks(spec, keep=(0, spec.path_length + 1)):
         for i in range(y.shape[0]):
             paths.append(
                 SamplePath(spec.params, y[i], xi[i], mix_seed(spec.master_seed, start + i))

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from digar import validate_params
+from digar import ModelParams
 
 # derandomize makes every run check the same example set, so the suite
 # has no flaky property tests
@@ -12,7 +12,7 @@ settings.load_profile("suite")
 def params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
     """Valid parameter triples away from the open boundaries."""
     return st.builds(
-        validate_params,
+        ModelParams,
         st.floats(-0.95, 0.95),
         st.floats(-0.95, 0.95),
         st.floats(min_sigma, max_sigma),

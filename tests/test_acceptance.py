@@ -19,22 +19,22 @@ from digar import (
     DEFAULT_PHI_GRID,
     DEFAULT_RHO_GRID,
     BatchSpec,
-    empirical_acf_experiment,
+    ModelParams,
     delta_limit,
+    empirical_acf_experiment,
     eta_bar,
     run_clt_experiment,
     run_consistency_experiment,
     stationary_sd,
     tau_bar,
-    validate_params,
     variance_sequence,
-    variance_sum_sequence,
     vbar_limit,
 )
 from digar.cli import parse_and_dispatch
+from oracles import variance_sum_sequence
 
-P = validate_params(0.5, 0.3, 1.0)
-P0 = validate_params(0.5, 0.0, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
+P0 = ModelParams(0.5, 0.0, 1.0)
 MASTER = 12345
 
 
@@ -68,7 +68,7 @@ def test_criterion_1_variance_oracle_agreement():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(20):
-        params = validate_params(
+        params = ModelParams(
             rng.uniform(-0.95, 0.95),
             rng.uniform(-0.95, 0.95),
             rng.uniform(0.1, 10.0),
@@ -93,7 +93,7 @@ def test_criterion_2_variance_limit_fixed_point():
     worst_iter = 0.0
     for phi in DEFAULT_PHI_GRID:
         for rho in DEFAULT_RHO_GRID:
-            p = validate_params(phi, rho, 1.0)
+            p = ModelParams(phi, rho, 1.0)
             vb = vbar_limit(p)
             quad = (1.0 - phi * phi) * vb * vb - 2.0 * rho * phi * p.sigma_xi * vb - p.sigma_xi**2
             worst_quad = max(worst_quad, abs(quad) / max(1.0, vb * vb))
@@ -255,7 +255,7 @@ def test_criterion_8_figure_reproduction(tmp_path, capsys):
 
     sign_ok = True
     for (phi, rho), v in vbar_rows.items():
-        s = stationary_sd(validate_params(phi, rho, 1.0))
+        s = stationary_sd(ModelParams(phi, rho, 1.0))
         if phi * rho > 0:
             sign_ok &= v > s
         elif phi * rho < 0:

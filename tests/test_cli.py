@@ -6,6 +6,7 @@ from digar import (
     DEFAULT_PHI_GRID,
     DEFAULT_RHO_GRID,
     BatchSpec,
+    ModelParams,
     dependence_profile,
     empirical_acf_experiment,
     infeasible_estimate,
@@ -13,14 +14,13 @@ from digar import (
     run_consistency_experiment,
     simulate_path,
     stationary_sd,
-    validate_params,
     variance_sequence,
     vbar_curve,
     vbar_limit,
 )
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +204,33 @@ class TestEstimate:
         assert tree["sample_size"] == 200
         assert tree["seed"] is None
 
+    def test_csv_across_write_pieces_round_trips_exactly(self, capsys, tmp_path):
+        # The CSV is written in pieces of 65,536 rows; this path crosses
+        # a piece boundary, and no row may be lost, repeated or altered.
+        T = 65_536 + 5
+        path_file = tmp_path / "path.csv"
+        assert parse_and_dispatch(
+            ["simulate", "-T", str(T), "--seed", "11", "--out", str(path_file)]
+        ) == 0
+        capsys.readouterr()
+        path = simulate_path(P, T, 11)
+        lines = path_file.read_text().split("\n")
+        assert lines[:2] == ["t,y,xi", "0,0,"]
+        assert lines[-1] == ""
+        assert len(lines) == T + 3
+        for t, line in enumerate(lines[2:-1], start=1):
+            idx, y_s, xi_s = line.split(",")
+            assert int(idx) == t
+            assert float(y_s) == path.y[t]
+            assert float(xi_s) == path.xi[t - 1]
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(path_file), "--format", "json")
+        assert code == 0
+        tree = json.loads(out)
+        res = infeasible_estimate(path, variance_sequence(P, T))
+        assert (tree["phi_hat"], tree["phi_tilde"]) == (res.phi_hat, res.phi_tilde)
+        assert tree["correction"] == res.correction
+        assert tree["sample_size"] == T
+
     def test_fresh_json_reports_seed(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "-T", "150", "--seed", "9", "--format", "json"
@@ -314,7 +341,7 @@ class TestFigure:
             phi_s, rho_s, val_s = line.split(",")
             assert float(phi_s) == 0.5
             assert float(rho_s) == rho
-            assert float(val_s) == ols_bias(validate_params(0.5, rho, 2.0))
+            assert float(val_s) == ols_bias(ModelParams(0.5, rho, 2.0))
 
     def test_bad_float_list(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "vbar", "--phi-list", "0.5,oops")

@@ -7,9 +7,7 @@ import hypothesis.strategies as st
 
 from digar import (
     DependenceProfile,
-    HorizonExceededError,
-    HorizonMismatchError,
-    HorizonTooShortError,
+    ModelParams,
     OutOfRangeError,
     delta_limit,
     dependence_profile,
@@ -21,13 +19,12 @@ from digar import (
     tau_bar,
     tau_lag_k,
     tau_one_step,
-    validate_params,
     variance_sequence,
     vbar_limit,
 )
 from conftest import params_strategy
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 VS = variance_sequence(P, 2000)
 
 
@@ -37,18 +34,18 @@ class TestTauOneStep:
         assert tau_one_step(P, VS, 1) == pytest.approx(0.6425754631219992, rel=1e-14)
 
     def test_rho_zero_tends_to_phi(self):
-        p = validate_params(0.5, 0.0, 1.0)
+        p = ModelParams(0.5, 0.0, 1.0)
         vs = variance_sequence(p, 1000)
         assert tau_one_step(p, vs, 900) == pytest.approx(0.5, rel=1e-12)
 
     def test_phi_zero_tends_to_rho(self):
-        p = validate_params(0.0, 0.3, 1.0)
+        p = ModelParams(0.0, 0.3, 1.0)
         vs = variance_sequence(p, 1000)
         assert tau_one_step(p, vs, 900) == pytest.approx(0.3, rel=1e-12)
 
     def test_horizon_exceeded(self):
         vs = variance_sequence(P, 5)
-        with pytest.raises(HorizonExceededError):
+        with pytest.raises(OutOfRangeError, match="exceeds horizon"):
             tau_one_step(P, vs, 5)
 
     def test_t_must_be_positive(self):
@@ -56,8 +53,8 @@ class TestTauOneStep:
             tau_one_step(P, VS, 0)
 
     def test_foreign_variance_sequence_rejected(self):
-        other = variance_sequence(validate_params(0.4, 0.3, 1.0), 10)
-        with pytest.raises(HorizonMismatchError):
+        other = variance_sequence(ModelParams(0.4, 0.3, 1.0), 10)
+        with pytest.raises(OutOfRangeError, match="different parameters"):
             tau_one_step(P, other, 1)
 
     @given(params_strategy(), st.integers(1, 63))
@@ -71,7 +68,7 @@ class TestTauLagK:
         assert tau_lag_k(P, VS, 7, 1) == tau_one_step(P, VS, 7)
 
     def test_classical_cube(self):
-        p = validate_params(0.5, 0.0, 1.0)
+        p = ModelParams(0.5, 0.0, 1.0)
         vs = variance_sequence(p, 1000)
         assert tau_lag_k(p, vs, 900, 3) == pytest.approx(0.125, rel=1e-10)
 
@@ -81,7 +78,7 @@ class TestTauLagK:
 
     def test_horizon_exceeded(self):
         vs = variance_sequence(P, 10)
-        with pytest.raises(HorizonExceededError):
+        with pytest.raises(OutOfRangeError, match="exceeds horizon"):
             tau_lag_k(P, vs, 8, 3)
 
     @given(params_strategy(), st.integers(1, 40), st.integers(1, 8))
@@ -93,19 +90,19 @@ class TestTauLagK:
 
 class TestTauBarAndBias:
     def test_rho_zero(self):
-        assert tau_bar(validate_params(0.5, 0.0, 1.0)) == 0.5
-        assert ols_bias(validate_params(0.5, 0.0, 1.0)) == 0.0
+        assert tau_bar(ModelParams(0.5, 0.0, 1.0)) == 0.5
+        assert ols_bias(ModelParams(0.5, 0.0, 1.0)) == 0.0
 
     def test_phi_zero(self):
-        assert tau_bar(validate_params(0.0, 0.3, 1.0)) == pytest.approx(0.3, rel=1e-15)
+        assert tau_bar(ModelParams(0.0, 0.3, 1.0)) == pytest.approx(0.3, rel=1e-15)
 
     def test_reference_point(self):
         assert tau_bar(P) == pytest.approx(0.7186759374687043, rel=1e-12)
         assert ols_bias(P) == pytest.approx(0.21867593746870428, rel=1e-12)
 
     def test_bias_sign_matches_rho(self):
-        assert ols_bias(validate_params(0.5, -0.4, 1.0)) < 0
-        assert ols_bias(validate_params(-0.5, 0.4, 2.0)) > 0
+        assert ols_bias(ModelParams(0.5, -0.4, 1.0)) < 0
+        assert ols_bias(ModelParams(-0.5, 0.4, 2.0)) > 0
 
     @given(params_strategy())
     def test_tau_bar_decomposition_exact(self, p):
@@ -118,15 +115,15 @@ class TestTauBarAndBias:
     def test_bias_smaller_when_signs_agree(self):
         for mag in (0.3, 0.6, 0.9):
             for rho in (0.25, 0.5, 0.75):
-                same = abs(ols_bias(validate_params(mag, rho, 1.0)))
-                opposite = abs(ols_bias(validate_params(-mag, rho, 1.0)))
+                same = abs(ols_bias(ModelParams(mag, rho, 1.0)))
+                opposite = abs(ols_bias(ModelParams(-mag, rho, 1.0)))
                 assert same < opposite
 
 
 class TestDeltaLimit:
     def test_rho_zero_vanishes(self):
         for k in (1, 2, 5):
-            assert delta_limit(validate_params(0.7, 0.0, 2.0), k) == 0.0
+            assert delta_limit(ModelParams(0.7, 0.0, 2.0), k) == 0.0
 
     def test_reference_points(self):
         assert delta_limit(P, 1) == pytest.approx(0.26367593746870405, rel=1e-12)
@@ -150,12 +147,12 @@ class TestDeltaLimit:
 
 class TestEtaBarAndSigmaBar:
     def test_rho_zero_classical_value(self):
-        p = validate_params(0.5, 0.0, 1.0)
+        p = ModelParams(0.5, 0.0, 1.0)
         assert eta_bar(p) == pytest.approx(math.sqrt(0.75), rel=1e-14)
         assert eta_bar(p) == pytest.approx(0.8660254037844386, rel=1e-14)
 
     def test_phi_zero(self):
-        assert eta_bar(validate_params(0.0, 0.3, 1.0)) == pytest.approx(
+        assert eta_bar(ModelParams(0.0, 0.3, 1.0)) == pytest.approx(
             math.sqrt(0.91), rel=1e-14
         )
 
@@ -177,20 +174,20 @@ class TestEtaBarAndSigmaBar:
 
 class TestMixingDecayBound:
     def test_rho_zero_equals_abs_phi(self):
-        p = validate_params(0.5, 0.0, 1.0)
+        p = ModelParams(0.5, 0.0, 1.0)
         assert mixing_decay_bound(p, variance_sequence(p, 2000)) == 0.5
 
     def test_reference_points(self):
         assert mixing_decay_bound(P, VS) == pytest.approx(0.7186759374687043, rel=1e-12)
-        pm = validate_params(-0.5, 0.3, 1.0)
+        pm = ModelParams(-0.5, 0.3, 1.0)
         # the scan at t=1 dominates the limit here
         assert mixing_decay_bound(pm, variance_sequence(pm, 2000)) == pytest.approx(
             0.20519567041703085, rel=1e-12
         )
 
     def test_unconverged_horizon_rejected(self):
-        p = validate_params(0.9, 0.5, 1.0)
-        with pytest.raises(HorizonTooShortError):
+        p = ModelParams(0.9, 0.5, 1.0)
+        with pytest.raises(OutOfRangeError, match="not converged"):
             mixing_decay_bound(p, variance_sequence(p, 10))
 
     @given(params_strategy())
@@ -211,7 +208,7 @@ class TestDependenceProfile:
         assert prof.eta_hat == mixing_decay_bound(P, VS)
 
     def test_automatic_horizon_handles_slow_mixing(self):
-        p = validate_params(0.95, -0.9, 3.0)
+        p = ModelParams(0.95, -0.9, 3.0)
         prof = dependence_profile(p)
         assert 0.0 <= prof.eta_hat < 1.0
 

@@ -9,8 +9,8 @@ from digar import (
     BatchSpec,
     DegenerateDenominatorError,
     EstimateResult,
-    HorizonMismatchError,
     MartingaleDiagnostics,
+    ModelParams,
     NonFiniteError,
     OutOfRangeError,
     SamplePath,
@@ -24,14 +24,13 @@ from digar import (
     simulate_path,
     studentized_statistic,
     tau_bar,
-    validate_params,
     variance_sequence,
     z_series,
 )
 from digar.experiments import _collect_estimates
 from conftest import params_strategy
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 
 # y = (0, 1, 2, 1) with xi = (1, 1.5, 0) satisfies the recursion at phi=0.5,
 # and every estimation quantity below is checkable by hand.
@@ -56,11 +55,11 @@ class TestOlsEstimate:
 
     def test_scale_invariant_bitwise(self):
         base = simulate_path(P, 400, 7)
-        scaled = simulate_path(validate_params(0.5, 0.3, 2.0), 400, 7)
+        scaled = simulate_path(ModelParams(0.5, 0.3, 2.0), 400, 7)
         assert ols_estimate(scaled) == ols_estimate(base)
 
     def test_long_path_without_feedback(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 100_000, 271828)
         assert abs(ols_estimate(path) - 0.5) < 0.02
 
@@ -73,7 +72,7 @@ class TestCorrectionTerm:
         )
 
     def test_zero_without_feedback(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 50, 3)
         assert correction_term(path, variance_sequence(p0, 50)) == 0.0
 
@@ -84,13 +83,13 @@ class TestCorrectionTerm:
 
     def test_short_variance_sequence_rejected(self):
         path = simulate_path(P, 20, 5)
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(OutOfRangeError, match="shorter than path horizon"):
             correction_term(path, variance_sequence(P, 10))
 
     def test_foreign_variance_sequence_rejected(self):
         path = simulate_path(P, 20, 5)
-        other = variance_sequence(validate_params(0.4, 0.3, 1.0), 20)
-        with pytest.raises(HorizonMismatchError):
+        other = variance_sequence(ModelParams(0.4, 0.3, 1.0), 20)
+        with pytest.raises(OutOfRangeError, match="different parameters"):
             correction_term(path, other)
 
     def test_degenerate_denominator(self):
@@ -108,7 +107,7 @@ class TestInfeasibleEstimate:
         assert res.sample_size == 3
 
     def test_collapses_to_plain_slope_without_feedback(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 200, 17)
         res = infeasible_estimate(path, variance_sequence(p0, 200))
         assert res.correction == 0.0
@@ -175,7 +174,7 @@ class TestZSeries:
         assert diag.sigma_t_sq[0] == pytest.approx(0.91, rel=1e-15)
 
     def test_without_feedback_reduces_to_plain_score(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 100, 23)
         diag = z_series(path, variance_sequence(p0, 100))
         assert np.array_equal(diag.z, path.xi[1:] * path.y[1:-1])
@@ -187,7 +186,7 @@ class TestZSeries:
 
     def test_mismatched_sequence_rejected(self):
         path = simulate_path(P, 20, 5)
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(OutOfRangeError, match="shorter than path horizon"):
             z_series(path, variance_sequence(P, 10))
 
     def test_arrays_read_only(self):

@@ -12,7 +12,7 @@ from digar import (
     BatchSpec,
     CurveTable,
     ExperimentSummary,
-    HorizonExceededError,
+    ModelParams,
     Moments,
     NonFiniteError,
     OutOfRangeError,
@@ -28,13 +28,12 @@ from digar import (
     run_consistency_experiment,
     stationary_sd,
     tau_bar,
-    validate_params,
     vbar_curve,
     vbar_limit,
 )
 from digar.experiments import _collect_estimates
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 
 
 class TestNormalCdf:
@@ -161,7 +160,7 @@ class TestConsistencyExperiment:
         assert hat.standardized_moments.variance == pytest.approx(1.0, rel=1e-12)
 
     def test_without_feedback_both_estimators_coincide(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         hat, tilde = run_consistency_experiment(BatchSpec(p0, 100, 100, 7))
         assert hat.estimate_mean == tilde.estimate_mean
         assert hat.ks_distance == tilde.ks_distance
@@ -171,7 +170,7 @@ class TestConsistencyExperiment:
         # With phi < 0 and rho > 0 the feedback opposes the mean reversion,
         # so the plain slope overshoots by more than in the mirrored
         # positive-phi design.
-        p_neg = validate_params(-0.5, 0.3, 1.0)
+        p_neg = ModelParams(-0.5, 0.3, 1.0)
         hat_neg, _ = run_consistency_experiment(BatchSpec(p_neg, 2000, 400, 2025))
         hat_pos, _ = run_consistency_experiment(BatchSpec(P, 2000, 400, 2025))
         assert abs(hat_neg.estimate_mean - tau_bar(p_neg)) < 3 * hat_neg.mc_standard_error
@@ -271,7 +270,7 @@ class TestAcfExperiment:
             empirical_acf_experiment(BatchSpec(P, 208, 800, 888), 200, 0)
         with pytest.raises(OutOfRangeError):
             empirical_acf_experiment(BatchSpec(P, 208, 29, 888), 200, 4)
-        with pytest.raises(HorizonExceededError):
+        with pytest.raises(OutOfRangeError, match="exceeds path length"):
             empirical_acf_experiment(BatchSpec(P, 203, 800, 888), 200, 4)
 
 
@@ -289,13 +288,13 @@ class TestCurves:
         assert values[(0.9, 0.9)] == pytest.approx(9.104404958272635, rel=1e-12)
         assert values[(-0.9, 0.6)] == pytest.approx(0.8103898048205207, rel=1e-12)
         for phi in DEFAULT_PHI_GRID:
-            s = stationary_sd(validate_params(phi, 0.0, 1.0))
+            s = stationary_sd(ModelParams(phi, 0.0, 1.0))
             assert values[(phi, 0.0)] == pytest.approx(s, rel=1e-14)
 
     def test_vbar_exceeds_classical_sd_iff_feedback_reinforces(self):
         table = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
         for phi, rho, v in table.rows:
-            s = stationary_sd(validate_params(phi, rho, 1.0))
+            s = stationary_sd(ModelParams(phi, rho, 1.0))
             if phi * rho > 0:
                 assert v > s
             elif phi * rho < 0:
@@ -310,7 +309,7 @@ class TestCurves:
         assert values[(0.9, 0.3)] == pytest.approx(0.07282132491953122, rel=1e-12)
         assert values[(-0.9, 0.3)] == pytest.approx(0.23482132491953125, rel=1e-12)
         for (phi, rho), v in values.items():
-            assert v == ols_bias(validate_params(phi, rho, 1.0))
+            assert v == ols_bias(ModelParams(phi, rho, 1.0))
 
     def test_bias_increasing_in_rho(self):
         table = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)

@@ -6,68 +6,66 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from digar import (
-    HorizonZeroError,
+    ModelParams,
     NonFiniteError,
     OutOfRangeError,
     VarianceSequence,
     stationary_sd,
-    validate_params,
     variance_sequence,
-    variance_sum_form,
-    variance_sum_sequence,
     vbar_limit,
 )
 from conftest import params_strategy
+from oracles import variance_sum_form, variance_sum_sequence
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 
 
 class TestValidateParams:
     def test_valid_triple(self):
-        p = validate_params(0.5, 0.3, 1.0)
+        p = ModelParams(0.5, 0.3, 1.0)
         assert (p.phi, p.rho, p.sigma_xi) == (0.5, 0.3, 1.0)
 
     @pytest.mark.parametrize("phi", [1.0, -1.0, 1.5])
     def test_phi_boundary_rejected(self, phi):
         with pytest.raises(OutOfRangeError, match="phi"):
-            validate_params(phi, 0.0, 1.0)
+            ModelParams(phi, 0.0, 1.0)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 2.0])
     def test_rho_boundary_rejected(self, rho):
         with pytest.raises(OutOfRangeError, match="rho"):
-            validate_params(0.5, rho, 1.0)
+            ModelParams(0.5, rho, 1.0)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_nonpositive_sigma_rejected(self, sigma):
         with pytest.raises(OutOfRangeError, match="sigma"):
-            validate_params(0.5, 0.3, sigma)
+            ModelParams(0.5, 0.3, sigma)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(NonFiniteError):
-            validate_params(bad, 0.3, 1.0)
+            ModelParams(bad, 0.3, 1.0)
         with pytest.raises(NonFiniteError):
-            validate_params(0.5, bad, 1.0)
+            ModelParams(0.5, bad, 1.0)
         with pytest.raises(NonFiniteError):
-            validate_params(0.5, 0.3, bad)
+            ModelParams(0.5, 0.3, bad)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(NonFiniteError):
-            validate_params("0.5", 0.3, 1.0)
+            ModelParams("0.5", 0.3, 1.0)
 
 
 class TestStationarySd:
     def test_phi_zero_returns_sigma(self):
-        assert stationary_sd(validate_params(0.0, 0.7, 1.0)) == 1.0
+        assert stationary_sd(ModelParams(0.0, 0.7, 1.0)) == 1.0
 
     def test_half_phi(self):
         # oracle: 1/sqrt(0.75)
-        assert stationary_sd(validate_params(0.5, 0.0, 1.0)) == pytest.approx(
+        assert stationary_sd(ModelParams(0.5, 0.0, 1.0)) == pytest.approx(
             1.1547005383792517, rel=1e-15
         )
 
     def test_sign_of_phi_irrelevant(self):
-        assert stationary_sd(validate_params(-0.5, 0.0, 2.0)) == pytest.approx(
+        assert stationary_sd(ModelParams(-0.5, 0.0, 2.0)) == pytest.approx(
             2.3094010767585034, rel=1e-15
         )
 
@@ -85,14 +83,14 @@ class TestVarianceSequence:
         assert vs.value_at(2) == pytest.approx(1.2449899597988732, rel=1e-14)
 
     def test_rho_zero_converges_to_classical_sd(self):
-        p = validate_params(0.5, 0.0, 1.0)
+        p = ModelParams(0.5, 0.0, 1.0)
         vs = variance_sequence(p, 200)
         assert vs.value_at(200) == pytest.approx(1.1547005383792517, rel=1e-12)
 
     def test_zero_horizon_rejected(self):
-        with pytest.raises(HorizonZeroError):
+        with pytest.raises(OutOfRangeError, match="T must be >= 1"):
             variance_sequence(P, 0)
-        with pytest.raises(HorizonZeroError):
+        with pytest.raises(OutOfRangeError, match="T must be >= 1"):
             variance_sequence(P, -3)
 
     def test_values_read_only(self):
@@ -130,7 +128,7 @@ class TestVarianceSequence:
     def test_fixed_point_exit_matches_plain_loop(self, phi, rho):
         # (-0.999, 0.9) never reaches an exact fixed point, so the loop
         # runs to T there; the others stop early and fill.
-        p = validate_params(phi, rho, 1.0)
+        p = ModelParams(phi, rho, 1.0)
         T = 200_000
         assert np.array_equal(variance_sequence(p, T).values, _plain_recursion(p, T))
 
@@ -155,7 +153,7 @@ def _plain_recursion(p, T):
 class TestVarianceSumForm:
     def test_t1_empty_sums(self):
         assert variance_sum_form(P, 1) == 1.0
-        assert variance_sum_form(validate_params(0.2, -0.8, 3.5), 1) == 3.5
+        assert variance_sum_form(ModelParams(0.2, -0.8, 3.5), 1) == 3.5
 
     def test_t2_hand_expansion(self):
         # sigma^2*(phi^2 + 1) + 2*rho*sigma*phi*V_1 = 1.55
@@ -173,19 +171,19 @@ class TestVarianceSumForm:
         assert np.all(np.abs(by_sum - by_recursion) <= 1e-10 * by_recursion)
 
     def test_phi_zero_collapses_to_constant(self):
-        p = validate_params(0.0, 0.6, 2.0)
+        p = ModelParams(0.0, 0.6, 2.0)
         assert variance_sum_sequence(p, 10).tolist() == [2.0] * 10
 
 
 class TestVbarLimit:
     def test_rho_zero_equals_classical_sd(self):
         for phi in (-0.9, -0.3, 0.3, 0.9):
-            p = validate_params(phi, 0.0, 1.0)
+            p = ModelParams(phi, 0.0, 1.0)
             assert vbar_limit(p) == pytest.approx(stationary_sd(p), rel=1e-14)
 
     def test_phi_zero_equals_sigma(self):
-        assert vbar_limit(validate_params(0.0, 0.4, 1.0)) == 1.0
-        assert vbar_limit(validate_params(0.0, -0.8, 2.5)) == 2.5
+        assert vbar_limit(ModelParams(0.0, 0.4, 1.0)) == 1.0
+        assert vbar_limit(ModelParams(0.0, -0.8, 2.5)) == 2.5
 
     def test_reference_point(self):
         # oracle: fixed-point iteration of the one-step recursion
@@ -218,6 +216,6 @@ class TestVbarLimit:
             assert vb == pytest.approx(s, rel=1e-13)
 
     def test_variance_sequence_approaches_limit(self):
-        p = validate_params(-0.8, 0.6, 1.3)
+        p = ModelParams(-0.8, 0.6, 1.3)
         vs = variance_sequence(p, 400)
         assert vs.value_at(400) == pytest.approx(vbar_limit(p), rel=1e-12)

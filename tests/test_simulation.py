@@ -6,29 +6,31 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from digar import (
-    BLOCK_SIZE,
     BatchSpec,
-    HorizonZeroError,
+    ModelParams,
     NonFiniteError,
     OutOfRangeError,
     SamplePath,
-    iter_path_blocks,
     ks_distance,
     mix_seed,
     normal_stream,
     simulate_batch,
     simulate_path,
-    standard_normal,
-    validate_params,
     variance_sequence,
     vbar_limit,
 )
 from digar.simulation import _run_blocks
 from conftest import params_strategy, seeds_strategy
 
-P = validate_params(0.5, 0.3, 1.0)
+P = ModelParams(0.5, 0.3, 1.0)
 
 _M = (1 << 64) - 1
+
+
+def _path_blocks(spec, **kw):
+    # (start, y_block, xi_block) per block, every column kept.
+    for start, y, xi, _ in _run_blocks(spec, keep=(0, spec.path_length + 1), **kw):
+        yield start, y, xi
 
 
 def _splitmix64_outputs(state: int, n: int) -> list[int]:
@@ -78,16 +80,13 @@ class TestMixSeed:
 
 class TestNormalStream:
     def test_deterministic(self):
-        a = [standard_normal(normal_stream(7)) for _ in range(3)]
+        a = [normal_stream(7).standard_normal() for _ in range(3)]
         assert a[0] == a[1] == a[2]
-
-    def test_returns_python_float(self):
-        assert type(standard_normal(normal_stream(0))) is float
 
     def test_block_draw_equals_sequential_draws(self):
         block = normal_stream(99).standard_normal(64)
         stream = normal_stream(99)
-        singles = np.array([standard_normal(stream) for _ in range(64)])
+        singles = np.array([stream.standard_normal() for _ in range(64)])
         assert np.array_equal(block, singles)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, None, 0.5])
@@ -132,7 +131,7 @@ class TestSimulatePath:
 
     @pytest.mark.parametrize("T", [0, -5])
     def test_zero_horizon_rejected(self, T):
-        with pytest.raises(HorizonZeroError):
+        with pytest.raises(OutOfRangeError, match="T must be >= 1"):
             simulate_path(P, T, 7)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, True, "7", 1.5])
@@ -153,7 +152,7 @@ class TestSimulatePath:
         assert np.array_equal(path.y[1:], p.phi * path.y[:-1] + path.xi)
 
     def test_independent_innovations_are_white(self):
-        p0 = validate_params(0.5, 0.0, 1.0)
+        p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 20000, 424242)
         x = path.xi
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
@@ -195,14 +194,14 @@ class TestSamplePathValidation:
 class TestScaleEquivariance:
     def test_doubling_sigma_doubles_path_bitwise(self):
         base = simulate_path(P, 200, 7)
-        scaled = simulate_path(validate_params(0.5, 0.3, 2.0), 200, 7)
+        scaled = simulate_path(ModelParams(0.5, 0.3, 2.0), 200, 7)
         assert np.array_equal(scaled.y, 2.0 * base.y)
         assert np.array_equal(scaled.xi, 2.0 * base.xi)
 
     def test_generic_scaling(self):
         c = 3.7
         base = simulate_path(P, 200, 7)
-        scaled = simulate_path(validate_params(0.5, 0.3, c), 200, 7)
+        scaled = simulate_path(ModelParams(0.5, 0.3, c), 200, 7)
         tol = 1e-12 * c * max(1.0, float(np.max(np.abs(base.y))))
         assert np.allclose(scaled.y, c * base.y, rtol=0.0, atol=tol)
         assert np.allclose(scaled.xi, c * base.xi, rtol=0.0, atol=tol)
@@ -241,26 +240,26 @@ class TestBatch:
 
     def test_block_size_does_not_change_rows(self):
         spec = BatchSpec(P, 10, 1300, 5150)
-        small = np.concatenate([y for _, y, _ in iter_path_blocks(spec, block_size=64)])
-        big = np.concatenate([y for _, y, _ in iter_path_blocks(spec, block_size=500)])
+        small = np.concatenate([y for _, y, _ in _path_blocks(spec, block_size=64)])
+        big = np.concatenate([y for _, y, _ in _path_blocks(spec, block_size=500)])
         assert np.array_equal(small, big)
 
     def test_block_starts_cover_batch_in_order(self):
         spec = BatchSpec(P, 10, 1300, 5150)
-        starts = [s for s, _, _ in iter_path_blocks(spec)]
+        starts = [s for s, _, _ in _path_blocks(spec)]
         assert starts == [0, 500, 1000]
 
     def test_bad_block_size_rejected(self):
         spec = BatchSpec(P, 10, 10, 0)
         with pytest.raises(OutOfRangeError):
-            next(iter_path_blocks(spec, block_size=0))
+            next(_path_blocks(spec, block_size=0))
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         spec = BatchSpec(P, 10, 1300, 5150)
         monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        serial = [(y.copy(), xi.copy()) for _, y, xi in iter_path_blocks(spec)]
+        serial = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
         monkeypatch.setenv("DIGAR_THREADS", "3")
-        threaded = [(y.copy(), xi.copy()) for _, y, xi in iter_path_blocks(spec)]
+        threaded = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
         assert len(serial) == len(threaded)
         for (ys, xs), (yt, xt) in zip(serial, threaded):
             assert np.array_equal(ys, yt)
@@ -310,7 +309,7 @@ class TestCrossSectionalLaw:
     def test_level_marginals(self):
         spec = BatchSpec(P, 500, 2000, 2024)
         y_mid, y_end = [], []
-        for _, y, _ in iter_path_blocks(spec):
+        for _, y, _ in _path_blocks(spec):
             y_mid.append(y[:, 200])
             y_end.append(y[:, 500])
         y_mid = np.concatenate(y_mid)
@@ -330,7 +329,7 @@ class TestCrossSectionalLaw:
         # check all three within 3 standard errors.
         spec = BatchSpec(P, 40, 4000, 778)
         lag, innov = [], []
-        for _, y, xi in iter_path_blocks(spec):
+        for _, y, xi in _path_blocks(spec):
             lag.append(y[:, 39])
             innov.append(xi[:, 39])
         lag = np.concatenate(lag)
