@@ -128,6 +128,8 @@ def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
                 continue
             if len(row) != 3:
                 raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
+            if row[0] != str(len(y)):
+                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {len(y)}, got {row[0]!r}")
             try:
                 y.append(float(row[1]))
                 if row[2].strip() != "":

@@ -19,17 +19,17 @@ import numpy as np
 from .dependence import DependenceProfile, _require_same_params
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .model import VarianceSequence
-from .simulation import SamplePath
+from .simulation import SamplePath, _accumulate
 
 __all__ = [
     "EstimateResult",
     "MartingaleDiagnostics",
-    "ols_estimate",
-    "correction_term",
     "infeasible_estimate",
     "z_series",
     "studentized_statistic",
 ]
+
+_Sums = float | np.ndarray  # one sum, or one per path
 
 
 @dataclass(frozen=True)
@@ -86,43 +86,25 @@ def _require_match(path: SamplePath, vseq: VarianceSequence) -> None:
         )
 
 
-def _time_sum(terms: np.ndarray) -> float:
-    # Terms added one by one in time order, as the batch kernel adds them,
-    # so a batch row's estimates equal its single path's bit for bit.
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
-def _lag_square_sum(path: SamplePath) -> float:
-    lag = path.y[1:-1]
-    den = _time_sum(lag * lag)
-    if den <= 0.0:
+def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Sums, _Sums]:
+    # Plain slope cross/den and correction coef*weighted/den from the
+    # time-ordered sums.
+    if np.any(den <= 0.0):
         raise DegenerateDenominatorError(
             "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
         )
-    return den
+    return cross / den, coef * weighted / den
 
 
-def ols_estimate(path: SamplePath) -> float:
-    """Least-squares slope sum(Y_t*Y_{t-1})/sum(Y_{t-1}^2), sums over t=2..T.
+def infeasible_estimate(path: SamplePath, vseq: VarianceSequence) -> EstimateResult:
+    """Plain least-squares slope and its corrected, infeasible variant.
 
-    Both sums add their terms sequentially in time order.
-
-    Raises
-    ------
-    DegenerateDenominatorError
-        If the path is too short (T < 2) or all lagged values are zero.
-    """
-    y = path.y
-    den = _lag_square_sum(path)
-    return _time_sum(y[2:] * y[1:-1]) / den
-
-
-def correction_term(path: SamplePath, vseq: VarianceSequence) -> float:
-    """Bias correction rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2).
-
-    Converges almost surely to rho*sigma_xi/vbar (the asymptotic bias of
-    the plain slope) because V_t converges to vbar and the sums average it
-    out.  Exactly zero when rho = 0.
+    phi_hat = sum(Y_t*Y_{t-1})/sum(Y_{t-1}^2), which converges to tau_bar,
+    and phi_tilde = phi_hat - correction with the bias correction
+    rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2), which converges
+    almost surely to rho*sigma_xi/vbar and is exactly zero when rho = 0.
+    Sums run over t=2..T and add their terms in time order, as the batch
+    kernel does, so a batch row's estimates equal its path's bit for bit.
 
     Parameters
     ----------
@@ -135,20 +117,18 @@ def correction_term(path: SamplePath, vseq: VarianceSequence) -> float:
     OutOfRangeError
         If vseq does not belong to the path or is too short.
     DegenerateDenominatorError
-        As in ols_estimate.
+        If the path is too short (T < 2) or all lagged values are zero.
     """
     _require_match(path, vseq)
-    den = _lag_square_sum(path)
-    lag = path.y[1:-1]
-    v = vseq.values[: path.horizon - 1]  # V_{t-1} for t = 2..T
-    num = _time_sum(lag * lag / v)
-    return path.params.rho * path.params.sigma_xi * num / den
-
-
-def infeasible_estimate(path: SamplePath, vseq: VarianceSequence) -> EstimateResult:
-    """Corrected slope estimate: plain least squares minus the correction."""
-    hat = ols_estimate(path)
-    corr = correction_term(path, vseq)
+    lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
+    terms = np.empty((lag.size, 3))
+    np.multiply(lag, lag, out=terms[:, 0])
+    np.multiply(path.y[2:], lag, out=terms[:, 1])
+    np.divide(terms[:, 0], vseq.values[: lag.size], out=terms[:, 2])
+    acc = np.full(3, -0.0)  # -0.0 + x == x for every x
+    if lag.size:
+        _accumulate(acc, terms)
+    hat, corr = _slopes(path.params.rho * path.params.sigma_xi, *acc.tolist())
     return EstimateResult(
         phi_hat=hat, phi_tilde=hat - corr, correction=corr, sample_size=path.horizon
     )

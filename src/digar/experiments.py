@@ -18,6 +18,7 @@ import numpy as np
 
 from .dependence import delta_limit, eta_bar, ols_bias, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
+from .estimation import _slopes
 from .model import ModelParams, vbar_limit
 from .simulation import BatchSpec, _run_blocks
 
@@ -228,16 +229,14 @@ def _summary(
 
 def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     # Plain and corrected slopes of every replication, from the sums the
-    # batch kernel accumulates in time order, as infeasible_estimate does.
+    # batch kernel accumulates, through the same step as infeasible_estimate.
     hats = np.empty(spec.replications)
     tildes = np.empty(spec.replications)
     coef = spec.params.rho * spec.params.sigma_xi
-    for start, _, _, (den, cross, weighted) in _run_blocks(spec, sums=True):
-        if np.any(den <= 0.0):
-            raise DegenerateDenominatorError("a replication produced an all-zero lag sequence")
-        h = cross / den
+    for start, _, _, sums in _run_blocks(spec, sums=True):
+        h, corr = _slopes(coef, *sums)
         hats[start : start + h.size] = h
-        tildes[start : start + h.size] = h - coef * weighted / den
+        tildes[start : start + h.size] = h - corr
     return hats, tildes
 
 

@@ -16,8 +16,8 @@ of time steps, which yields the same variates as one T-length draw.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order,
 batch rows are bit-identical to the corresponding single-path calls, and
-the estimator sums the kernel accumulates in time order equal those of
-estimation.infeasible_estimate on that path bit for bit.
+the estimator sums, which the kernel and estimation.infeasible_estimate
+both add in time order with _accumulate, agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "mix_seed",
     "normal_stream",
     "simulate_path",
-    "simulate_batch",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -146,90 +145,6 @@ def normal_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _simulate_block(
-    params: ModelParams,
-    v: np.ndarray,
-    slope: list[float],
-    streams: list[np.random.Generator],
-    keep: tuple[int, int] | None,
-    sums: bool,
-    chunk: int,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    # One block of paths, time-major: time is walked in chunks of `chunk`
-    # steps with the rows contiguous at each step, and each row's normals
-    # are drawn chunk by chunk from its own stream.  Every operation is
-    # elementwise, so each row's arithmetic is that of simulate_path.
-    #
-    # keep=(lo, hi) returns Y_t for lo <= t < hi and xi_t for
-    # max(lo, 1) <= t < hi, one row per path.  sums=True returns the (3, n)
-    # sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1},
-    # each accumulated in time order, as np.cumsum adds.  Without sums the
-    # walk stops at the last kept step.
-    T = v.shape[0]
-    n = len(streams)
-    ys = xs = acc = None
-    last = T
-    if keep is not None:
-        lo, hi = keep
-        xlo = max(lo, 1)
-        ys = np.zeros((n, hi - lo))
-        xs = np.empty((n, hi - xlo))
-        if not sums:
-            last = min(T, hi - 1)
-    if sums:
-        acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
-    phi = params.phi
-    sig = params.sigma_xi
-    cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
-    c = min(chunk, last)
-    raw = np.empty(n * c)  # the chunk's draws, then scratch for the sums
-    eps = raw.reshape(n, c)
-    eps_rows = list(eps)
-    xi = np.empty((c, n))
-    y = np.zeros((c + 1, n))  # y[0] is the level before the chunk
-    tmp = np.empty(n)
-    y_rows = list(y)
-    xi_rows = list(xi)
-    mul = np.multiply
-    add = np.add
-    for t0 in range(1, last + 1, c):
-        m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; xi[j] is xi_{t0+j}
-        rows = eps_rows if m == c else [row[:m] for row in eps_rows]
-        for row, stream in zip(rows, streams):
-            stream.standard_normal(out=row)
-        mul(eps[:, :m].T, cond_sd, out=xi[:m])
-        j0 = 0
-        if t0 == 1:
-            mul(eps[:, 0], sig, out=xi[0])
-            mul(y[0], phi, out=y[1])
-            add(y[1], xi[0], out=y[1])
-            j0 = 1
-        for lag, lead, x, s in zip(
-            y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m], slope[t0 + j0 - 2 : t0 + m - 2]
-        ):
-            mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
-            add(tmp, x, x)
-            mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
-            add(lead, x, lead)
-        if acc is not None:
-            d = 1 if t0 == 1 else 0  # the sums start at t = 2
-            k = m - d
-            if k > 0:
-                lags = y[d:m]
-                terms = raw[: k * n].reshape(k, n)
-                _accumulate(acc[0], mul(lags, lags, out=terms))
-                _accumulate(acc[1], mul(y[d + 1 : m + 1], lags, out=terms))
-                mul(lags, lags, out=terms)
-                _accumulate(acc[2], np.divide(terms, v[t0 + d - 2 : t0 + m - 2, None], out=terms))
-        if ys is not None:
-            a, b = max(lo, t0), min(hi, t0 + m)
-            if a < b:
-                ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
-                xs[:, a - xlo : b - xlo] = xi[a - t0 : b - t0].T
-        y[0] = y[m]
-    return ys, xs, acc
-
-
 def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
     # acc + terms[0] + terms[1] + ..., added in that order.  Reducing axis 0
     # of a C-ordered array adds whole rows in turn; numpy sums pairwise only
@@ -286,27 +201,94 @@ def _run_blocks(
     chunk: int = _CHUNK,
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
     # Yield (start_index, ys, xs, sums) per block of replications, in
-    # replication order; see _simulate_block for keep and sums.
+    # replication order.  Each block is walked time-major: time in chunks of
+    # `chunk` steps with the rows contiguous at each step, each row's normals
+    # drawn chunk by chunk from its own stream.  Every operation is
+    # elementwise, so each row's arithmetic is that of simulate_path.
+    #
+    # keep=(lo, hi) yields Y_t for lo <= t < hi and xi_t for
+    # max(lo, 1) <= t < hi, one row per path.  sums=True yields the (3, n)
+    # sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1},
+    # each accumulated in time order, as np.cumsum adds.  Without sums the
+    # walk stops at the last kept step.  The yielded arrays are fresh per
+    # block; the chunk buffers are allocated once, and a shorter last block
+    # uses prefixes of them.
     if block_size < 1:
         raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
-    v = variance_sequence(spec.params, spec.path_length).values
-    slope = (spec.params.rho * spec.params.sigma_xi / v).tolist()
+    params = spec.params
+    T = spec.path_length
+    v = variance_sequence(params, T).values
+    phi = params.phi
+    sig = params.sigma_xi
+    cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
+    slope = (params.rho * sig / v).tolist()
+    last = T
+    if keep is not None:
+        lo, hi = keep
+        xlo = max(lo, 1)
+        if not sums:
+            last = min(T, hi - 1)
+    c = min(chunk, last)
+    width = min(block_size, spec.replications)
+    raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
+    xi_buf = np.empty(c * width)
+    y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
+    tmp_buf = np.empty(width)
+    mul = np.multiply
+    add = np.add
     for start in range(0, spec.replications, block_size):
-        stop = min(start + block_size, spec.replications)
-        streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, stop)]
-        yield (start, *_simulate_block(spec.params, v, slope, streams, keep, sums, chunk))
-
-
-def simulate_batch(spec: BatchSpec) -> tuple[SamplePath, ...]:
-    """Simulate all replications of a batch, in replication order.
-
-    Replication r uses seed mix_seed(spec.master_seed, r) and equals the
-    output of simulate_path with that seed bit for bit.
-    """
-    paths = []
-    for start, y, xi, _ in _run_blocks(spec, keep=(0, spec.path_length + 1)):
-        for i in range(y.shape[0]):
-            paths.append(
-                SamplePath(spec.params, y[i], xi[i], mix_seed(spec.master_seed, start + i))
-            )
-    return tuple(paths)
+        n = min(block_size, spec.replications - start)
+        streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, start + n)]
+        raw = raw_buf[: n * c]
+        eps = raw.reshape(n, c)
+        xi = xi_buf[: c * n].reshape(c, n)
+        y = y_buf[: (c + 1) * n].reshape(c + 1, n)
+        tmp = tmp_buf[:n]
+        y[0] = 0.0
+        eps_rows = list(eps)
+        y_rows = list(y)
+        xi_rows = list(xi)
+        ys = xs = acc = None
+        if keep is not None:
+            ys = np.zeros((n, hi - lo))
+            xs = np.empty((n, hi - xlo))
+        if sums:
+            acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
+        for t0 in range(1, last + 1, c):
+            m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; xi[j] is xi_{t0+j}
+            rows = eps_rows if m == c else [row[:m] for row in eps_rows]
+            for row, stream in zip(rows, streams):
+                stream.standard_normal(out=row)
+            mul(eps[:, :m].T, cond_sd, out=xi[:m])
+            j0 = 0
+            if t0 == 1:
+                mul(eps[:, 0], sig, out=xi[0])
+                mul(y[0], phi, out=y[1])
+                add(y[1], xi[0], out=y[1])
+                j0 = 1
+            for lag, lead, x, s in zip(
+                y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m],
+                slope[t0 + j0 - 2 : t0 + m - 2],
+            ):
+                mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
+                add(tmp, x, x)
+                mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
+                add(lead, x, lead)
+            if acc is not None:
+                d = 1 if t0 == 1 else 0  # the sums start at t = 2
+                k = m - d
+                if k > 0:
+                    lags = y[d:m]
+                    terms = raw[: k * n].reshape(k, n)
+                    _accumulate(acc[0], mul(lags, lags, out=terms))
+                    _accumulate(acc[1], mul(y[d + 1 : m + 1], lags, out=terms))
+                    mul(lags, lags, out=terms)
+                    v_lag = v[t0 + d - 2 : t0 + m - 2, None]
+                    _accumulate(acc[2], np.divide(terms, v_lag, out=terms))
+            if ys is not None:
+                a, b = max(lo, t0), min(hi, t0 + m)
+                if a < b:
+                    ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
+                    xs[:, a - xlo : b - xlo] = xi[a - t0 : b - t0].T
+            y[0] = y[m]
+        yield start, ys, xs, acc

@@ -287,13 +287,9 @@ def test_criterion_8_figure_reproduction(tmp_path, capsys):
     assert damp_ok
 
 
-def test_criterion_9_byte_identical_reruns(tmp_path, capsys, monkeypatch):
+def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
     outputs = []
-    for name, threads in (("a", None), ("b", "4"), ("c", "1")):
-        if threads is None:
-            monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DIGAR_THREADS", threads)
+    for name in ("a", "b", "c"):
         cons = tmp_path / f"cons_{name}.json"
         acf = tmp_path / f"acf_{name}.json"
         assert parse_and_dispatch(
@@ -307,10 +303,5 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys, monkeypatch):
         outputs.append((cons.read_bytes(), acf.read_bytes()))
     capsys.readouterr()
     ok = outputs[0] == outputs[1] == outputs[2]
-    _report(
-        9,
-        ok,
-        "experiment outputs byte-identical across reruns with 1, 4, and default "
-        "worker threads",
-    )
+    _report(9, ok, "experiment outputs byte-identical across reruns")
     assert ok

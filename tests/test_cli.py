@@ -250,6 +250,20 @@ class TestEstimate:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("line, t", [(2, "foo"), (3, "7"), (4, "-3"), (5, "bar")])
+    def test_wrong_t_column(self, capsys, tmp_path, line, t):
+        # row i of a path file must read t = i
+        path_file = tmp_path / "path.csv"
+        parse_and_dispatch(["simulate", "-T", "3", "--seed", "4", "--out", str(path_file)])
+        capsys.readouterr()
+        rows = path_file.read_text().splitlines(keepends=True)
+        rows[line - 1] = t + rows[line - 1][1:]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(rows))
+        code, _, err = run_cli(capsys, "estimate", "--in", str(bad))
+        assert code == 3
+        assert err == f"error: {bad}:{line}: expected t = {line - 2}, got {t!r}\n"
+
     def test_wrong_parameters_for_file(self, capsys, tmp_path):
         # the loaded path must satisfy the recursion at the declared phi
         path_file = tmp_path / "path.csv"
@@ -294,24 +308,15 @@ class TestExperimentCli:
         assert "error:" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
+        # 600 replications span a full block and a shorter last one.
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        argv = ["experiment", "consistency", "-T", "100", "-R", "100", "--seed", "7"]
-        assert parse_and_dispatch(argv + ["--out", str(a)]) == 0
-        assert parse_and_dispatch(argv + ["--out", str(b)]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_worker_count_invariance(self, capsys, tmp_path, monkeypatch):
-        argv = ["experiment", "consistency", "-T", "100", "-R", "600", "--seed", "7"]
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        assert parse_and_dispatch(argv + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("DIGAR_THREADS", "4")
-        assert parse_and_dispatch(argv + ["--out", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
+        for R in ("100", "600"):
+            argv = ["experiment", "consistency", "-T", "100", "-R", R, "--seed", "7"]
+            assert parse_and_dispatch(argv + ["--out", str(a)]) == 0
+            assert parse_and_dispatch(argv + ["--out", str(b)]) == 0
+            capsys.readouterr()
+            assert a.read_bytes() == b.read_bytes(), R
 
 
 class TestFigure:

@@ -14,13 +14,10 @@ from digar import (
     NonFiniteError,
     OutOfRangeError,
     SamplePath,
-    correction_term,
     dependence_profile,
     eta_bar,
     infeasible_estimate,
     mix_seed,
-    ols_estimate,
-    simulate_batch,
     simulate_path,
     studentized_statistic,
     tau_bar,
@@ -28,6 +25,7 @@ from digar import (
     z_series,
 )
 from digar.experiments import _collect_estimates
+from digar.simulation import _run_blocks
 from conftest import params_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -38,64 +36,83 @@ HAND = SamplePath(P, np.array([0.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.5, 0.0]), 
 HAND_VSEQ = variance_sequence(P, 3)
 
 
+def _phi_hat(path):
+    return infeasible_estimate(path, variance_sequence(path.params, path.horizon)).phi_hat
+
+
+def _time_ordered_sums(path, vseq):
+    # Sum(Y_{t-1}^2), sum(Y_t*Y_{t-1}) and sum(Y_{t-1}^2/V_{t-1}) over
+    # t = 2..T, added one term at a time.
+    lag, lead = path.y[1:-1].tolist(), path.y[2:].tolist()
+    den = cross = weighted = 0.0
+    for a, b, v in zip(lag, lead, vseq.values.tolist()):
+        den += a * a
+        cross += b * a
+        weighted += a * a / v
+    return den, cross, weighted
+
+
 class TestOlsEstimate:
     def test_hand_value_exact(self):
         # num = 2*1 + 1*2 = 4, den = 1 + 4 = 5
-        assert ols_estimate(HAND) == 0.8
+        assert _phi_hat(HAND) == 0.8
 
     def test_too_short(self):
         one = SamplePath(P, np.array([0.0, 1.0]), np.array([1.0]), None)
         with pytest.raises(DegenerateDenominatorError):
-            ols_estimate(one)
+            _phi_hat(one)
 
     def test_all_zero_path(self):
         flat = SamplePath(P, np.zeros(3), np.zeros(2), None)
         with pytest.raises(DegenerateDenominatorError):
-            ols_estimate(flat)
+            _phi_hat(flat)
 
     def test_scale_invariant_bitwise(self):
         base = simulate_path(P, 400, 7)
         scaled = simulate_path(ModelParams(0.5, 0.3, 2.0), 400, 7)
-        assert ols_estimate(scaled) == ols_estimate(base)
+        assert _phi_hat(scaled) == _phi_hat(base)
 
     def test_long_path_without_feedback(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 100_000, 271828)
-        assert abs(ols_estimate(path) - 0.5) < 0.02
+        assert abs(_phi_hat(path) - 0.5) < 0.02
 
 
 class TestCorrectionTerm:
     def test_hand_value(self):
         # 0.3 * (1/1 + 4/sqrt(1.55)) / 5
-        assert correction_term(HAND, HAND_VSEQ) == pytest.approx(
+        assert infeasible_estimate(HAND, HAND_VSEQ).correction == pytest.approx(
             0.25277263893659974, rel=1e-14
         )
 
     def test_zero_without_feedback(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 50, 3)
-        assert correction_term(path, variance_sequence(p0, 50)) == 0.0
+        assert infeasible_estimate(path, variance_sequence(p0, 50)).correction == 0.0
 
     def test_longer_variance_sequence_accepted(self):
         long_vseq = variance_sequence(P, 10)
         path = SamplePath(P, np.array([0.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.5, 0.0]), None)
-        assert correction_term(path, long_vseq) == correction_term(path, HAND_VSEQ)
+        assert (
+            infeasible_estimate(path, long_vseq).correction
+            == infeasible_estimate(path, HAND_VSEQ).correction
+        )
 
     def test_short_variance_sequence_rejected(self):
         path = simulate_path(P, 20, 5)
         with pytest.raises(OutOfRangeError, match="shorter than path horizon"):
-            correction_term(path, variance_sequence(P, 10))
+            infeasible_estimate(path, variance_sequence(P, 10))
 
     def test_foreign_variance_sequence_rejected(self):
         path = simulate_path(P, 20, 5)
         other = variance_sequence(ModelParams(0.4, 0.3, 1.0), 20)
         with pytest.raises(OutOfRangeError, match="different parameters"):
-            correction_term(path, other)
+            infeasible_estimate(path, other)
 
     def test_degenerate_denominator(self):
         flat = SamplePath(P, np.zeros(3), np.zeros(2), None)
         with pytest.raises(DegenerateDenominatorError):
-            correction_term(flat, HAND_VSEQ)
+            infeasible_estimate(flat, HAND_VSEQ)
 
 
 class TestInfeasibleEstimate:
@@ -109,9 +126,11 @@ class TestInfeasibleEstimate:
     def test_collapses_to_plain_slope_without_feedback(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 200, 17)
-        res = infeasible_estimate(path, variance_sequence(p0, 200))
+        vseq = variance_sequence(p0, 200)
+        res = infeasible_estimate(path, vseq)
+        den, cross, _ = _time_ordered_sums(path, vseq)
         assert res.correction == 0.0
-        assert res.phi_tilde == res.phi_hat == ols_estimate(path)
+        assert res.phi_tilde == res.phi_hat == cross / den
 
     def test_long_path_recovers_both_targets(self):
         path = simulate_path(P, 100_000, 314159)
@@ -141,26 +160,32 @@ class TestInfeasibleEstimate:
 
 class TestBatchAgreement:
     """A batch row's estimates equal those of its single path bit for bit:
-    the batch kernel and the estimators add the same terms in time order."""
+    the batch kernel and the estimators add the same terms in time order.
+
+    V_t settles on an exact fixed point at P; at the other two parameter
+    sets it never does, so the slope changes at every t."""
+
+    PARAMS = (P, ModelParams(-0.999, 0.9, 1.0), ModelParams(0.99, 0.99, 1.0))
 
     @pytest.mark.parametrize("R", [1100, 501])
     def test_batch_rows_equal_single_path_estimates(self, R):
         # 1100 spans three blocks; 501 ends in a one-row block.
-        spec = BatchSpec(P, 300, R, 2718)
-        hats, tildes = _collect_estimates(spec)
-        vseq = variance_sequence(P, 300)
-        for r in range(R):
-            res = infeasible_estimate(simulate_path(P, 300, mix_seed(2718, r)), vseq)
-            assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), r
+        for p in self.PARAMS:
+            spec = BatchSpec(p, 300, R, 2718)
+            hats, tildes = _collect_estimates(spec)
+            vseq = variance_sequence(p, 300)
+            for r in range(R):
+                res = infeasible_estimate(simulate_path(p, 300, mix_seed(2718, r)), vseq)
+                assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), (p, r)
 
     def test_sums_run_in_time_order(self):
-        path = simulate_path(P, 1000, 5)
-        lag, lead = path.y[1:-1].tolist(), path.y[2:].tolist()
-        den = num = 0.0
-        for a, b in zip(lag, lead):
-            den += a * a
-            num += b * a
-        assert ols_estimate(path) == num / den
+        for p in self.PARAMS:
+            path = simulate_path(p, 1000, 5)
+            vseq = variance_sequence(p, 1000)
+            den, cross, weighted = _time_ordered_sums(path, vseq)
+            res = infeasible_estimate(path, vseq)
+            assert res.phi_hat == cross / den, p
+            assert res.correction == p.rho * p.sigma_xi * weighted / den, p
 
 
 class TestZSeries:
@@ -209,8 +234,11 @@ class TestZSeries:
         # across t; W_t has mean zero.  All checked at 3 MC standard
         # errors with R = 5000 replications.
         vseq = variance_sequence(P, 15)
-        paths = simulate_batch(BatchSpec(P, 15, 5000, 1618))
-        diags = [z_series(p, vseq) for p in paths]
+        diags = [
+            z_series(SamplePath(P, y, x, None), vseq)
+            for _, ys, xs, _ in _run_blocks(BatchSpec(P, 15, 5000, 1618), keep=(0, 16))
+            for y, x in zip(ys, xs)
+        ]
         Z = np.stack([d.z for d in diags])
         W = np.stack([d.w for d in diags])
         R = Z.shape[0]

@@ -1,6 +1,13 @@
 import importlib
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
 
 import digar
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SUBMODULES = ("dependence", "errors", "estimation", "experiments", "model", "simulation")
 
@@ -26,3 +33,21 @@ def test_all_is_the_union_of_the_submodules():
 def test_version():
     assert isinstance(digar.__version__, str)
     assert digar.__version__
+
+
+def test_readme_library_example_runs():
+    # The README's Library block runs as written against the current API.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["res"].phi_tilde == namespace["res"].phi_hat - namespace["res"].correction
+
+
+def test_single_path_demo_runs(monkeypatch, capsys):
+    script = ROOT / "scripts" / "single_path_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "-T", "2000"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    assert "path seed 12345, length 2000" in capsys.readouterr().out

@@ -14,7 +14,6 @@ from digar import (
     ks_distance,
     mix_seed,
     normal_stream,
-    simulate_batch,
     simulate_path,
     variance_sequence,
     vbar_limit,
@@ -217,26 +216,30 @@ class TestBatch:
             BatchSpec(P, 10, 1, -1)
 
     def test_single_replication_matches_single_path(self):
-        batch = simulate_batch(BatchSpec(P, 50, 1, 999))
+        (start, y, xi), = _path_blocks(BatchSpec(P, 50, 1, 999))
         solo = simulate_path(P, 50, mix_seed(999, 0))
-        assert len(batch) == 1
-        assert np.array_equal(batch[0].y, solo.y)
-        assert np.array_equal(batch[0].xi, solo.xi)
-        assert batch[0].seed == mix_seed(999, 0)
+        assert start == 0
+        assert y.shape == (1, 51)
+        assert np.array_equal(y[0], solo.y)
+        assert np.array_equal(xi[0], solo.xi)
 
     def test_rows_match_single_paths_bitwise(self):
-        batch = simulate_batch(BatchSpec(P, 50, 5, 999))
+        (_, y, xi), = _path_blocks(BatchSpec(P, 50, 5, 999))
         for r in (0, 3, 4):
             solo = simulate_path(P, 50, mix_seed(999, r))
-            assert np.array_equal(batch[r].y, solo.y)
-            assert np.array_equal(batch[r].xi, solo.xi)
+            assert np.array_equal(y[r], solo.y)
+            assert np.array_equal(xi[r], solo.xi)
 
     def test_batch_deterministic(self):
-        spec = BatchSpec(P, 20, 7, 31)
-        a = simulate_batch(spec)
-        b = simulate_batch(spec)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.y, pb.y)
+        # The second spec spans two full blocks and a shorter last one.
+        for spec in (BatchSpec(P, 20, 7, 31), BatchSpec(P, 10, 1300, 5150)):
+            a = list(_path_blocks(spec))
+            b = list(_path_blocks(spec))
+            assert len(a) == len(b)
+            for (sa, ya, xa), (sb, yb, xb) in zip(a, b):
+                assert sa == sb
+                assert np.array_equal(ya, yb)
+                assert np.array_equal(xa, xb)
 
     def test_block_size_does_not_change_rows(self):
         spec = BatchSpec(P, 10, 1300, 5150)
@@ -253,17 +256,6 @@ class TestBatch:
         spec = BatchSpec(P, 10, 10, 0)
         with pytest.raises(OutOfRangeError):
             next(_path_blocks(spec, block_size=0))
-
-    def test_worker_count_does_not_change_bytes(self, monkeypatch):
-        spec = BatchSpec(P, 10, 1300, 5150)
-        monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        serial = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
-        monkeypatch.setenv("DIGAR_THREADS", "3")
-        threaded = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
-        assert len(serial) == len(threaded)
-        for (ys, xs), (yt, xt) in zip(serial, threaded):
-            assert np.array_equal(ys, yt)
-            assert np.array_equal(xs, xt)
 
 
 class TestKernelChunking:
