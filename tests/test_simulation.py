@@ -241,6 +241,19 @@ class TestBatch:
                 assert np.array_equal(ya, yb)
                 assert np.array_equal(xa, xb)
 
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        # DIGAR_THREADS is no longer read; a value left in the environment
+        # must not change the rows.
+        spec = BatchSpec(P, 10, 1300, 5150)
+        monkeypatch.delenv("DIGAR_THREADS", raising=False)
+        serial = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
+        monkeypatch.setenv("DIGAR_THREADS", "3")
+        threaded = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
+        assert len(serial) == len(threaded)
+        for (ys, xs), (yt, xt) in zip(serial, threaded):
+            assert np.array_equal(ys, yt)
+            assert np.array_equal(xs, xt)
+
     def test_block_size_does_not_change_rows(self):
         spec = BatchSpec(P, 10, 1300, 5150)
         small = np.concatenate([y for _, y, _ in _path_blocks(spec, block_size=64)])
