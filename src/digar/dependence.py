@@ -6,6 +6,18 @@ parameter tau_{t,t+1} between consecutive levels, its lag-k products and
 large-t limit tau_bar, the induced innovation autocorrelation limit, the
 asymptotic bias of least squares, the asymptotic standard deviation
 eta_bar of the corrected estimator, and the geometric decay bound eta_hat.
+
+eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
+f(v) = sqrt(u(v)^2 + s2), u(v) = phi*v + rho*sigma_xi, s2 = sigma_xi^2*(1-rho^2):
+|tau_{t,t+1}| = H(|u(V_t)|) with H(x) = x/sqrt(x^2 + s2) increasing, and
+f' = phi*tau, so |f'| <= |phi| < 1 and the orbit after V_t stays in
+J_t = [vbar - d_t, vbar + d_t], d_t = |V_t - vbar|.  Once |phi|*d_t <=
+|u(vbar)| = |tau_bar|*vbar, u keeps one sign on J_t, f is monotone there,
+and the orbits of f or f∘f from V_t and V_{t+1} move monotonically toward
+vbar, so eta_hat = max(|tau_1|, ..., |tau_{t+1}|, |tau_bar|); that holds at
+t = 1 when phi*rho >= 0.  At tau_bar = 0 it never does: the walk then stops
+once H(|u(vbar)| + |phi|*d_t) is at most the running max, or at a
+floating-point fixed point V_{t+1} == V_t.
 """
 
 from __future__ import annotations
@@ -13,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfRangeError
-from .model import ModelParams, VarianceSequence, variance_sequence, vbar_limit
+from .model import ModelParams, VarianceSequence, vbar_limit
 
 __all__ = [
     "DependenceProfile",
@@ -31,10 +41,8 @@ __all__ = [
     "dependence_profile",
 ]
 
-# |V_T - vbar| < CONVERGENCE_RTOL * vbar is the "converged" criterion used
-# by mixing_decay_bound and the automatic horizon search.
-CONVERGENCE_RTOL = 1e-10
-_MAX_AUTO_HORIZON = 1 << 22
+# Relative rounding in vbar, tau_bar and H that mixing_decay_bound allows for
+_ROUNDING = 8 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -51,14 +59,19 @@ class DependenceProfile:
     def __post_init__(self) -> None:
         if self.tau_bar != self.params.phi + self.ols_bias:
             raise OutOfRangeError("tau_bar must equal phi + ols_bias exactly")
+        if abs(self.tau_bar) == 1.0:  # the exact 1 - tau_bar^2 is eta_bar^2 > 0
+            raise OutOfRangeError(
+                f"|tau_bar| < 1 required, got {self.tau_bar!r}: tau_bar rounds to +-1 in double "
+                f"precision, since the exact 1 - |tau_bar| is about {self.eta_bar ** 2 / 2:.2g}"
+            )
         if not abs(self.tau_bar) < 1.0:
             raise OutOfRangeError(f"|tau_bar| < 1 required, got {self.tau_bar!r}")
         if not self.eta_bar > 0.0:
             raise OutOfRangeError(f"eta_bar > 0 required, got {self.eta_bar!r}")
         if not self.sigma_bar_sq > 0.0:
             raise OutOfRangeError(f"sigma_bar_sq > 0 required, got {self.sigma_bar_sq!r}")
-        if not 0.0 <= self.eta_hat < 1.0:
-            raise OutOfRangeError(f"eta_hat in [0,1) required, got {self.eta_hat!r}")
+        if not abs(self.tau_bar) <= self.eta_hat < 1.0:  # the sup includes the limit
+            raise OutOfRangeError(f"|tau_bar| <= eta_hat < 1 required, got eta_hat={self.eta_hat!r}")
 
 
 def _require_same_params(params: ModelParams, vseq: VarianceSequence) -> None:
@@ -164,53 +177,39 @@ def sigma_bar_sq(params: ModelParams) -> float:
     return params.sigma_xi * params.sigma_xi * (1.0 - params.rho * params.rho) * vb * vb
 
 
-def mixing_decay_bound(params: ModelParams, vseq: VarianceSequence) -> float:
+def mixing_decay_bound(params: ModelParams) -> float:
     """Geometric decay bound eta_hat = sup_t |tau_{t,t+1}| < 1.
 
-    Computed as the max of |tau_{t,t+1}| over the supplied horizon and of
-    the analytic limit |tau_bar|; since V_t converges geometrically this
-    equals the supremum once the sequence has converged, which is required.
-
-    Raises
-    ------
-    OutOfRangeError
-        If the variance sequence has not yet converged to vbar.
+    Walks V_t by the recursion of variance_sequence, keeping the running max
+    of |tau_{t,t+1}|.  Once |phi|*|V_t - vbar| <= |tau_bar|*vbar the map is
+    monotone where the orbit stays, so |tau_{s,s+1}| moves monotonically to
+    |tau_bar| from s = t and s = t+1 on: the max over s <= t+1 and |tau_bar|
+    is exact.  At tau_bar = 0 a tail bound or a fixed point stops the walk
+    (module docstring).  Rules allow a few ulps; 1.0 if tau_bar rounds to 1.
     """
-    _require_same_params(params, vseq)
+    phi, rho, sig = params.phi, params.rho, params.sigma_xi
+    # evaluated as in variance_sequence, so each tau equals tau_one_step's
+    a, b, c = phi * phi, 2.0 * phi * rho * sig, sig * sig
+    rs, s2 = rho * sig, c * (1.0 - rho * rho)
     vb = vbar_limit(params)
-    if abs(float(vseq.values[-1]) - vb) >= CONVERGENCE_RTOL * vb:
-        raise OutOfRangeError(
-            f"variance sequence not converged at horizon {vseq.horizon}"
-        )
-    v = vseq.values
-    scan = 0.0
-    if vseq.horizon >= 2:
-        taus = (params.phi * v[:-1] + params.rho * params.sigma_xi) / v[1:]
-        scan = float(np.max(np.abs(taus)))
-    return max(scan, abs(tau_bar(params)))
+    tb = abs(tau_bar(params))
+    u_bar = tb * vb
+    sign_slack = u_bar - _ROUNDING * (abs(phi) * vb + abs(rs))
+    v, head = sig, 0.0
+    while True:
+        w = math.sqrt(a * v * v + b * v + c)
+        head = max(head, abs(phi * v + rs) / w)
+        reach = abs(phi) * abs(v - vb)  # bounds |u(V_s) - u(vbar)| for s >= t
+        if reach <= sign_slack:
+            return max(head, abs(phi * w + rs) / math.sqrt(a * w * w + b * w + c), tb)
+        x = u_bar + reach
+        if w == v or x / math.sqrt(x * x + s2) * (1.0 + _ROUNDING) <= head:
+            return max(head, tb)
+        v = w
 
 
-def _converged_sequence(params: ModelParams) -> VarianceSequence:
-    vb = vbar_limit(params)
-    T = 256
-    while T <= _MAX_AUTO_HORIZON:
-        vseq = variance_sequence(params, T)
-        if abs(float(vseq.values[-1]) - vb) < CONVERGENCE_RTOL * vb:
-            return vseq
-        T *= 2
-    raise OutOfRangeError(
-        f"variance sequence did not converge within {_MAX_AUTO_HORIZON} steps"
-    )
-
-
-def dependence_profile(params: ModelParams, vseq: VarianceSequence | None = None) -> DependenceProfile:
-    """Assemble the DependenceProfile for one parameter set.
-
-    When vseq is omitted, a variance sequence long enough for the decay
-    bound is computed automatically (horizon doubling until converged).
-    """
-    if vseq is None:
-        vseq = _converged_sequence(params)
+def dependence_profile(params: ModelParams) -> DependenceProfile:
+    """Assemble the DependenceProfile for one parameter set."""
     bias = ols_bias(params)
     return DependenceProfile(
         params=params,
@@ -218,5 +217,5 @@ def dependence_profile(params: ModelParams, vseq: VarianceSequence | None = None
         ols_bias=bias,
         eta_bar=eta_bar(params),
         sigma_bar_sq=sigma_bar_sq(params),
-        eta_hat=mixing_decay_bound(params, vseq),
+        eta_hat=mixing_decay_bound(params),
     )

@@ -19,6 +19,18 @@ def params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
     )
 
 
+def boundary_params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
+    """Valid parameter triples up to |phi|, |rho| <= 1 - 1e-6, for the
+    properties that must hold across the whole admissible domain."""
+    edge = 1.0 - 1e-6
+    return st.builds(
+        ModelParams,
+        st.floats(-edge, edge),
+        st.floats(-edge, edge),
+        st.floats(min_sigma, max_sigma),
+    )
+
+
 def seeds_strategy():
     return st.integers(min_value=0, max_value=(1 << 64) - 1)
 

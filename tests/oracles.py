@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from digar import ModelParams, OutOfRangeError
+from digar import ModelParams, OutOfRangeError, tau_bar, variance_sequence, vbar_limit
 
 
 def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:
@@ -36,3 +36,18 @@ def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:
 def variance_sum_form(params: ModelParams, t: int) -> float:
     """Return V_t computed purely by the expanded sum formula."""
     return float(variance_sum_sequence(params, t)[-1])
+
+
+def decay_bound_scan(params: ModelParams, T: int) -> float:
+    """sup_t |tau_{t,t+1}| by brute force: the max of |tau_{t,t+1}| over
+    V_1..V_T and of |tau_bar|.
+
+    This is the bound only once the sequence has converged, so the scan
+    refuses unless |V_T - vbar| < 1e-10*vbar; choose T large enough.
+    """
+    vs = variance_sequence(params, T).values
+    vb = vbar_limit(params)
+    if not abs(float(vs[-1]) - vb) < 1e-10 * vb:
+        raise OutOfRangeError(f"variance sequence not converged at horizon {T}")
+    taus = (params.phi * vs[:-1] + params.rho * params.sigma_xi) / vs[1:]
+    return max(float(np.max(np.abs(taus))), abs(tau_bar(params)))

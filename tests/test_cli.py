@@ -101,6 +101,20 @@ class TestLimits:
         assert err.startswith("error:")
         assert "phi" in err
 
+    def test_rounded_tau_bar_refused(self, capsys):
+        code, out, err = run_cli(capsys, "limits", "--phi", "0.999999", "--rho", "0.999999")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: |tau_bar| < 1 required, got 1.0: tau_bar rounds to +-1 in double precision,"
+            " since the exact 1 - |tau_bar| is about 1e-18\n"
+        )
+
+    def test_near_boundary_with_opposite_signs(self, capsys):
+        code, out, _ = run_cli(capsys, "limits", "--phi", "-0.999999", "--rho", "0.999999")
+        assert code == 0
+        assert out.endswith("tau_bar = 0.999996\nbias    = 1.999995\neta_bar = 0.002828422\neta_hat = 0.999999\n")
+
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "limits", "--out", str(tmp_path / "no" / "dir.txt"))
         assert code == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
-from conftest import params_strategy
+from conftest import boundary_params_strategy, params_strategy
+from oracles import decay_bound_scan
 
 P = ModelParams(0.5, 0.3, 1.0)
 VS = variance_sequence(P, 2000)
@@ -84,7 +86,7 @@ class TestTauLagK:
     @given(params_strategy(), st.integers(1, 40), st.integers(1, 8))
     def test_bounded_by_decay_bound_power(self, p, t, k):
         vs = variance_sequence(p, 2000)
-        bound = mixing_decay_bound(p, vs)
+        bound = mixing_decay_bound(p)
         assert abs(tau_lag_k(p, vs, t, k)) <= bound**k + 1e-15
 
 
@@ -172,27 +174,69 @@ class TestEtaBarAndSigmaBar:
         assert eta_bar(p) ** 2 + tau_bar(p) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
+def _oracle_grid():
+    """Fixed (phi, rho, sigma) grid for the oracle comparison: both signs of
+    phi*rho, three scales, and the tau_bar = 0 family phi = -rho/sqrt(1-rho^2)."""
+    axis = np.round(np.arange(-0.95, 0.951, 0.05), 2)
+    grid = [(float(f), float(r)) for f in axis for r in axis]
+    grid += [(-r / math.sqrt(1.0 - r * r), r) for r in np.round(np.arange(-0.7, 0.71, 0.05), 2)]
+    return [ModelParams(f, float(r), s) for f, r in grid for s in (0.3, 1.0, 7.0)]
+
+
+def _refuses_for_rounding(p, exc):
+    """dependence_profile may refuse only where tau_bar rounds to +-1."""
+    return abs(tau_bar(p)) == 1.0 and "rounds to +-1 in double precision" in str(exc)
+
+
 class TestMixingDecayBound:
     def test_rho_zero_equals_abs_phi(self):
         p = ModelParams(0.5, 0.0, 1.0)
-        assert mixing_decay_bound(p, variance_sequence(p, 2000)) == 0.5
+        assert mixing_decay_bound(p) == 0.5
 
     def test_reference_points(self):
-        assert mixing_decay_bound(P, VS) == pytest.approx(0.7186759374687043, rel=1e-12)
+        assert mixing_decay_bound(P) == pytest.approx(0.7186759374687043, rel=1e-12)
         pm = ModelParams(-0.5, 0.3, 1.0)
         # the scan at t=1 dominates the limit here
-        assert mixing_decay_bound(pm, variance_sequence(pm, 2000)) == pytest.approx(
-            0.20519567041703085, rel=1e-12
-        )
-
-    def test_unconverged_horizon_rejected(self):
-        p = ModelParams(0.9, 0.5, 1.0)
-        with pytest.raises(OutOfRangeError, match="not converged"):
-            mixing_decay_bound(p, variance_sequence(p, 10))
+        assert mixing_decay_bound(pm) == pytest.approx(0.20519567041703085, rel=1e-12)
 
     @given(params_strategy())
     def test_below_one(self, p):
-        assert mixing_decay_bound(p, variance_sequence(p, 2000)) < 1.0
+        assert mixing_decay_bound(p) < 1.0
+
+    def test_matches_converged_scan_on_grid(self):
+        grid = _oracle_grid()
+        assert any(p.phi * p.rho < 0 for p in grid)
+        assert any(abs(tau_bar(p)) < 1e-15 for p in grid)
+        for p in grid:
+            scan = decay_bound_scan(p, 20_000)
+            assert mixing_decay_bound(p) == pytest.approx(scan, rel=1e-14, abs=1e-300), p
+
+    def test_stops_at_floating_point_fixed_point(self):
+        # tau_bar is ~1e-24 here: neither the sign rule nor the tail bound
+        # ever fires, and only V_{t+1} == V_t ends the walk
+        for phi, rho, sig in (
+            (-4.00055585733605e-09, 4.0005558573360486e-09, 0.001637124367153567),
+            (3.656990495425337e-08, -3.656990495425337e-08, 42.75804774600064),
+        ):
+            p = ModelParams(phi, rho, sig)
+            assert mixing_decay_bound(p) == decay_bound_scan(p, 50)
+
+    def test_answers_near_boundary_with_opposite_signs(self):
+        # |phi*tau_bar|, the contraction of V_t at vbar, is 1 - 5e-6 here
+        for phi, rho in ((-0.999999, 0.999999), (0.999999, -0.999999)):
+            p = ModelParams(phi, rho, 1.0)
+            assert abs(tau_bar(p)) < mixing_decay_bound(p) < 1.0
+            assert mixing_decay_bound(p) == pytest.approx(0.9999989971655664, rel=1e-12)
+
+    @given(boundary_params_strategy(), st.integers(1, 40), st.integers(1, 8))
+    def test_bounds_lag_k_at_boundary(self, p, t, k):
+        try:
+            bound = dependence_profile(p).eta_hat
+        except OutOfRangeError as exc:
+            assert _refuses_for_rounding(p, exc), exc
+            return
+        vs = variance_sequence(p, 2000)
+        assert abs(tau_lag_k(p, vs, t, k)) <= bound**k + 1e-15
 
 
 class TestDependenceProfile:
@@ -202,10 +246,7 @@ class TestDependenceProfile:
         assert prof.eta_bar == eta_bar(P)
         assert prof.sigma_bar_sq == sigma_bar_sq(P)
         assert prof.eta_hat == pytest.approx(0.7186759374687043, rel=1e-12)
-
-    def test_accepts_explicit_sequence(self):
-        prof = dependence_profile(P, VS)
-        assert prof.eta_hat == mixing_decay_bound(P, VS)
+        assert prof.eta_hat == mixing_decay_bound(P)
 
     def test_automatic_horizon_handles_slow_mixing(self):
         p = ModelParams(0.95, -0.9, 3.0)
@@ -222,3 +263,25 @@ class TestDependenceProfile:
                 sigma_bar_sq=1.0,
                 eta_hat=0.7,
             )
+
+    def test_eta_hat_below_limit_rejected(self):
+        prof = dependence_profile(P)
+        with pytest.raises(OutOfRangeError, match=r"\|tau_bar\| <= eta_hat < 1 required"):
+            dataclasses.replace(prof, eta_hat=0.5)
+
+    def test_rounded_tau_bar_refused_by_name(self):
+        for phi, rho in ((0.999999, 0.999999), (-0.999999, -0.999999)):
+            p = ModelParams(phi, rho, 1.0)
+            with pytest.raises(OutOfRangeError, match=r"rounds to \+-1 in double precision") as info:
+                dependence_profile(p)
+            assert _refuses_for_rounding(p, info.value)
+
+    @given(boundary_params_strategy())
+    def test_returns_or_refuses_for_rounding_at_boundary(self, p):
+        try:
+            prof = dependence_profile(p)
+        except OutOfRangeError as exc:
+            assert _refuses_for_rounding(p, exc), exc
+            return
+        assert abs(prof.tau_bar) <= prof.eta_hat < 1.0
+        assert abs(tau_one_step(p, variance_sequence(p, 2), 1)) <= prof.eta_hat
