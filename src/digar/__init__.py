@@ -21,10 +21,8 @@ from .errors import (
 )
 from .estimation import (
     EstimateResult,
-    MartingaleDiagnostics,
     infeasible_estimate,
     studentized_statistic,
-    z_series,
 )
 from .experiments import (
     DEFAULT_PHI_GRID,
@@ -71,7 +69,6 @@ __all__ = [
     "DigarError",
     "EstimateResult",
     "ExperimentSummary",
-    "MartingaleDiagnostics",
     "ModelParams",
     "Moments",
     "NonFiniteError",
@@ -102,5 +99,4 @@ __all__ = [
     "variance_sequence",
     "vbar_curve",
     "vbar_limit",
-    "z_series",
 ]

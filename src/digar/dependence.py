@@ -162,9 +162,11 @@ def eta_bar(params: ModelParams) -> float:
 
     eta_bar = sigma_xi*sqrt(1 - rho^2)/vbar.  At rho = 0 this reduces to
     sqrt(1 - phi^2), the classical AR(1) value, which pins down the
-    standard-deviation (not variance) reading.
+    standard-deviation (not variance) reading.  1 - rho^2 is formed as
+    (1 - rho)*(1 + rho), which keeps its digits as |rho| nears 1.
     """
-    return params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho) / vbar_limit(params)
+    rho = params.rho
+    return params.sigma_xi * math.sqrt((1.0 - rho) * (1.0 + rho)) / vbar_limit(params)
 
 
 def sigma_bar_sq(params: ModelParams) -> float:

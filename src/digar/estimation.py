@@ -23,9 +23,7 @@ from .simulation import SamplePath, _accumulate
 
 __all__ = [
     "EstimateResult",
-    "MartingaleDiagnostics",
     "infeasible_estimate",
-    "z_series",
     "studentized_statistic",
 ]
 
@@ -46,36 +44,6 @@ class EstimateResult:
             raise OutOfRangeError("phi_tilde must equal phi_hat - correction exactly")
         if self.sample_size < 2:
             raise OutOfRangeError(f"sample_size must be >= 2, got {self.sample_size}")
-
-
-@dataclass(frozen=True)
-class MartingaleDiagnostics:
-    """Score diagnostics Z_2..Z_T, W_2..W_T and the deterministic E[Z_t^2].
-
-    Z_t = xi_t*Y_{t-1} - rho*sigma_xi*Y_{t-1}^2/V_{t-1} has zero mean given
-    the past; W_t = Z_t^2 - sigma_xi^2*Y_{t-1}^2*(1-rho^2) is the analogous
-    centered sequence for the squares; sigma_t_sq holds the unconditional
-    second moments sigma_xi^2*V_{t-1}^2*(1-rho^2).
-    """
-
-    z: np.ndarray
-    w: np.ndarray
-    sigma_t_sq: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        s = np.asarray(self.sigma_t_sq, dtype=float)
-        if not (z.shape == w.shape == s.shape) or z.ndim != 1:
-            raise OutOfRangeError("z, w, sigma_t_sq must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
-            raise NonFiniteError("diagnostics contain non-finite values")
-        if np.any(s <= 0.0):
-            raise OutOfRangeError("every sigma_t_sq entry must be positive")
-        for name, arr in (("z", z), ("w", w), ("sigma_t_sq", s)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def _require_match(path: SamplePath, vseq: VarianceSequence) -> None:
@@ -132,25 +100,6 @@ def infeasible_estimate(path: SamplePath, vseq: VarianceSequence) -> EstimateRes
     return EstimateResult(
         phi_hat=hat, phi_tilde=hat - corr, correction=corr, sample_size=path.horizon
     )
-
-
-def z_series(path: SamplePath, vseq: VarianceSequence) -> MartingaleDiagnostics:
-    """Score diagnostics for one path; see MartingaleDiagnostics."""
-    if path.horizon < 2:
-        raise OutOfRangeError(f"need path horizon >= 2, got {path.horizon}")
-    _require_match(path, vseq)
-    T = path.horizon
-    lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
-    x = path.xi[1:]  # xi_t, t = 2..T
-    v = vseq.values[: T - 1]  # V_{t-1}
-    rho = path.params.rho
-    sig = path.params.sigma_xi
-    one_minus_rho2 = 1.0 - rho * rho
-    lag_sq = lag * lag
-    z = x * lag - rho * sig * lag_sq / v
-    w = z * z - sig * sig * lag_sq * one_minus_rho2
-    sigma_t_sq = sig * sig * v * v * one_minus_rho2
-    return MartingaleDiagnostics(z=z, w=w, sigma_t_sq=sigma_t_sq)
 
 
 def studentized_statistic(

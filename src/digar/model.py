@@ -159,9 +159,14 @@ def vbar_limit(params: ModelParams) -> float:
 
     vbar = sigma_xi*(rho*phi + sqrt(rho^2*phi^2 + 1 - phi^2))/(1 - phi^2),
     the positive root of (1-phi^2)*v^2 - 2*rho*phi*sigma_xi*v - sigma_xi^2,
-    i.e. the fixed point of the one-step variance recursion.
+    i.e. the fixed point of the one-step variance recursion.  Where
+    rho*phi < 0 that sum cancels, so there the equal form
+    sigma_xi/(sqrt(rho^2*phi^2 + (1-phi)*(1+phi)) - rho*phi) is used, whose
+    terms are all positive.
     """
     phi = params.phi
-    rho = params.rho
-    disc = rho * rho * phi * phi + 1.0 - phi * phi
-    return params.sigma_xi * (rho * phi + math.sqrt(disc)) / (1.0 - phi * phi)
+    rp = params.rho * phi
+    if rp < 0.0:
+        return params.sigma_xi / (math.sqrt(rp * rp + (1.0 - phi) * (1.0 + phi)) - rp)
+    disc = params.rho * params.rho * phi * phi + 1.0 - phi * phi
+    return params.sigma_xi * (rp + math.sqrt(disc)) / (1.0 - phi * phi)

@@ -18,6 +18,15 @@ a SplitMix64 step, so batch output is independent of execution order,
 batch rows are bit-identical to the corresponding single-path calls, and
 the estimator sums, which the kernel and estimation.infeasible_estimate
 both add in time order with _accumulate, agree bit for bit.
+
+Row r's stream is PCG64(mix_seed(master_seed, r)).  The batch kernel
+computes the starting states of a block's rows in one numpy pass
+(_pcg64_states) instead of constructing each through numpy's
+SeedSequence, which costs about 20 us per row.  A guard compares each
+block's first row with numpy's own constructor; on a mismatch the batch
+seeds row by row through normal_stream from there on, so a numpy that
+seeds differently cannot change the bytes silently.  simulate_path
+always seeds through normal_stream.
 """
 
 from __future__ import annotations
@@ -43,6 +52,17 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Rows per block in batch generation.  Every operation of the kernel is
 # elementwise across rows, so the block size never affects the bytes.
@@ -145,6 +165,68 @@ def normal_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _mix_seeds(master_seed: int, start: int, n: int) -> np.ndarray:
+    # mix_seed(master_seed, r) for r = start .. start+n-1, in uint64
+    # arithmetic, which wraps modulo 2^64 as the masks in mix_seed do.
+    u = np.uint64
+    z = np.arange(start + 1, start + n + 1, dtype=u) * u(_GOLDEN) + u(master_seed)
+    z = (z ^ (z >> u(30))) * u(_MIX_A)
+    z = (z ^ (z >> u(27))) * u(_MIX_B)
+    return z ^ (z >> u(31))
+
+
+def _hasher(init: int, mult: int):
+    # SeedSequence's hash step, v -> (v ^ h)*h' ^ ((v ^ h)*h' >> 16) with
+    # h' = h*mult, on uint32 arrays; h walks a data-independent sequence.
+    u32 = np.uint32
+    h = init
+
+    def step(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ u32(h)
+        h = (h * mult) & _MASK32
+        v = v * u32(h)
+        return v ^ (v >> u32(16))
+
+    return step
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    # The state dict of np.random.PCG64(seed) for each uint64 seed.  numpy
+    # seeds PCG64 through SeedSequence(seed).generate_state(4, uint64); that
+    # hash is uint32 arithmetic with constants that do not depend on the
+    # data, so it runs here across all seeds at once.  A 64-bit seed is at
+    # most two entropy words, and the missing pool words hash as 0.
+    u32 = np.uint32
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [
+        hashmix((seeds & np.uint64(_MASK32)).astype(u32)),
+        hashmix((seeds >> np.uint64(32)).astype(u32)),
+    ]
+    zero = np.zeros_like(pool[0])
+    pool += [hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                m = pool[dst] * u32(_MIX_MULT_L) - hashmix(pool[src]) * u32(_MIX_MULT_R)
+                pool[dst] = m ^ (m >> u32(16))
+    output = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # uint64 word j is uint32 words 2j (low half) and 2j+1.  PCG64 takes
+    # words 0-1 as the initial state and words 2-3 as the stream, then
+    # steps its LCG twice: from 0, and again after adding the state.
+    s0, s1, s2, s3 = (words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4))
+    states = []
+    for a, b, c, d in zip(s0.tolist(), s1.tolist(), s2.tolist(), s3.tolist()):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
 def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
     # acc + terms[0] + terms[1] + ..., added in that order.  Reducing axis 0
     # of a C-ordered array adds whole rows in turn; numpy sums pairwise only
@@ -234,11 +316,25 @@ def _run_blocks(
     xi_buf = np.empty(c * width)
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
+    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
+    bits = [g.bit_generator for g in gens]
+    bulk = True
     mul = np.multiply
     add = np.add
     for start in range(0, spec.replications, block_size):
         n = min(block_size, spec.replications - start)
-        streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, start + n)]
+        # The block's first row checks the bulk states against numpy's own
+        # constructor; after a mismatch every block seeds row by row.
+        if bulk:
+            states = _pcg64_states(_mix_seeds(spec.master_seed, start, n))
+            guard = normal_stream(mix_seed(spec.master_seed, start)).bit_generator.state
+            bulk = guard == states[0]
+        if bulk:
+            for bit, state in zip(bits, states):
+                bit.state = state
+            streams = gens[:n]
+        else:
+            streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, start + n)]
         raw = raw_buf[: n * c]
         eps = raw.reshape(n, c)
         xi = xi_buf[: c * n].reshape(c, n)

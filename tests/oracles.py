@@ -1,10 +1,22 @@
 """Independent reference computations the tests check the package against."""
 
 import math
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from digar import ModelParams, OutOfRangeError, tau_bar, variance_sequence, vbar_limit
+from digar import (
+    ModelParams,
+    NonFiniteError,
+    OutOfRangeError,
+    SamplePath,
+    VarianceSequence,
+    tau_bar,
+    variance_sequence,
+    vbar_limit,
+)
+from digar.estimation import _require_match
 
 
 def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:
@@ -51,3 +63,66 @@ def decay_bound_scan(params: ModelParams, T: int) -> float:
         raise OutOfRangeError(f"variance sequence not converged at horizon {T}")
     taus = (params.phi * vs[:-1] + params.rho * params.sigma_xi) / vs[1:]
     return max(float(np.max(np.abs(taus))), abs(tau_bar(params)))
+
+
+def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal]:
+    """vbar, tau_bar and eta_bar at 60 digits, taking the binary parameter
+    values as exact.
+
+    vbar = sigma*(rho*phi + sqrt(rho^2*phi^2 + 1 - phi^2))/(1 - phi^2),
+    tau_bar = phi + rho*sigma/vbar, eta_bar = sigma*sqrt(1 - rho^2)/vbar.
+    """
+    p, r, s = Decimal(params.phi), Decimal(params.rho), Decimal(params.sigma_xi)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        vbar = s * (r * p + (r * r * p * p + 1 - p * p).sqrt()) / (1 - p * p)
+        return vbar, p + r * s / vbar, s * (1 - r * r).sqrt() / vbar
+
+
+@dataclass(frozen=True)
+class MartingaleDiagnostics:
+    """Score diagnostics Z_2..Z_T, W_2..W_T and the deterministic E[Z_t^2].
+
+    Z_t = xi_t*Y_{t-1} - rho*sigma_xi*Y_{t-1}^2/V_{t-1} has zero mean given
+    the past; W_t = Z_t^2 - sigma_xi^2*Y_{t-1}^2*(1-rho^2) is the analogous
+    centered sequence for the squares; sigma_t_sq holds the unconditional
+    second moments sigma_xi^2*V_{t-1}^2*(1-rho^2).
+    """
+
+    z: np.ndarray
+    w: np.ndarray
+    sigma_t_sq: np.ndarray
+
+    def __post_init__(self) -> None:
+        z = np.asarray(self.z, dtype=float)
+        w = np.asarray(self.w, dtype=float)
+        s = np.asarray(self.sigma_t_sq, dtype=float)
+        if not (z.shape == w.shape == s.shape) or z.ndim != 1:
+            raise OutOfRangeError("z, w, sigma_t_sq must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
+            raise NonFiniteError("diagnostics contain non-finite values")
+        if np.any(s <= 0.0):
+            raise OutOfRangeError("every sigma_t_sq entry must be positive")
+        for name, arr in (("z", z), ("w", w), ("sigma_t_sq", s)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def z_series(path: SamplePath, vseq: VarianceSequence) -> MartingaleDiagnostics:
+    """Martingale-score diagnostics for one path; see MartingaleDiagnostics."""
+    if path.horizon < 2:
+        raise OutOfRangeError(f"need path horizon >= 2, got {path.horizon}")
+    _require_match(path, vseq)
+    T = path.horizon
+    lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
+    x = path.xi[1:]  # xi_t, t = 2..T
+    v = vseq.values[: T - 1]  # V_{t-1}
+    rho = path.params.rho
+    sig = path.params.sigma_xi
+    one_minus_rho2 = 1.0 - rho * rho
+    lag_sq = lag * lag
+    z = x * lag - rho * sig * lag_sq / v
+    w = z * z - sig * sig * lag_sq * one_minus_rho2
+    sigma_t_sq = sig * sig * v * v * one_minus_rho2
+    return MartingaleDiagnostics(z=z, w=w, sigma_t_sq=sigma_t_sq)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
+from digar import simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -344,6 +346,61 @@ class TestExperimentCli:
         assert parse_and_dispatch(argv + ["--out", str(threaded)]) == 0
         capsys.readouterr()
         assert serial.read_bytes() == threaded.read_bytes()
+
+
+# sha256 of the JSON each experiment printed before row streams were
+# seeded in bulk.  1203 replications cross two block edges and end in a
+# partial block.
+GOLDEN_RUNS = {
+    "consistency": ("experiment", "consistency", "-T", "100", "-R", "1203"),
+    "acf": ("experiment", "acf", "-T", "210", "-R", "1203", "--t-obs", "200"),
+    "clt": ("experiment", "clt", "-T", "5000", "-R", "1000"),
+}
+GOLDEN_SHA256 = {
+    (0, "consistency"): "5a7a686c983afad6a5cef81d55ea23c9c7769d2681aa959f010fd5bc117a2858",
+    (0, "acf"): "6ac3d1c454f8541e6493a17369562f297f90f79526ccf59c4d780e04518828af",
+    (0, "clt"): "aed123e427a0f564bb4b33566159aeae237d8cc39d2c06fc64954ee362c3567e",
+    (12345, "consistency"): "e10e629bced27b106392aa813dc6b0b91e831f07c1261ca295612738a6ec74d8",
+    (12345, "acf"): "959bdff4951cc72c5486e361bf5e477987209f4609c0761e554e1fcfa12f2f1a",
+    (12345, "clt"): "60486cd6008ac44b414bba39307dba2eef9eac6e2ad7f6ddfd685e2e6ab13866",
+    ((1 << 64) - 1, "consistency"): "f8c1aefb8ab7a91bce16b41fa3cf89bb21ec3e2a9d68a56cec488d53eefbbcdf",
+    ((1 << 64) - 1, "acf"): "9de9495a31a37a08f9ad4e1a15fe2e9d22e821f8ca8fc11324ca0059594a7ab9",
+    ((1 << 64) - 1, "clt"): "71b02e0aac3b77f82d55144b32ba9f4318349290f32008bdbdc604958979fea6",
+}
+
+
+def golden_digest(capsys, seed, kind):
+    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[kind], "--seed", str(seed))
+    assert code == 0
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("seed, kind", sorted(GOLDEN_SHA256))
+    def test_experiment_bytes_unchanged(self, capsys, seed, kind):
+        assert golden_digest(capsys, seed, kind) == GOLDEN_SHA256[seed, kind]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
+    def test_seeding_fallback_bytes_unchanged(self, capsys, monkeypatch, kind):
+        # A bulk state that disagrees with numpy's constructor sends the
+        # batch back to seeding row by row, with the same bytes.
+        bulk, stream = simulation._pcg64_states, simulation.normal_stream
+        streams = []
+
+        def wrong(seeds):
+            states = bulk(seeds)
+            states[0]["state"]["inc"] ^= 2
+            return states
+
+        def counted(seed):
+            streams.append(seed)
+            return stream(seed)
+
+        monkeypatch.setattr(simulation, "_pcg64_states", wrong)
+        monkeypatch.setattr(simulation, "normal_stream", counted)
+        assert golden_digest(capsys, 12345, kind) == GOLDEN_SHA256[12345, kind]
+        replications = int(GOLDEN_RUNS[kind][GOLDEN_RUNS[kind].index("-R") + 1])
+        assert len(streams) == 1 + replications
 
 
 class TestFigure:

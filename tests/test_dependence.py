@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from digar import (
     vbar_limit,
 )
 from conftest import boundary_params_strategy, params_strategy
-from oracles import decay_bound_scan
+from oracles import decay_bound_scan, decimal_limits
 
 P = ModelParams(0.5, 0.3, 1.0)
 VS = variance_sequence(P, 2000)
@@ -172,6 +173,21 @@ class TestEtaBarAndSigmaBar:
         # eta_bar^2 = 1 - tau_bar^2 follows from the quadratic identity
         # satisfied by vbar; a strong consistency check across functions.
         assert eta_bar(p) ** 2 + tau_bar(p) ** 2 == pytest.approx(1.0, abs=1e-13)
+
+
+class TestLimitsAgainstDecimal:
+    """vbar, tau_bar and eta_bar to within 1e-15 relative of 60 digits,
+    also where rho*phi nears -1 and a sum in the textbook form cancels."""
+
+    @pytest.mark.parametrize(
+        "phi, rho", [(-0.999999, 0.999999), (0.999999, -0.999999), (-0.99, 0.99), (0.5, 0.3)]
+    )
+    def test_relative_error(self, phi, rho):
+        p = ModelParams(phi, rho, 1.0)
+        exact = decimal_limits(p)
+        got = (vbar_limit(p), tau_bar(p), eta_bar(p))
+        for name, value, want in zip(("vbar", "tau_bar", "eta_bar"), got, exact):
+            assert abs((Decimal(value) - want) / want) <= Decimal("1e-15"), name
 
 
 def _oracle_grid():

@@ -9,7 +9,6 @@ from digar import (
     BatchSpec,
     DegenerateDenominatorError,
     EstimateResult,
-    MartingaleDiagnostics,
     ModelParams,
     NonFiniteError,
     OutOfRangeError,
@@ -22,11 +21,11 @@ from digar import (
     studentized_statistic,
     tau_bar,
     variance_sequence,
-    z_series,
 )
 from digar.experiments import _collect_estimates
 from digar.simulation import _run_blocks
 from conftest import params_strategy
+from oracles import MartingaleDiagnostics, z_series
 
 P = ModelParams(0.5, 0.3, 1.0)
 

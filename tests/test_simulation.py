@@ -18,7 +18,8 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
-from digar.simulation import _run_blocks
+from digar import simulation
+from digar.simulation import _mix_seeds, _pcg64_states, _run_blocks
 from conftest import params_strategy, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -101,6 +102,71 @@ class TestNormalStream:
     def test_distribution_close_to_normal(self):
         z = normal_stream(31415).standard_normal(100_000)
         assert ks_distance(z) < 0.01
+
+
+class TestBulkSeeding:
+    """The batch kernel computes each block's PCG64 states itself; they
+    must be the states numpy's own constructor starts from."""
+
+    EDGE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
+
+    def test_edge_seeds_match_numpy(self):
+        states = _pcg64_states(np.array(self.EDGE_SEEDS, dtype=np.uint64))
+        assert states == [np.random.PCG64(s).state for s in self.EDGE_SEEDS]
+
+    def test_random_seeds_match_numpy(self):
+        seeds = np.random.default_rng(20170411).integers(0, 1 << 64, 10_000, dtype=np.uint64)
+        states = _pcg64_states(seeds)
+        assert states == [np.random.PCG64(s).state for s in seeds.tolist()]
+
+    @pytest.mark.parametrize("master", [0, 12345, (1 << 64) - 1])
+    @pytest.mark.parametrize("start, n", [(0, 1), (0, 500), (1000, 203)])
+    def test_block_seeds_match_mix_seed(self, master, start, n):
+        seeds = _mix_seeds(master, start, n).tolist()
+        assert seeds == [mix_seed(master, r) for r in range(start, start + n)]
+
+    @pytest.fixture
+    def stream_seeds(self, monkeypatch):
+        # The seeds the batch kernel passes to normal_stream, in call order.
+        seeds = []
+
+        def counted(seed):
+            seeds.append(seed)
+            return normal_stream(seed)
+
+        monkeypatch.setattr(simulation, "normal_stream", counted)
+        return seeds
+
+    def test_guard_builds_one_stream_per_block(self, stream_seeds):
+        list(_path_blocks(BatchSpec(P, 10, 1203, 5150)))
+        assert stream_seeds == [mix_seed(5150, r) for r in (0, 500, 1000)]
+
+    def test_mismatch_falls_back_to_numpy_seeding(self, monkeypatch, stream_seeds):
+        spec = BatchSpec(P, 10, 1203, 5150)
+        expected = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
+        stream_seeds.clear()
+
+        def wrong(seeds):
+            states = _pcg64_states(seeds)
+            states[0]["state"]["state"] ^= 1
+            return states
+
+        monkeypatch.setattr(simulation, "_pcg64_states", wrong)
+        fallback = list(_path_blocks(spec))
+        # one guard stream, then every row seeded by numpy's constructor
+        assert stream_seeds == [mix_seed(5150, 0)] + [mix_seed(5150, r) for r in range(1203)]
+        for (y, xi), (_, yf, xf) in zip(expected, fallback, strict=True):
+            assert np.array_equal(y, yf)
+            assert np.array_equal(xi, xf)
+
+    def test_every_row_matches_its_single_path(self):
+        # The guard checks one row per block; this checks them all.
+        spec = BatchSpec(P, 10, 1203, 5150)
+        for start, y, xi in _path_blocks(spec):
+            for i in range(y.shape[0]):
+                solo = simulate_path(P, 10, mix_seed(5150, start + i))
+                assert np.array_equal(y[i], solo.y)
+                assert np.array_equal(xi[i], solo.xi)
 
 
 class TestSimulatePath:
