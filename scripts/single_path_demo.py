@@ -28,16 +28,16 @@ def main() -> int:
 
     params = ModelParams(args.phi, args.rho, args.sigma)
     prof = dependence_profile(params)
-    vseq = variance_sequence(params, args.T)
+    v_last = variance_sequence(params, args.T)[-1]
 
     print(f"params: phi={params.phi}, rho={params.rho}, sigma_xi={params.sigma_xi}")
     print(f"classical stationary sd S = {stationary_sd(params):.6f}")
-    print(f"variance limit vbar       = {vseq.value_at(args.T):.6f} (V_T at T={args.T})")
+    print(f"variance limit vbar       = {v_last:.6f} (V_T at T={args.T})")
     print(f"slope limit tau_bar       = {prof.tau_bar:.6f} (bias {prof.ols_bias:+.6f})")
 
     path = simulate_path(params, args.T, args.seed)
-    res = infeasible_estimate(path, vseq)
-    stat = studentized_statistic(res, params.phi, prof)
+    res = infeasible_estimate(path)
+    stat = studentized_statistic(res, params.phi, params)
 
     print(f"\npath seed {args.seed}, length {path.horizon}")
     print(f"plain slope estimate      = {res.phi_hat:.6f}  -> tau_bar, not phi")

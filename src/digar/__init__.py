@@ -11,7 +11,6 @@ from .dependence import (
     sigma_bar_sq,
     tau_bar,
     tau_lag_k,
-    tau_one_step,
 )
 from .errors import (
     DegenerateDenominatorError,
@@ -42,7 +41,6 @@ from .experiments import (
 )
 from .model import (
     ModelParams,
-    VarianceSequence,
     stationary_sd,
     variance_sequence,
     vbar_limit,
@@ -74,7 +72,6 @@ __all__ = [
     "NonFiniteError",
     "OutOfRangeError",
     "SamplePath",
-    "VarianceSequence",
     "bias_curve",
     "delta_limit",
     "dependence_profile",
@@ -95,7 +92,6 @@ __all__ = [
     "studentized_statistic",
     "tau_bar",
     "tau_lag_k",
-    "tau_one_step",
     "variance_sequence",
     "vbar_curve",
     "vbar_limit",

@@ -78,9 +78,8 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
-    vseq = variance_sequence(params, ns.T)
     rows = ["t,v"]
-    rows.extend(f"{t + 1},{_g17(v)}" for t, v in enumerate(vseq.values))
+    rows.extend(f"{t + 1},{_g17(v)}" for t, v in enumerate(variance_sequence(params, ns.T)))
     _write_text(ns.out, ["\n".join(rows) + "\n"])
     return 0
 
@@ -147,8 +146,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
     else:
         _seed_banner(ns.seed)
         path = simulate_path(params, ns.T, ns.seed)
-    vseq = variance_sequence(params, path.horizon)
-    res = infeasible_estimate(path, vseq)
+    res = infeasible_estimate(path)
     if ns.format == "json":
         tree = {
             "phi_hat": res.phi_hat,
@@ -246,31 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="Monte Carlo experiments (JSON output)")
     kinds = p.add_subparsers(dest="kind", required=True, metavar="kind")
 
-    k = kinds.add_parser("consistency", formatter_class=fmt, help="estimator means vs their limits")
-    _add_param_flags(k)
-    k.add_argument("-T", type=int, default=5000, help="path length")
-    k.add_argument("-R", type=int, default=500, help="replications")
-    k.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    _add_out_flag(k)
-    k.set_defaults(handler=_cmd_experiment)
-
-    k = kinds.add_parser("clt", formatter_class=fmt, help="studentized-statistic distribution")
-    _add_param_flags(k)
-    k.add_argument("-T", type=int, default=10000, help="path length")
-    k.add_argument("-R", type=int, default=2000, help="replications")
-    k.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    _add_out_flag(k)
-    k.set_defaults(handler=_cmd_experiment)
-
-    k = kinds.add_parser("acf", formatter_class=fmt, help="cross-sectional autocorrelations")
-    _add_param_flags(k)
-    k.add_argument("-T", type=int, default=250, help="path length")
-    k.add_argument("-R", type=int, default=5000, help="replications")
-    k.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    k.add_argument("--t-obs", dest="t_obs", type=int, default=200, help="observation time")
-    k.add_argument("--k-max", dest="k_max", type=int, default=4, help="largest lag")
-    _add_out_flag(k)
-    k.set_defaults(handler=_cmd_experiment)
+    for kind, T, R, desc in (
+        ("consistency", 5000, 500, "estimator means vs their limits"),
+        ("clt", 10000, 2000, "studentized-statistic distribution"),
+        ("acf", 250, 5000, "cross-sectional autocorrelations"),
+    ):
+        k = kinds.add_parser(kind, formatter_class=fmt, help=desc)
+        _add_param_flags(k)
+        k.add_argument("-T", type=int, default=T, help="path length")
+        k.add_argument("-R", type=int, default=R, help="replications")
+        k.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+        if kind == "acf":
+            k.add_argument("--t-obs", dest="t_obs", type=int, default=200, help="observation time")
+            k.add_argument("--k-max", dest="k_max", type=int, default=4, help="largest lag")
+        _add_out_flag(k)
+        k.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("figure", help="curve CSVs over a (phi, rho) grid")
     kinds = p.add_subparsers(dest="kind", required=True, metavar="kind")

@@ -1,11 +1,11 @@
 """Dependence functionals of the process.
 
-Everything here is a deterministic function of the parameters (and, for
-finite-t quantities, of the variance sequence): the one-step copula
-parameter tau_{t,t+1} between consecutive levels, its lag-k products and
-large-t limit tau_bar, the induced innovation autocorrelation limit, the
-asymptotic bias of least squares, the asymptotic standard deviation
-eta_bar of the corrected estimator, and the geometric decay bound eta_hat.
+Everything here is a deterministic function of the parameters alone: the
+copula parameter tau_{t,t+k} between levels k steps apart, which derives
+V_t itself, the large-t limit tau_bar of tau_{t,t+1}, the induced
+innovation autocorrelation limit, the asymptotic bias of least squares,
+the asymptotic standard deviation eta_bar of the corrected estimator, and
+the geometric decay bound eta_hat.
 
 eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
 f(v) = sqrt(u(v)^2 + s2), u(v) = phi*v + rho*sigma_xi, s2 = sigma_xi^2*(1-rho^2):
@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
-from .model import ModelParams, VarianceSequence, vbar_limit
+from .model import ModelParams, variance_sequence, vbar_limit
 
 __all__ = [
     "DependenceProfile",
-    "tau_one_step",
     "tau_lag_k",
     "tau_bar",
     "delta_limit",
@@ -74,55 +73,30 @@ class DependenceProfile:
             raise OutOfRangeError(f"|tau_bar| <= eta_hat < 1 required, got eta_hat={self.eta_hat!r}")
 
 
-def _require_same_params(params: ModelParams, vseq: VarianceSequence) -> None:
-    if vseq.params != params:
-        raise OutOfRangeError("variance sequence was computed for different parameters")
+def tau_lag_k(params: ModelParams, t: int, k: int) -> float:
+    """Copula parameter tau_{t,t+k} between Y_t and Y_{t+k}.
 
-
-def tau_one_step(params: ModelParams, vseq: VarianceSequence, t: int) -> float:
-    """Copula parameter tau_{t,t+1} = (phi*V_t + rho*sigma_xi)/V_{t+1}.
-
-    Equals the correlation of (Y_t, Y_{t+1}) since both are Gaussian.
-    Always strictly inside (-1, 1): V_{t+1}^2 - (phi*V_t + rho*sigma_xi)^2
-    = sigma_xi^2*(1 - rho^2) > 0.
-
-    Parameters
-    ----------
-    params : ModelParams
-    vseq : VarianceSequence
-        Must be computed from the same params with horizon >= t+1.
-    t : int
-        Time index, >= 1.
+    The product of the k one-step parameters
+    tau_{s,s+1} = (phi*V_s + rho*sigma_xi)/V_{s+1}, s = t..t+k-1, each the
+    correlation of (Y_s, Y_{s+1}) since both are Gaussian; tau_lag_k(params,
+    t, 1) is tau_{t,t+1}.  Every factor is strictly inside (-1, 1):
+    V_{s+1}^2 - (phi*V_s + rho*sigma_xi)^2 = sigma_xi^2*(1 - rho^2) > 0.
+    Gaussian copulas compose along the Markov chain by multiplying their
+    parameters, so the magnitude is bounded by eta_hat^k.
 
     Raises
     ------
     OutOfRangeError
-        If t+1 exceeds the horizon of vseq.
+        If t < 1 or k < 1.
     """
-    _require_same_params(params, vseq)
     if t < 1:
         raise OutOfRangeError(f"t must be >= 1, got {t}")
-    if t + 1 > vseq.horizon:
-        raise OutOfRangeError(f"t+1={t + 1} exceeds horizon {vseq.horizon}")
-    v = vseq.values
-    return (params.phi * v[t - 1] + params.rho * params.sigma_xi) / v[t]
-
-
-def tau_lag_k(params: ModelParams, vseq: VarianceSequence, t: int, k: int) -> float:
-    """Copula parameter between Y_t and Y_{t+k}: the product of the k
-    intermediate one-step parameters tau_{t+s,t+s+1}, s = 0..k-1.
-
-    Gaussian copulas compose along the Markov chain by multiplying their
-    parameters, so the magnitude is bounded by eta_hat^k.
-    """
-    _require_same_params(params, vseq)
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
-    if t + k > vseq.horizon:
-        raise OutOfRangeError(f"t+k={t + k} exceeds horizon {vseq.horizon}")
+    v = variance_sequence(params, t + k)
     out = 1.0
-    for s in range(k):
-        out *= tau_one_step(params, vseq, t + s)
+    for s in range(t, t + k):
+        out *= (params.phi * v[s - 1] + params.rho * params.sigma_xi) / v[s]
     return out
 
 
@@ -173,10 +147,12 @@ def sigma_bar_sq(params: ModelParams) -> float:
     """Limit variance sigma_xi^2*(1 - rho^2)*vbar^2 of the score terms.
 
     Satisfies sigma_bar_sq = eta_bar^2 * vbar^4; dividing by the squared
-    limit vbar^2 of the normalized denominator gives eta_bar^2.
+    limit vbar^2 of the normalized denominator gives eta_bar^2.  1 - rho^2
+    is formed as in eta_bar.
     """
+    rho = params.rho
     vb = vbar_limit(params)
-    return params.sigma_xi * params.sigma_xi * (1.0 - params.rho * params.rho) * vb * vb
+    return params.sigma_xi * params.sigma_xi * ((1.0 - rho) * (1.0 + rho)) * vb * vb
 
 
 def mixing_decay_bound(params: ModelParams) -> float:
@@ -190,7 +166,7 @@ def mixing_decay_bound(params: ModelParams) -> float:
     (module docstring).  Rules allow a few ulps; 1.0 if tau_bar rounds to 1.
     """
     phi, rho, sig = params.phi, params.rho, params.sigma_xi
-    # evaluated as in variance_sequence, so each tau equals tau_one_step's
+    # evaluated as in variance_sequence, so each tau equals tau_lag_k's at k = 1
     a, b, c = phi * phi, 2.0 * phi * rho * sig, sig * sig
     rs, s2 = rho * sig, c * (1.0 - rho * rho)
     vb = vbar_limit(params)

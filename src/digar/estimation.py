@@ -5,8 +5,7 @@ to phi, whenever rho != 0.  Subtracting the correction term
 rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2) restores consistency;
 the corrected estimator is infeasible in practice because the correction
 consumes the true rho, sigma_xi and V_t, which is why these operations
-take the true parameters (through the path and the variance sequence)
-explicitly.
+take the true parameters explicitly, through the path or as an argument.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import DependenceProfile, _require_same_params
+from .dependence import eta_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
-from .model import VarianceSequence
+from .model import ModelParams, variance_sequence
 from .simulation import SamplePath, _accumulate
 
 __all__ = [
@@ -46,14 +45,6 @@ class EstimateResult:
             raise OutOfRangeError(f"sample_size must be >= 2, got {self.sample_size}")
 
 
-def _require_match(path: SamplePath, vseq: VarianceSequence) -> None:
-    _require_same_params(path.params, vseq)
-    if vseq.horizon < path.horizon:
-        raise OutOfRangeError(
-            f"variance horizon {vseq.horizon} shorter than path horizon {path.horizon}"
-        )
-
-
 def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Sums, _Sums]:
     # Plain slope cross/den and correction coef*weighted/den from the
     # time-ordered sums.
@@ -64,35 +55,28 @@ def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Su
     return cross / den, coef * weighted / den
 
 
-def infeasible_estimate(path: SamplePath, vseq: VarianceSequence) -> EstimateResult:
+def infeasible_estimate(path: SamplePath) -> EstimateResult:
     """Plain least-squares slope and its corrected, infeasible variant.
 
     phi_hat = sum(Y_t*Y_{t-1})/sum(Y_{t-1}^2), which converges to tau_bar,
     and phi_tilde = phi_hat - correction with the bias correction
     rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2), which converges
     almost surely to rho*sigma_xi/vbar and is exactly zero when rho = 0.
-    Sums run over t=2..T and add their terms in time order, as the batch
-    kernel does, so a batch row's estimates equal its path's bit for bit.
-
-    Parameters
-    ----------
-    path : SamplePath
-    vseq : VarianceSequence
-        Computed from path.params with horizon >= path.horizon.
+    V_t comes from variance_sequence(path.params, path.horizon).  Sums run
+    over t=2..T and add their terms in time order, as the batch kernel
+    does, so a batch row's estimates equal its path's bit for bit.
 
     Raises
     ------
-    OutOfRangeError
-        If vseq does not belong to the path or is too short.
     DegenerateDenominatorError
         If the path is too short (T < 2) or all lagged values are zero.
     """
-    _require_match(path, vseq)
     lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
     terms = np.empty((lag.size, 3))
     np.multiply(lag, lag, out=terms[:, 0])
     np.multiply(path.y[2:], lag, out=terms[:, 1])
-    np.divide(terms[:, 0], vseq.values[: lag.size], out=terms[:, 2])
+    v = variance_sequence(path.params, path.horizon)[:-1]  # V_{t-1}, t = 2..T
+    np.divide(terms[:, 0], v, out=terms[:, 2])
     acc = np.full(3, -0.0)  # -0.0 + x == x for every x
     if lag.size:
         _accumulate(acc, terms)
@@ -102,16 +86,12 @@ def infeasible_estimate(path: SamplePath, vseq: VarianceSequence) -> EstimateRes
     )
 
 
-def studentized_statistic(
-    result: EstimateResult, true_phi: float, profile: DependenceProfile
-) -> float:
-    """sqrt(T)*(phi_tilde - true_phi)/eta_bar.
+def studentized_statistic(result: EstimateResult, true_phi: float, params: ModelParams) -> float:
+    """sqrt(T)*(phi_tilde - true_phi)/eta_bar(params).
 
     Asymptotically standard normal across replications when true_phi is
-    the data-generating coefficient and profile matches the generator.
+    the data-generating coefficient and params are the generator's.
     """
     if not math.isfinite(true_phi):
         raise NonFiniteError(f"true_phi must be finite, got {true_phi!r}")
-    return (
-        math.sqrt(result.sample_size) * (result.phi_tilde - true_phi) / profile.eta_bar
-    )
+    return math.sqrt(result.sample_size) * (result.phi_tilde - true_phi) / eta_bar(params)

@@ -19,7 +19,6 @@ from .errors import NonFiniteError, OutOfRangeError
 
 __all__ = [
     "ModelParams",
-    "VarianceSequence",
     "stationary_sd",
     "variance_sequence",
     "vbar_limit",
@@ -72,39 +71,6 @@ class ModelParams:
             raise OutOfRangeError(f"sigma_xi > 0 required, got sigma_xi={self.sigma_xi!r}")
 
 
-@dataclass(frozen=True)
-class VarianceSequence:
-    """The deterministic sequence V_1..V_T of standard deviations of Y_t."""
-
-    params: ModelParams
-    values: np.ndarray
-    horizon: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if self.horizon < 1:
-            raise OutOfRangeError(f"horizon must be >= 1, got {self.horizon}")
-        if values.shape != (self.horizon,):
-            raise OutOfRangeError(
-                f"values must have shape ({self.horizon},), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("variance sequence contains non-finite entries")
-        if np.any(values <= 0.0):
-            raise OutOfRangeError("every V_t must be positive")
-        if values[0] != self.params.sigma_xi:
-            raise OutOfRangeError("V_1 must equal sigma_xi exactly")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def value_at(self, t: int) -> float:
-        """Return V_t for 1 <= t <= horizon."""
-        if not 1 <= t <= self.horizon:
-            raise OutOfRangeError(f"t={t} outside 1..{self.horizon}")
-        return float(self.values[t - 1])
-
-
 def stationary_sd(params: ModelParams) -> float:
     """Standard deviation sigma_xi/sqrt(1 - phi^2) of the classical AR(1).
 
@@ -114,14 +80,15 @@ def stationary_sd(params: ModelParams) -> float:
     return params.sigma_xi / math.sqrt(1.0 - params.phi * params.phi)
 
 
-def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
-    """Compute V_1..V_T by the one-step recursion.
+def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
+    """Compute V_1..V_T, the standard deviations of Y_t, by the one-step recursion.
 
     Uses V_t^2 = phi^2*V_{t-1}^2 + 2*phi*rho*sigma_xi*V_{t-1} + sigma_xi^2
     with V_1 = sigma_xi, which is Var(phi*Y_{t-1} + xi_t) with
     Cov(Y_{t-1}, xi_t) = rho*sigma_xi*V_{t-1}.  O(T) cost.  Once an entry
     maps exactly onto itself, the rest of the sequence is filled with it
-    instead of iterating further; the values are the same.
+    instead of iterating further; the values are the same.  Returns a
+    read-only float array whose entry t-1 is V_t.
 
     Parameters
     ----------
@@ -132,7 +99,9 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
     Raises
     ------
     OutOfRangeError
-        If T < 1.
+        If T < 1, or if an entry is zero, as when sigma_xi^2 underflows.
+    NonFiniteError
+        If an entry is not finite, as when sigma_xi^2 overflows.
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
@@ -151,7 +120,13 @@ def variance_sequence(params: ModelParams, T: int) -> VarianceSequence:
             break
         v = nxt
         out[t] = v
-    return VarianceSequence(params, np.frombuffer(out), T)
+    values = np.frombuffer(out)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("variance sequence contains non-finite entries")
+    if np.any(values <= 0.0):
+        raise OutOfRangeError("every V_t must be positive")
+    values.setflags(write=False)
+    return values
 
 
 def vbar_limit(params: ModelParams) -> float:

@@ -255,7 +255,7 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     _check_seed(seed)
     eps = normal_stream(seed).standard_normal(T).tolist()
-    v = variance_sequence(params, T).values
+    v = variance_sequence(params, T)
     phi = params.phi
     sig = params.sigma_xi
     cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
@@ -299,7 +299,7 @@ def _run_blocks(
         raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
     params = spec.params
     T = spec.path_length
-    v = variance_sequence(params, T).values
+    v = variance_sequence(params, T)
     phi = params.phi
     sig = params.sigma_xi
     cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)

@@ -11,12 +11,10 @@ from digar import (
     NonFiniteError,
     OutOfRangeError,
     SamplePath,
-    VarianceSequence,
     tau_bar,
     variance_sequence,
     vbar_limit,
 )
-from digar.estimation import _require_match
 
 
 def variance_sum_sequence(params: ModelParams, T: int) -> np.ndarray:
@@ -57,7 +55,7 @@ def decay_bound_scan(params: ModelParams, T: int) -> float:
     This is the bound only once the sequence has converged, so the scan
     refuses unless |V_T - vbar| < 1e-10*vbar; choose T large enough.
     """
-    vs = variance_sequence(params, T).values
+    vs = variance_sequence(params, T)
     vb = vbar_limit(params)
     if not abs(float(vs[-1]) - vb) < 1e-10 * vb:
         raise OutOfRangeError(f"variance sequence not converged at horizon {T}")
@@ -65,18 +63,24 @@ def decay_bound_scan(params: ModelParams, T: int) -> float:
     return max(float(np.max(np.abs(taus))), abs(tau_bar(params)))
 
 
-def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal]:
-    """vbar, tau_bar and eta_bar at 60 digits, taking the binary parameter
-    values as exact.
+def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """vbar, tau_bar, eta_bar and sigma_bar_sq at 60 digits, taking the
+    binary parameter values as exact.
 
     vbar = sigma*(rho*phi + sqrt(rho^2*phi^2 + 1 - phi^2))/(1 - phi^2),
-    tau_bar = phi + rho*sigma/vbar, eta_bar = sigma*sqrt(1 - rho^2)/vbar.
+    tau_bar = phi + rho*sigma/vbar, eta_bar = sigma*sqrt(1 - rho^2)/vbar,
+    sigma_bar_sq = sigma^2*(1 - rho^2)*vbar^2.
     """
     p, r, s = Decimal(params.phi), Decimal(params.rho), Decimal(params.sigma_xi)
     with localcontext() as ctx:
         ctx.prec = 60
         vbar = s * (r * p + (r * r * p * p + 1 - p * p).sqrt()) / (1 - p * p)
-        return vbar, p + r * s / vbar, s * (1 - r * r).sqrt() / vbar
+        return (
+            vbar,
+            p + r * s / vbar,
+            s * (1 - r * r).sqrt() / vbar,
+            s * s * (1 - r * r) * vbar * vbar,
+        )
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,13 @@ class MartingaleDiagnostics:
             object.__setattr__(self, name, arr)
 
 
-def z_series(path: SamplePath, vseq: VarianceSequence) -> MartingaleDiagnostics:
+def z_series(path: SamplePath) -> MartingaleDiagnostics:
     """Martingale-score diagnostics for one path; see MartingaleDiagnostics."""
     if path.horizon < 2:
         raise OutOfRangeError(f"need path horizon >= 2, got {path.horizon}")
-    _require_match(path, vseq)
-    T = path.horizon
     lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
     x = path.xi[1:]  # xi_t, t = 2..T
-    v = vseq.values[: T - 1]  # V_{t-1}
+    v = variance_sequence(path.params, path.horizon)[:-1]  # V_{t-1}
     rho = path.params.rho
     sig = path.params.sigma_xi
     one_minus_rho2 = 1.0 - rho * rho

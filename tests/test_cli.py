@@ -130,11 +130,11 @@ class TestVariancePath:
         lines = out.strip().split("\n")
         assert lines[0] == "t,v"
         assert len(lines) == 51
-        vseq = variance_sequence(P, 50)
+        vs = variance_sequence(P, 50)
         for t, line in enumerate(lines[1:], start=1):
             idx, val = line.split(",")
             assert int(idx) == t
-            assert float(val) == vseq.value_at(t)
+            assert float(val) == vs[t - 1]
 
     def test_zero_horizon(self, capsys):
         code, _, err = run_cli(capsys, "variance-path", "-T", "0")
@@ -188,6 +188,11 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "-T", "0")
         assert code == 3
 
+    def test_overflowing_variance_refused(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "-T", "5", "--sigma", "1e200")
+        assert code == 3
+        assert "error: variance sequence contains non-finite entries" in err
+
 
 class TestEstimate:
     def test_fresh_simulation_matches_module(self, capsys):
@@ -196,7 +201,7 @@ class TestEstimate:
         lines = out.strip().split("\n")
         assert lines[0] == "phi_hat,phi_tilde,correction,sample_size"
         hat_s, tilde_s, corr_s, n_s = lines[1].split(",")
-        res = infeasible_estimate(simulate_path(P, 200, 4), variance_sequence(P, 200))
+        res = infeasible_estimate(simulate_path(P, 200, 4))
         assert float(hat_s) == res.phi_hat
         assert float(tilde_s) == res.phi_tilde
         assert float(corr_s) == res.correction
@@ -213,7 +218,7 @@ class TestEstimate:
         )
         assert code == 0
         tree = json.loads(out)
-        res = infeasible_estimate(simulate_path(P, 200, 4), variance_sequence(P, 200))
+        res = infeasible_estimate(simulate_path(P, 200, 4))
         assert tree["phi_hat"] == res.phi_hat
         assert tree["phi_tilde"] == res.phi_tilde
         assert tree["correction"] == res.correction
@@ -242,7 +247,7 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", "--in", str(path_file), "--format", "json")
         assert code == 0
         tree = json.loads(out)
-        res = infeasible_estimate(path, variance_sequence(P, T))
+        res = infeasible_estimate(path)
         assert (tree["phi_hat"], tree["phi_tilde"]) == (res.phi_hat, res.phi_tilde)
         assert tree["correction"] == res.correction
         assert tree["sample_size"] == T

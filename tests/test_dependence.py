@@ -20,7 +20,6 @@ from digar import (
     stationary_sd,
     tau_bar,
     tau_lag_k,
-    tau_one_step,
     variance_sequence,
     vbar_limit,
 )
@@ -28,67 +27,57 @@ from conftest import boundary_params_strategy, params_strategy
 from oracles import decay_bound_scan, decimal_limits
 
 P = ModelParams(0.5, 0.3, 1.0)
-VS = variance_sequence(P, 2000)
 
 
 class TestTauOneStep:
+    """tau_{t,t+1}, which is tau_lag_k at k = 1."""
+
     def test_reference_point(self):
         # oracle: (0.5*1 + 0.3)/sqrt(1.55) by hand
-        assert tau_one_step(P, VS, 1) == pytest.approx(0.6425754631219992, rel=1e-14)
+        assert tau_lag_k(P, 1, 1) == pytest.approx(0.6425754631219992, rel=1e-14)
 
     def test_rho_zero_tends_to_phi(self):
         p = ModelParams(0.5, 0.0, 1.0)
-        vs = variance_sequence(p, 1000)
-        assert tau_one_step(p, vs, 900) == pytest.approx(0.5, rel=1e-12)
+        assert tau_lag_k(p, 900, 1) == pytest.approx(0.5, rel=1e-12)
 
     def test_phi_zero_tends_to_rho(self):
         p = ModelParams(0.0, 0.3, 1.0)
-        vs = variance_sequence(p, 1000)
-        assert tau_one_step(p, vs, 900) == pytest.approx(0.3, rel=1e-12)
-
-    def test_horizon_exceeded(self):
-        vs = variance_sequence(P, 5)
-        with pytest.raises(OutOfRangeError, match="exceeds horizon"):
-            tau_one_step(P, vs, 5)
+        assert tau_lag_k(p, 900, 1) == pytest.approx(0.3, rel=1e-12)
 
     def test_t_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
-            tau_one_step(P, VS, 0)
-
-    def test_foreign_variance_sequence_rejected(self):
-        other = variance_sequence(ModelParams(0.4, 0.3, 1.0), 10)
-        with pytest.raises(OutOfRangeError, match="different parameters"):
-            tau_one_step(P, other, 1)
+            tau_lag_k(P, 0, 1)
 
     @given(params_strategy(), st.integers(1, 63))
     def test_strictly_inside_unit_interval(self, p, t):
-        vs = variance_sequence(p, 64)
-        assert abs(tau_one_step(p, vs, t)) < 1.0
+        assert abs(tau_lag_k(p, t, 1)) < 1.0
+
+
+def _one_step(p, t):
+    # tau_{t,t+1} = (phi*V_t + rho*sigma_xi)/V_{t+1} straight from the sequence
+    v = variance_sequence(p, t + 1)
+    return (p.phi * v[t - 1] + p.rho * p.sigma_xi) / v[t]
 
 
 class TestTauLagK:
     def test_single_factor_equals_one_step(self):
-        assert tau_lag_k(P, VS, 7, 1) == tau_one_step(P, VS, 7)
+        assert tau_lag_k(P, 7, 1) == _one_step(P, 7)
 
     def test_classical_cube(self):
         p = ModelParams(0.5, 0.0, 1.0)
-        vs = variance_sequence(p, 1000)
-        assert tau_lag_k(p, vs, 900, 3) == pytest.approx(0.125, rel=1e-10)
+        assert tau_lag_k(p, 900, 3) == pytest.approx(0.125, rel=1e-10)
 
     def test_two_step_product(self):
-        expected = tau_one_step(P, VS, 1) * tau_one_step(P, VS, 2)
-        assert tau_lag_k(P, VS, 1, 2) == expected
+        assert tau_lag_k(P, 1, 2) == _one_step(P, 1) * _one_step(P, 2)
 
-    def test_horizon_exceeded(self):
-        vs = variance_sequence(P, 10)
-        with pytest.raises(OutOfRangeError, match="exceeds horizon"):
-            tau_lag_k(P, vs, 8, 3)
+    def test_k_must_be_positive(self):
+        with pytest.raises(OutOfRangeError, match="k must be >= 1"):
+            tau_lag_k(P, 1, 0)
 
     @given(params_strategy(), st.integers(1, 40), st.integers(1, 8))
     def test_bounded_by_decay_bound_power(self, p, t, k):
-        vs = variance_sequence(p, 2000)
         bound = mixing_decay_bound(p)
-        assert abs(tau_lag_k(p, vs, t, k)) <= bound**k + 1e-15
+        assert abs(tau_lag_k(p, t, k)) <= bound**k + 1e-15
 
 
 class TestTauBarAndBias:
@@ -176,17 +165,20 @@ class TestEtaBarAndSigmaBar:
 
 
 class TestLimitsAgainstDecimal:
-    """vbar, tau_bar and eta_bar to within 1e-15 relative of 60 digits,
-    also where rho*phi nears -1 and a sum in the textbook form cancels."""
+    """vbar, tau_bar, eta_bar and sigma_bar_sq to within 1e-15 relative of
+    60 digits, also where rho*phi nears -1 and a sum in the textbook form
+    cancels, and where |rho| nears 1 and 1 - rho^2 loses digits."""
 
     @pytest.mark.parametrize(
-        "phi, rho", [(-0.999999, 0.999999), (0.999999, -0.999999), (-0.99, 0.99), (0.5, 0.3)]
+        "phi, rho",
+        [(-0.999999, 0.999999), (0.999999, -0.999999), (-0.99, 0.99), (0.5, 0.3), (0.5, 0.999999)],
     )
     def test_relative_error(self, phi, rho):
         p = ModelParams(phi, rho, 1.0)
         exact = decimal_limits(p)
-        got = (vbar_limit(p), tau_bar(p), eta_bar(p))
-        for name, value, want in zip(("vbar", "tau_bar", "eta_bar"), got, exact):
+        got = (vbar_limit(p), tau_bar(p), eta_bar(p), sigma_bar_sq(p))
+        names = ("vbar", "tau_bar", "eta_bar", "sigma_bar_sq")
+        for name, value, want in zip(names, got, exact):
             assert abs((Decimal(value) - want) / want) <= Decimal("1e-15"), name
 
 
@@ -251,8 +243,7 @@ class TestMixingDecayBound:
         except OutOfRangeError as exc:
             assert _refuses_for_rounding(p, exc), exc
             return
-        vs = variance_sequence(p, 2000)
-        assert abs(tau_lag_k(p, vs, t, k)) <= bound**k + 1e-15
+        assert abs(tau_lag_k(p, t, k)) <= bound**k + 1e-15
 
 
 class TestDependenceProfile:
@@ -300,4 +291,4 @@ class TestDependenceProfile:
             assert _refuses_for_rounding(p, exc), exc
             return
         assert abs(prof.tau_bar) <= prof.eta_hat < 1.0
-        assert abs(tau_one_step(p, variance_sequence(p, 2), 1)) <= prof.eta_hat
+        assert abs(tau_lag_k(p, 1, 1)) <= prof.eta_hat

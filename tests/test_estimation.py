@@ -32,19 +32,18 @@ P = ModelParams(0.5, 0.3, 1.0)
 # y = (0, 1, 2, 1) with xi = (1, 1.5, 0) satisfies the recursion at phi=0.5,
 # and every estimation quantity below is checkable by hand.
 HAND = SamplePath(P, np.array([0.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.5, 0.0]), None)
-HAND_VSEQ = variance_sequence(P, 3)
 
 
 def _phi_hat(path):
-    return infeasible_estimate(path, variance_sequence(path.params, path.horizon)).phi_hat
+    return infeasible_estimate(path).phi_hat
 
 
-def _time_ordered_sums(path, vseq):
+def _time_ordered_sums(path, vs):
     # Sum(Y_{t-1}^2), sum(Y_t*Y_{t-1}) and sum(Y_{t-1}^2/V_{t-1}) over
-    # t = 2..T, added one term at a time.
+    # t = 2..T, added one term at a time; vs holds V_1, V_2, ...
     lag, lead = path.y[1:-1].tolist(), path.y[2:].tolist()
     den = cross = weighted = 0.0
-    for a, b, v in zip(lag, lead, vseq.values.tolist()):
+    for a, b, v in zip(lag, lead, vs.tolist()):
         den += a * a
         cross += b * a
         weighted += a * a / v
@@ -80,43 +79,32 @@ class TestOlsEstimate:
 class TestCorrectionTerm:
     def test_hand_value(self):
         # 0.3 * (1/1 + 4/sqrt(1.55)) / 5
-        assert infeasible_estimate(HAND, HAND_VSEQ).correction == pytest.approx(
+        assert infeasible_estimate(HAND).correction == pytest.approx(
             0.25277263893659974, rel=1e-14
         )
 
     def test_zero_without_feedback(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 50, 3)
-        assert infeasible_estimate(path, variance_sequence(p0, 50)).correction == 0.0
+        assert infeasible_estimate(path).correction == 0.0
 
     def test_longer_variance_sequence_accepted(self):
-        long_vseq = variance_sequence(P, 10)
-        path = SamplePath(P, np.array([0.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.5, 0.0]), None)
-        assert (
-            infeasible_estimate(path, long_vseq).correction
-            == infeasible_estimate(path, HAND_VSEQ).correction
-        )
-
-    def test_short_variance_sequence_rejected(self):
-        path = simulate_path(P, 20, 5)
-        with pytest.raises(OutOfRangeError, match="shorter than path horizon"):
-            infeasible_estimate(path, variance_sequence(P, 10))
-
-    def test_foreign_variance_sequence_rejected(self):
-        path = simulate_path(P, 20, 5)
-        other = variance_sequence(ModelParams(0.4, 0.3, 1.0), 20)
-        with pytest.raises(OutOfRangeError, match="different parameters"):
-            infeasible_estimate(path, other)
+        # The estimate's V_t are a prefix of any longer variance sequence,
+        # so its sums equal those taken over a longer one term by term.
+        den, cross, weighted = _time_ordered_sums(HAND, variance_sequence(P, 10))
+        res = infeasible_estimate(HAND)
+        assert res.phi_hat == cross / den
+        assert res.correction == P.rho * P.sigma_xi * weighted / den
 
     def test_degenerate_denominator(self):
         flat = SamplePath(P, np.zeros(3), np.zeros(2), None)
         with pytest.raises(DegenerateDenominatorError):
-            infeasible_estimate(flat, HAND_VSEQ)
+            infeasible_estimate(flat)
 
 
 class TestInfeasibleEstimate:
     def test_hand_values(self):
-        res = infeasible_estimate(HAND, HAND_VSEQ)
+        res = infeasible_estimate(HAND)
         assert res.phi_hat == 0.8
         assert res.phi_tilde == pytest.approx(0.5472273610634003, rel=1e-14)
         assert res.phi_tilde == res.phi_hat - res.correction
@@ -125,15 +113,14 @@ class TestInfeasibleEstimate:
     def test_collapses_to_plain_slope_without_feedback(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 200, 17)
-        vseq = variance_sequence(p0, 200)
-        res = infeasible_estimate(path, vseq)
-        den, cross, _ = _time_ordered_sums(path, vseq)
+        res = infeasible_estimate(path)
+        den, cross, _ = _time_ordered_sums(path, variance_sequence(p0, 200))
         assert res.correction == 0.0
         assert res.phi_tilde == res.phi_hat == cross / den
 
     def test_long_path_recovers_both_targets(self):
         path = simulate_path(P, 100_000, 314159)
-        res = infeasible_estimate(path, variance_sequence(P, 100_000))
+        res = infeasible_estimate(path)
         assert abs(res.phi_hat - tau_bar(P)) < 0.02
         assert abs(res.phi_tilde - 0.5) < 0.02
 
@@ -148,9 +135,8 @@ class TestInfeasibleEstimate:
         # phi_tilde - phi = sum(Z_t)/sum(Y_{t-1}^2): the corrected
         # estimation error is exactly the normalized score sum.
         path = simulate_path(p, 300, seed)
-        vseq = variance_sequence(p, 300)
-        res = infeasible_estimate(path, vseq)
-        diag = z_series(path, vseq)
+        res = infeasible_estimate(path)
+        diag = z_series(path)
         lag = path.y[1:-1]
         den = float(np.dot(lag, lag))
         lhs = res.phi_tilde - p.phi
@@ -172,17 +158,15 @@ class TestBatchAgreement:
         for p in self.PARAMS:
             spec = BatchSpec(p, 300, R, 2718)
             hats, tildes = _collect_estimates(spec)
-            vseq = variance_sequence(p, 300)
             for r in range(R):
-                res = infeasible_estimate(simulate_path(p, 300, mix_seed(2718, r)), vseq)
+                res = infeasible_estimate(simulate_path(p, 300, mix_seed(2718, r)))
                 assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), (p, r)
 
     def test_sums_run_in_time_order(self):
         for p in self.PARAMS:
             path = simulate_path(p, 1000, 5)
-            vseq = variance_sequence(p, 1000)
-            den, cross, weighted = _time_ordered_sums(path, vseq)
-            res = infeasible_estimate(path, vseq)
+            den, cross, weighted = _time_ordered_sums(path, variance_sequence(p, 1000))
+            res = infeasible_estimate(path)
             assert res.phi_hat == cross / den, p
             assert res.correction == p.rho * p.sigma_xi * weighted / den, p
 
@@ -190,7 +174,7 @@ class TestBatchAgreement:
 class TestZSeries:
     def test_hand_values(self):
         path = SamplePath(P, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.5]), None)
-        diag = z_series(path, variance_sequence(P, 2))
+        diag = z_series(path)
         assert diag.z.shape == (1,)
         # 1.5*1 - 0.3*1*1/1, exact in floating point
         assert diag.z[0] == 1.2
@@ -200,21 +184,16 @@ class TestZSeries:
     def test_without_feedback_reduces_to_plain_score(self):
         p0 = ModelParams(0.5, 0.0, 1.0)
         path = simulate_path(p0, 100, 23)
-        diag = z_series(path, variance_sequence(p0, 100))
+        diag = z_series(path)
         assert np.array_equal(diag.z, path.xi[1:] * path.y[1:-1])
 
     def test_horizon_one_rejected(self):
         one = SamplePath(P, np.array([0.0, 1.0]), np.array([1.0]), None)
         with pytest.raises(OutOfRangeError):
-            z_series(one, HAND_VSEQ)
-
-    def test_mismatched_sequence_rejected(self):
-        path = simulate_path(P, 20, 5)
-        with pytest.raises(OutOfRangeError, match="shorter than path horizon"):
-            z_series(path, variance_sequence(P, 10))
+            z_series(one)
 
     def test_arrays_read_only(self):
-        diag = z_series(HAND, HAND_VSEQ)
+        diag = z_series(HAND)
         with pytest.raises(ValueError):
             diag.z[0] = 1.0
 
@@ -232,9 +211,8 @@ class TestZSeries:
         # Z_t has mean zero, variance sigma_t_sq, and is uncorrelated
         # across t; W_t has mean zero.  All checked at 3 MC standard
         # errors with R = 5000 replications.
-        vseq = variance_sequence(P, 15)
         diags = [
-            z_series(SamplePath(P, y, x, None), vseq)
+            z_series(SamplePath(P, y, x, None))
             for _, ys, xs, _ in _run_blocks(BatchSpec(P, 15, 5000, 1618), keep=(0, 16))
             for y, x in zip(ys, xs)
         ]
@@ -255,15 +233,27 @@ class TestZSeries:
 class TestStudentizedStatistic:
     def test_zero_at_truth(self):
         res = EstimateResult(phi_hat=0.75, phi_tilde=0.5, correction=0.25, sample_size=400)
-        assert studentized_statistic(res, 0.5, dependence_profile(P)) == 0.0
+        assert studentized_statistic(res, 0.5, P) == 0.0
 
     def test_hand_algebra(self):
         res = EstimateResult(phi_hat=0.85, phi_tilde=0.6, correction=0.25, sample_size=400)
-        stat = studentized_statistic(res, 0.5, dependence_profile(P))
+        stat = studentized_statistic(res, 0.5, P)
         assert stat == pytest.approx(20.0 * 0.1 / eta_bar(P), rel=1e-12)
+
+    def test_defined_where_profile_refuses(self):
+        # dependence_profile refuses here because tau_bar rounds to 1, but
+        # eta_bar, about 1.41e-9, is all the statistic needs.
+        p = ModelParams(0.999999, 0.999999, 1.0)
+        with pytest.raises(OutOfRangeError, match="rounds to"):
+            dependence_profile(p)
+        res = infeasible_estimate(simulate_path(p, 500, 11))
+        assert eta_bar(p) == pytest.approx(1.41e-9, rel=1e-2)
+        assert studentized_statistic(res, p.phi, p) == (
+            math.sqrt(500) * (res.phi_tilde - p.phi) / eta_bar(p)
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_truth_rejected(self, bad):
         res = EstimateResult(phi_hat=0.85, phi_tilde=0.6, correction=0.25, sample_size=400)
         with pytest.raises(NonFiniteError):
-            studentized_statistic(res, bad, dependence_profile(P))
+            studentized_statistic(res, bad, P)

@@ -9,7 +9,6 @@ from digar import (
     ModelParams,
     NonFiniteError,
     OutOfRangeError,
-    VarianceSequence,
     stationary_sd,
     variance_sequence,
     vbar_limit,
@@ -72,20 +71,17 @@ class TestStationarySd:
 
 class TestVarianceSequence:
     def test_first_value_is_sigma(self):
-        vs = variance_sequence(P, 1)
-        assert vs.values.tolist() == [1.0]
-        assert vs.horizon == 1
+        assert variance_sequence(P, 1).tolist() == [1.0]
 
     def test_second_value(self):
         # oracle: V_2^2 = 0.25 + 0.3 + 1 = 1.55 by hand
-        vs = variance_sequence(P, 2)
-        assert vs.value_at(2) == pytest.approx(math.sqrt(1.55), rel=1e-15)
-        assert vs.value_at(2) == pytest.approx(1.2449899597988732, rel=1e-14)
+        v2 = variance_sequence(P, 2)[1]
+        assert v2 == pytest.approx(math.sqrt(1.55), rel=1e-15)
+        assert v2 == pytest.approx(1.2449899597988732, rel=1e-14)
 
     def test_rho_zero_converges_to_classical_sd(self):
         p = ModelParams(0.5, 0.0, 1.0)
-        vs = variance_sequence(p, 200)
-        assert vs.value_at(200) == pytest.approx(1.1547005383792517, rel=1e-12)
+        assert variance_sequence(p, 200)[-1] == pytest.approx(1.1547005383792517, rel=1e-12)
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(OutOfRangeError, match="T must be >= 1"):
@@ -96,17 +92,23 @@ class TestVarianceSequence:
     def test_values_read_only(self):
         vs = variance_sequence(P, 5)
         with pytest.raises(ValueError):
-            vs.values[0] = 2.0
+            vs[0] = 2.0
 
-    def test_constructor_rejects_wrong_base_value(self):
-        with pytest.raises(OutOfRangeError):
-            VarianceSequence(P, np.array([2.0, 1.0]), 2)
+    def test_overflow_refused(self):
+        # sigma_xi^2 overflows to inf
+        with pytest.raises(NonFiniteError, match="variance sequence contains non-finite entries"):
+            variance_sequence(ModelParams(0.5, 0.3, 1e200), 3)
+
+    def test_underflow_refused(self):
+        # every term of V_2^2 underflows to 0
+        with pytest.raises(OutOfRangeError, match="every V_t must be positive"):
+            variance_sequence(ModelParams(0.5, 0.3, 1e-200), 3)
 
     @given(params_strategy())
     def test_all_entries_positive_and_finite(self, p):
         vs = variance_sequence(p, 64)
-        assert np.all(vs.values > 0)
-        assert np.all(np.isfinite(vs.values))
+        assert np.all(vs > 0)
+        assert np.all(np.isfinite(vs))
 
     @given(params_strategy())
     def test_geometric_convergence_with_ratio_below_abs_phi(self, p):
@@ -114,7 +116,7 @@ class TestVarianceSequence:
         # gap to the limit must contract at least that fast at every step.
         vs = variance_sequence(p, 128)
         vb = vbar_limit(p)
-        gaps = np.abs(vs.values - vb)
+        gaps = np.abs(vs - vb)
         floor = 1e-13 * vb
         for t in range(len(gaps) - 1):
             if gaps[t] <= floor:
@@ -130,11 +132,11 @@ class TestVarianceSequence:
         # runs to T there; the others stop early and fill.
         p = ModelParams(phi, rho, 1.0)
         T = 200_000
-        assert np.array_equal(variance_sequence(p, T).values, _plain_recursion(p, T))
+        assert np.array_equal(variance_sequence(p, T), _plain_recursion(p, T))
 
     @given(params_strategy())
     def test_fixed_point_exit_matches_plain_loop_generic(self, p):
-        assert np.array_equal(variance_sequence(p, 3000).values, _plain_recursion(p, 3000))
+        assert np.array_equal(variance_sequence(p, 3000), _plain_recursion(p, 3000))
 
 
 def _plain_recursion(p, T):
@@ -160,14 +162,13 @@ class TestVarianceSumForm:
         assert variance_sum_form(P, 2) == pytest.approx(1.2449899597988732, rel=1e-14)
 
     def test_agrees_with_recursion_at_t50(self):
-        vs = variance_sequence(P, 50)
-        assert variance_sum_form(P, 50) == pytest.approx(vs.value_at(50), rel=1e-12)
+        assert variance_sum_form(P, 50) == pytest.approx(variance_sequence(P, 50)[-1], rel=1e-12)
 
     @given(params_strategy())
     def test_sum_and_recursion_routes_agree(self, p):
         T = 64
         by_sum = variance_sum_sequence(p, T)
-        by_recursion = variance_sequence(p, T).values
+        by_recursion = variance_sequence(p, T)
         assert np.all(np.abs(by_sum - by_recursion) <= 1e-10 * by_recursion)
 
     def test_phi_zero_collapses_to_constant(self):
@@ -217,5 +218,4 @@ class TestVbarLimit:
 
     def test_variance_sequence_approaches_limit(self):
         p = ModelParams(-0.8, 0.6, 1.3)
-        vs = variance_sequence(p, 400)
-        assert vs.value_at(400) == pytest.approx(vbar_limit(p), rel=1e-12)
+        assert variance_sequence(p, 400)[-1] == pytest.approx(vbar_limit(p), rel=1e-12)

@@ -386,7 +386,7 @@ class TestCrossSectionalLaw:
         y_mid = np.concatenate(y_mid)
         y_end = np.concatenate(y_end)
         R = spec.replications
-        v200 = variance_sequence(P, 500).value_at(200)
+        v200 = variance_sequence(P, 500)[199]
 
         assert abs(y_end.mean()) < 3.0 * vbar_limit(P) / math.sqrt(R)
         assert abs(y_mid.std(ddof=1) - v200) < 3.0 * v200 / math.sqrt(2 * R)
@@ -414,7 +414,7 @@ class TestCrossSectionalLaw:
         cov = s_sq * np.linalg.inv(design.T @ design)
         se = np.sqrt(np.diag(cov))
 
-        v39 = variance_sequence(P, 40).value_at(39)
+        v39 = variance_sequence(P, 40)[38]
         slope_true = P.rho * P.sigma_xi / v39
         sd_true = P.sigma_xi * math.sqrt(1.0 - P.rho**2)
         assert abs(coef[0]) < 3.0 * se[0]
