@@ -28,7 +28,6 @@ from .experiments import (
     DEFAULT_RHO_GRID,
     AcfRow,
     AcfTable,
-    CurveTable,
     ExperimentSummary,
     Moments,
     bias_curve,
@@ -59,7 +58,6 @@ __all__ = [
     "AcfRow",
     "AcfTable",
     "BatchSpec",
-    "CurveTable",
     "DEFAULT_PHI_GRID",
     "DEFAULT_RHO_GRID",
     "DegenerateDenominatorError",

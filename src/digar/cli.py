@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from typing import Iterable, Iterator
 
 from .dependence import dependence_profile
@@ -97,14 +98,8 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     _seed_banner(ns.seed)
     path = simulate_path(params, ns.T, ns.seed)
     if ns.format == "json":
-        tree = {
-            "phi": path.params.phi,
-            "rho": path.params.rho,
-            "sigma_xi": path.params.sigma_xi,
-            "seed": path.seed,
-            "y": path.y.tolist(),
-            "xi": path.xi.tolist(),
-        }
+        y, xi = path.y.tolist(), path.xi.tolist()
+        tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
         _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     else:
         _write_text(ns.out, _path_csv(path))
@@ -146,22 +141,12 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
     else:
         _seed_banner(ns.seed)
         path = simulate_path(params, ns.T, ns.seed)
-    res = infeasible_estimate(path)
+    res = asdict(infeasible_estimate(path))
     if ns.format == "json":
-        tree = {
-            "phi_hat": res.phi_hat,
-            "phi_tilde": res.phi_tilde,
-            "correction": res.correction,
-            "sample_size": res.sample_size,
-            "seed": path.seed,
-        }
-        _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
+        text = json.dumps({**res, "seed": path.seed}, indent=2) + "\n"
     else:
-        text = (
-            "phi_hat,phi_tilde,correction,sample_size\n"
-            f"{_g17(res.phi_hat)},{_g17(res.phi_tilde)},{_g17(res.correction)},{res.sample_size}\n"
-        )
-        _write_text(ns.out, [text])
+        text = ",".join(res) + "\n" + ",".join(map(_g17, res.values())) + "\n"
+    _write_text(ns.out, [text])
     return 0
 
 
@@ -183,10 +168,9 @@ def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
 
 def _cmd_figure(ns: argparse.Namespace, params: None) -> int:
     build = vbar_curve if ns.kind == "vbar" else bias_curve
-    table = build(ns.phi_list, ns.rho_grid, ns.sigma)
-    rows = ["phi,rho,value"]
-    rows.extend(f"{phi!r},{rho!r},{value!r}" for phi, rho, value in table.rows)
-    _write_text(ns.out, ["\n".join(rows) + "\n"])
+    rows = build(ns.phi_list, ns.rho_grid, ns.sigma)
+    lines = ["phi,rho,value", *(f"{phi!r},{rho!r},{value!r}" for phi, rho, value in rows)]
+    _write_text(ns.out, ["\n".join(lines) + "\n"])
     return 0
 
 

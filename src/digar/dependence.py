@@ -23,7 +23,7 @@ floating-point fixed point V_{t+1} == V_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import OutOfRangeError
 from .model import ModelParams, variance_sequence, vbar_limit
@@ -49,15 +49,14 @@ class DependenceProfile:
     """Bundle of the limiting dependence quantities for one parameter set."""
 
     params: ModelParams
-    tau_bar: float
+    tau_bar: float = field(init=False)  # phi + ols_bias
     ols_bias: float
     eta_bar: float
     sigma_bar_sq: float
     eta_hat: float
 
     def __post_init__(self) -> None:
-        if self.tau_bar != self.params.phi + self.ols_bias:
-            raise OutOfRangeError("tau_bar must equal phi + ols_bias exactly")
+        object.__setattr__(self, "tau_bar", self.params.phi + self.ols_bias)
         if abs(self.tau_bar) == 1.0:  # the exact 1 - tau_bar^2 is eta_bar^2 > 0
             raise OutOfRangeError(
                 f"|tau_bar| < 1 required, got {self.tau_bar!r}: tau_bar rounds to +-1 in double "
@@ -188,11 +187,9 @@ def mixing_decay_bound(params: ModelParams) -> float:
 
 def dependence_profile(params: ModelParams) -> DependenceProfile:
     """Assemble the DependenceProfile for one parameter set."""
-    bias = ols_bias(params)
     return DependenceProfile(
         params=params,
-        tau_bar=params.phi + bias,
-        ols_bias=bias,
+        ols_bias=ols_bias(params),
         eta_bar=eta_bar(params),
         sigma_bar_sq=sigma_bar_sq(params),
         eta_hat=mixing_decay_bound(params),

@@ -11,7 +11,7 @@ take the true parameters explicitly, through the path or as an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,13 +34,12 @@ class EstimateResult:
     """Slope estimates from one path: plain, corrected, and the correction."""
 
     phi_hat: float
-    phi_tilde: float
+    phi_tilde: float = field(init=False)  # phi_hat - correction
     correction: float
     sample_size: int
 
     def __post_init__(self) -> None:
-        if self.phi_tilde != self.phi_hat - self.correction:
-            raise OutOfRangeError("phi_tilde must equal phi_hat - correction exactly")
+        object.__setattr__(self, "phi_tilde", self.phi_hat - self.correction)
         if self.sample_size < 2:
             raise OutOfRangeError(f"sample_size must be >= 2, got {self.sample_size}")
 
@@ -81,9 +80,7 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
     if lag.size:
         _accumulate(acc, terms)
     hat, corr = _slopes(path.params.rho * path.params.sigma_xi, *acc.tolist())
-    return EstimateResult(
-        phi_hat=hat, phi_tilde=hat - corr, correction=corr, sample_size=path.horizon
-    )
+    return EstimateResult(phi_hat=hat, correction=corr, sample_size=path.horizon)
 
 
 def studentized_statistic(result: EstimateResult, true_phi: float, params: ModelParams) -> float:

@@ -11,7 +11,7 @@ fixed time index, never along a single path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .simulation import BatchSpec, _run_blocks
 __all__ = [
     "Moments",
     "ExperimentSummary",
-    "CurveTable",
     "AcfRow",
     "AcfTable",
     "DEFAULT_PHI_GRID",
@@ -39,7 +38,7 @@ __all__ = [
     "bias_curve",
 ]
 
-# Grid behind the exported curve tables: six phi values by seven rho values
+# Grid behind the exported curves: six phi values by seven rho values
 # at unit innovation scale.
 DEFAULT_PHI_GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
 DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
@@ -69,48 +68,19 @@ class ExperimentSummary:
     target: float
     estimate_mean: float
     estimate_sd: float
-    mc_standard_error: float
+    mc_standard_error: float = field(init=False)  # estimate_sd/sqrt(R)
     standardized_moments: Moments
     ks_distance: float
 
     def __post_init__(self) -> None:
-        if self.mc_standard_error != self.estimate_sd / math.sqrt(self.spec.replications):
-            raise OutOfRangeError("mc_standard_error must equal estimate_sd/sqrt(R)")
+        se = self.estimate_sd / math.sqrt(self.spec.replications)
+        object.__setattr__(self, "mc_standard_error", se)
         if not 0.0 <= self.ks_distance <= 1.0:
             raise OutOfRangeError(f"ks_distance must lie in [0,1], got {self.ks_distance!r}")
 
     def as_tree(self) -> dict:
         """JSON-compatible tree with all spec fields and statistics."""
-        m = self.standardized_moments
-        return {
-            "spec": _spec_tree(self.spec),
-            "target": self.target,
-            "estimate_mean": self.estimate_mean,
-            "estimate_sd": self.estimate_sd,
-            "mc_standard_error": self.mc_standard_error,
-            "standardized_moments": {
-                "mean": m.mean,
-                "variance": m.variance,
-                "skewness": m.skewness,
-                "excess_kurtosis": m.excess_kurtosis,
-            },
-            "ks_distance": self.ks_distance,
-        }
-
-
-@dataclass(frozen=True)
-class CurveTable:
-    """Rows (phi, rho, value) of one exported curve, vbar or bias."""
-
-    kind: str
-    rows: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("vbar", "bias"):
-            raise OutOfRangeError(f"kind must be 'vbar' or 'bias', got {self.kind!r}")
-        for phi, rho, _ in self.rows:
-            if abs(phi) >= 1.0 or abs(rho) >= 1.0:
-                raise OutOfRangeError(f"grid point (phi={phi!r}, rho={rho!r}) out of range")
+        return _tree(self)
 
 
 @dataclass(frozen=True)
@@ -135,33 +105,19 @@ class AcfTable:
     rows: tuple[AcfRow, ...]
 
     def as_tree(self) -> dict:
-        return {
-            "spec": _spec_tree(self.spec),
-            "t_obs": self.t_obs,
-            "rows": [
-                {
-                    "k": r.k,
-                    "y_empirical": r.y_empirical,
-                    "y_theory": r.y_theory,
-                    "y_mc_se": r.y_mc_se,
-                    "xi_empirical": r.xi_empirical,
-                    "xi_theory": r.xi_theory,
-                    "xi_mc_se": r.xi_mc_se,
-                }
-                for r in self.rows
-            ],
-        }
+        """JSON-compatible tree with all spec fields and one dict per row."""
+        return _tree(self)
 
 
-def _spec_tree(spec: BatchSpec) -> dict:
-    return {
-        "phi": spec.params.phi,
-        "rho": spec.params.rho,
-        "sigma_xi": spec.params.sigma_xi,
-        "path_length": spec.path_length,
-        "replications": spec.replications,
-        "master_seed": spec.master_seed,
-    }
+def _tree(result: ExperimentSummary | AcfTable) -> dict:
+    # The result's fields in declaration order, nested dataclasses as dicts,
+    # with the spec's params inlined ahead of its other fields and tuples
+    # of rows as lists, as JSON reads them back.
+    tree = asdict(result)
+    spec = tree["spec"]
+    params = spec.pop("params")
+    tree["spec"] = {**params, **spec}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in tree.items()}
 
 
 def normal_cdf(x: float) -> float:
@@ -221,7 +177,6 @@ def _summary(
         target=float(target),
         estimate_mean=float(np.mean(sample)),
         estimate_sd=sd,
-        mc_standard_error=sd / math.sqrt(spec.replications),
         standardized_moments=_moments(statistic),
         ks_distance=ks_distance(statistic),
     )
@@ -277,7 +232,7 @@ def run_clt_experiment(spec: BatchSpec, true_phi: float | None = None) -> Experi
         raise OutOfRangeError(f"need T >= 5000, got {spec.path_length}")
     truth = spec.params.phi if true_phi is None else float(true_phi)
     if not math.isfinite(truth):
-        raise OutOfRangeError(f"true_phi must be finite, got {true_phi!r}")
+        raise NonFiniteError(f"true_phi must be finite, got {true_phi!r}")
     _, tildes = _collect_estimates(spec)
     stats = math.sqrt(spec.path_length) * (tildes - truth) / eta_bar(spec.params)
     return _summary(spec, truth, tildes, statistic=stats)
@@ -339,25 +294,32 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     return AcfTable(spec=spec, t_obs=t_obs, rows=tuple(rows))
 
 
-def vbar_curve(
-    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> CurveTable:
-    """Table of the variance limit vbar over a (phi, rho) grid."""
+def _curve(
+    value: Callable[[ModelParams], float],
+    phi_list: Sequence[float],
+    rho_grid: Sequence[float],
+    sigma_xi: float,
+) -> tuple[tuple[float, float, float], ...]:
+    # Rows (phi, rho, value(params)), phi-major; ModelParams refuses any
+    # grid point outside the domain.
     rows = []
     for phi in phi_list:
         for rho in rho_grid:
             p = ModelParams(phi, rho, sigma_xi)
-            rows.append((p.phi, p.rho, vbar_limit(p)))
-    return CurveTable(kind="vbar", rows=tuple(rows))
+            rows.append((p.phi, p.rho, value(p)))
+    return tuple(rows)
+
+
+def vbar_curve(
+    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
+) -> tuple[tuple[float, float, float], ...]:
+    """Rows (phi, rho, vbar) of the variance limit over a (phi, rho) grid."""
+    return _curve(vbar_limit, phi_list, rho_grid, sigma_xi)
 
 
 def bias_curve(
     phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> CurveTable:
-    """Table of the asymptotic slope bias rho*sigma_xi/vbar over a grid."""
-    rows = []
-    for phi in phi_list:
-        for rho in rho_grid:
-            p = ModelParams(phi, rho, sigma_xi)
-            rows.append((p.phi, p.rho, ols_bias(p)))
-    return CurveTable(kind="bias", rows=tuple(rows))
+) -> tuple[tuple[float, float, float], ...]:
+    """Rows (phi, rho, bias) of the asymptotic slope bias rho*sigma_xi/vbar
+    over a (phi, rho) grid."""
+    return _curve(ols_bias, phi_list, rho_grid, sigma_xi)

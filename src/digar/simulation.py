@@ -238,6 +238,16 @@ def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
         acc[0] = np.cumsum(terms[:, 0])[-1]
 
 
+def _coefficients(params: ModelParams, T: int) -> tuple[np.ndarray, list[float], float]:
+    # V_1..V_T, the conditional-mean slopes rho*sigma_xi/V_t and the
+    # conditional sd of xi_t, shared by both kernels so that a batch row
+    # and its single path multiply by the same numbers.
+    v = variance_sequence(params, T)
+    slope = (params.rho * params.sigma_xi / v).tolist()
+    cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)
+    return v, slope, cond_sd
+
+
 def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     """Simulate one trajectory of length T from the given seed.
 
@@ -255,11 +265,9 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     _check_seed(seed)
     eps = normal_stream(seed).standard_normal(T).tolist()
-    v = variance_sequence(params, T)
+    _, slope, cond_sd = _coefficients(params, T)
     phi = params.phi
     sig = params.sigma_xi
-    cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
-    slope = (params.rho * sig / v).tolist()
     y = np.empty(T + 1)
     xi = np.empty(T)
     y[0] = 0.0
@@ -299,11 +307,9 @@ def _run_blocks(
         raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
     params = spec.params
     T = spec.path_length
-    v = variance_sequence(params, T)
+    v, slope, cond_sd = _coefficients(params, T)
     phi = params.phi
     sig = params.sigma_xi
-    cond_sd = sig * math.sqrt(1.0 - params.rho * params.rho)
-    slope = (params.rho * sig / v).tolist()
     last = T
     if keep is not None:
         lo, hi = keep

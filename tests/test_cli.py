@@ -374,6 +374,25 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the single-path and figure outputs, recorded before their
+# encoders were built from the result dataclasses' fields.  "PATH" stands
+# for a T=3000 path that `simulate` wrote at the default seed.
+GOLDEN_OUTPUTS = {
+    ("estimate", "-T", "5000"):
+        "09832d0499402061c5449ae583b6f523cb0b07c9db5e9a8e695e67da681925f7",
+    ("estimate", "-T", "5000", "--format", "json"):
+        "957ec09ae95a7180c39fa5c54f951932899b23d954a89224186a7119d67c93c0",
+    ("estimate", "--in", "PATH"):
+        "02792971e674709dd63545afb260ce1b7061509364b225e52bce7a9a8020d946",
+    ("estimate", "--in", "PATH", "--format", "json"):
+        "b69d451d5ca8267ae29eb3028abb4c649a671c2347136e45f47a7d7baf36e5d4",
+    ("simulate", "-T", "20", "--format", "json"):
+        "c3e07748ae40fa796e6ad99ffe3dff3167ed5e3912df8a32eac835b06a07f05b",
+    ("figure", "vbar"): "f79389c49fa392393b3bb8457820ce1a6d02b6ac59b6fc1daf9988f14c5c00b7",
+    ("figure", "bias"): "5870dad6565eac44c8a83d9efa13274026cb3a968cc4babf973bdf58fe782f72",
+}
+
+
 def golden_digest(capsys, seed, kind):
     code, out, _ = run_cli(capsys, *GOLDEN_RUNS[kind], "--seed", str(seed))
     assert code == 0
@@ -407,6 +426,14 @@ class TestGoldenBytes:
         replications = int(GOLDEN_RUNS[kind][GOLDEN_RUNS[kind].index("-R") + 1])
         assert len(streams) == 1 + replications
 
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS))
+    def test_output_bytes_unchanged(self, capsys, tmp_path, argv):
+        path = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", "3000", "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, *(str(path) if a == "PATH" else a for a in argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS[argv]
+
 
 class TestFigure:
     def test_vbar_values_round_trip_exactly(self, capsys):
@@ -415,8 +442,7 @@ class TestFigure:
         lines = out.strip().split("\n")
         assert lines[0] == "phi,rho,value"
         assert len(lines) == 43
-        table = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        for line, row in zip(lines[1:], table.rows):
+        for line, row in zip(lines[1:], vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)):
             phi_s, rho_s, val_s = line.split(",")
             assert (float(phi_s), float(rho_s), float(val_s)) == row
 

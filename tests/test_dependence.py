@@ -260,15 +260,13 @@ class TestDependenceProfile:
         prof = dependence_profile(p)
         assert 0.0 <= prof.eta_hat < 1.0
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(OutOfRangeError):
+    @pytest.mark.parametrize("phi, rho", [(0.5, 0.3), (-0.9, 0.6), (0.95, -0.9)])
+    def test_tau_bar_is_derived(self, phi, rho):
+        p = ModelParams(phi, rho, 1.0)
+        assert dependence_profile(p).tau_bar == p.phi + ols_bias(p)
+        with pytest.raises(TypeError):
             DependenceProfile(
-                params=P,
-                tau_bar=0.7,
-                ols_bias=0.1,
-                eta_bar=0.5,
-                sigma_bar_sq=1.0,
-                eta_hat=0.7,
+                params=p, tau_bar=0.7, ols_bias=0.1, eta_bar=0.5, sigma_bar_sq=1.0, eta_hat=0.7
             )
 
     def test_eta_hat_below_limit_rejected(self):

@@ -126,9 +126,13 @@ class TestInfeasibleEstimate:
 
     def test_result_invariants_enforced(self):
         with pytest.raises(OutOfRangeError):
+            EstimateResult(phi_hat=0.8, correction=0.25, sample_size=1)
+
+    def test_phi_tilde_is_derived(self):
+        res = EstimateResult(phi_hat=0.8, correction=0.25, sample_size=3)
+        assert res.phi_tilde == 0.8 - 0.25
+        with pytest.raises(TypeError):
             EstimateResult(phi_hat=0.8, phi_tilde=0.5, correction=0.25, sample_size=3)
-        with pytest.raises(OutOfRangeError):
-            EstimateResult(phi_hat=0.8, phi_tilde=0.55, correction=0.25, sample_size=1)
 
     @given(params_strategy(), st.integers(0, 2**32))
     def test_score_decomposition_identity(self, p, seed):
@@ -232,11 +236,11 @@ class TestZSeries:
 
 class TestStudentizedStatistic:
     def test_zero_at_truth(self):
-        res = EstimateResult(phi_hat=0.75, phi_tilde=0.5, correction=0.25, sample_size=400)
+        res = EstimateResult(phi_hat=0.75, correction=0.25, sample_size=400)
         assert studentized_statistic(res, 0.5, P) == 0.0
 
     def test_hand_algebra(self):
-        res = EstimateResult(phi_hat=0.85, phi_tilde=0.6, correction=0.25, sample_size=400)
+        res = EstimateResult(phi_hat=0.85, correction=0.25, sample_size=400)
         stat = studentized_statistic(res, 0.5, P)
         assert stat == pytest.approx(20.0 * 0.1 / eta_bar(P), rel=1e-12)
 
@@ -254,6 +258,6 @@ class TestStudentizedStatistic:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_truth_rejected(self, bad):
-        res = EstimateResult(phi_hat=0.85, phi_tilde=0.6, correction=0.25, sample_size=400)
+        res = EstimateResult(phi_hat=0.85, correction=0.25, sample_size=400)
         with pytest.raises(NonFiniteError):
             studentized_statistic(res, bad, P)

@@ -10,7 +10,6 @@ from digar import (
     DEFAULT_PHI_GRID,
     DEFAULT_RHO_GRID,
     BatchSpec,
-    CurveTable,
     ExperimentSummary,
     ModelParams,
     Moments,
@@ -96,7 +95,6 @@ class TestSummaryInvariants:
             target=0.5,
             estimate_mean=0.51,
             estimate_sd=0.5,
-            mc_standard_error=0.05,
             standardized_moments=Moments(0.0, 1.0, 0.0, 0.0),
             ks_distance=0.02,
         )
@@ -105,11 +103,14 @@ class TestSummaryInvariants:
         s = ExperimentSummary(**self._valid_kwargs())
         assert s.mc_standard_error == 0.05
 
-    def test_wrong_mc_standard_error_rejected(self):
+    def test_mc_standard_error_is_derived(self):
         kwargs = self._valid_kwargs()
-        kwargs["mc_standard_error"] = 0.06
-        with pytest.raises(OutOfRangeError):
-            ExperimentSummary(**kwargs)
+        kwargs["estimate_sd"] = 0.3
+        kwargs["spec"] = BatchSpec(P, 100, 300, 0)
+        s = ExperimentSummary(**kwargs)
+        assert s.mc_standard_error == 0.3 / math.sqrt(300)
+        with pytest.raises(TypeError):
+            ExperimentSummary(**kwargs, mc_standard_error=0.05)
 
     def test_ks_range_enforced(self):
         kwargs = self._valid_kwargs()
@@ -118,8 +119,9 @@ class TestSummaryInvariants:
             ExperimentSummary(**kwargs)
 
     def test_tree_layout(self):
+        # Key order is part of the JSON bytes.
         tree = ExperimentSummary(**self._valid_kwargs()).as_tree()
-        assert set(tree) == {
+        assert list(tree) == [
             "spec",
             "target",
             "estimate_mean",
@@ -127,21 +129,21 @@ class TestSummaryInvariants:
             "mc_standard_error",
             "standardized_moments",
             "ks_distance",
-        }
-        assert set(tree["spec"]) == {
+        ]
+        assert list(tree["spec"]) == [
             "phi",
             "rho",
             "sigma_xi",
             "path_length",
             "replications",
             "master_seed",
-        }
-        assert set(tree["standardized_moments"]) == {
+        ]
+        assert list(tree["standardized_moments"]) == [
             "mean",
             "variance",
             "skewness",
             "excess_kurtosis",
-        }
+        ]
 
 
 class TestConsistencyExperiment:
@@ -157,6 +159,7 @@ class TestConsistencyExperiment:
         # positive feedback inflates the plain slope
         assert hat.estimate_mean > tilde.estimate_mean
         assert hat.spec is spec
+        assert hat.mc_standard_error == hat.estimate_sd / math.sqrt(spec.replications)
         assert hat.standardized_moments.variance == pytest.approx(1.0, rel=1e-12)
 
     def test_without_feedback_both_estimators_coincide(self):
@@ -205,7 +208,7 @@ class TestCltExperiment:
             run_clt_experiment(BatchSpec(P, 5000, 999, 11))
         with pytest.raises(OutOfRangeError):
             run_clt_experiment(BatchSpec(P, 4999, 1000, 11))
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(NonFiniteError):
             run_clt_experiment(BatchSpec(P, 5000, 1000, 11), true_phi=math.inf)
 
     def test_distance_to_normal_shrinks_with_horizon(self):
@@ -251,9 +254,12 @@ class TestAcfExperiment:
     def test_tree_layout(self):
         table = empirical_acf_experiment(BatchSpec(P, 208, 30, 888), 200, 2)
         tree = table.as_tree()
-        assert set(tree) == {"spec", "t_obs", "rows"}
-        assert len(tree["rows"]) == 2
-        assert set(tree["rows"][0]) == {
+        assert list(tree) == ["spec", "t_obs", "rows"]
+        assert list(tree["spec"]) == [
+            "phi", "rho", "sigma_xi", "path_length", "replications", "master_seed"
+        ]
+        assert isinstance(tree["rows"], list) and len(tree["rows"]) == 2
+        assert list(tree["rows"][0]) == [
             "k",
             "y_empirical",
             "y_theory",
@@ -261,7 +267,7 @@ class TestAcfExperiment:
             "xi_empirical",
             "xi_theory",
             "xi_mc_se",
-        }
+        ]
 
     def test_preconditions(self):
         with pytest.raises(OutOfRangeError):
@@ -280,11 +286,10 @@ class TestCurves:
         assert DEFAULT_RHO_GRID == (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
     def test_vbar_curve_values(self):
-        table = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        assert table.kind == "vbar"
-        assert len(table.rows) == 42
-        assert table.rows[0][:2] == (-0.9, -0.9)
-        values = {(phi, rho): v for phi, rho, v in table.rows}
+        rows = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
+        assert len(rows) == 42
+        assert rows[0][:2] == (-0.9, -0.9)
+        values = {(phi, rho): v for phi, rho, v in rows}
         assert values[(0.9, 0.9)] == pytest.approx(9.104404958272635, rel=1e-12)
         assert values[(-0.9, 0.6)] == pytest.approx(0.8103898048205207, rel=1e-12)
         for phi in DEFAULT_PHI_GRID:
@@ -292,8 +297,7 @@ class TestCurves:
             assert values[(phi, 0.0)] == pytest.approx(s, rel=1e-14)
 
     def test_vbar_exceeds_classical_sd_iff_feedback_reinforces(self):
-        table = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        for phi, rho, v in table.rows:
+        for phi, rho, v in vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0):
             s = stationary_sd(ModelParams(phi, rho, 1.0))
             if phi * rho > 0:
                 assert v > s
@@ -303,24 +307,23 @@ class TestCurves:
                 assert v == pytest.approx(s, rel=1e-14)
 
     def test_bias_curve_values(self):
-        table = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        assert table.kind == "bias"
-        values = {(phi, rho): v for phi, rho, v in table.rows}
+        rows = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
+        values = {(phi, rho): v for phi, rho, v in rows}
         assert values[(0.9, 0.3)] == pytest.approx(0.07282132491953122, rel=1e-12)
         assert values[(-0.9, 0.3)] == pytest.approx(0.23482132491953125, rel=1e-12)
         for (phi, rho), v in values.items():
             assert v == ols_bias(ModelParams(phi, rho, 1.0))
 
     def test_bias_increasing_in_rho(self):
-        table = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        values = {(phi, rho): v for phi, rho, v in table.rows}
+        rows = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
+        values = {(phi, rho): v for phi, rho, v in rows}
         for phi in DEFAULT_PHI_GRID:
             col = [values[(phi, rho)] for rho in DEFAULT_RHO_GRID]
             assert all(a < b for a, b in zip(col, col[1:]))
 
     def test_scale_linearity(self):
-        base = vbar_curve((0.5,), (0.3,), 1.0).rows[0][2]
-        doubled = vbar_curve((0.5,), (0.3,), 2.0).rows[0][2]
+        base = vbar_curve((0.5,), (0.3,), 1.0)[0][2]
+        doubled = vbar_curve((0.5,), (0.3,), 2.0)[0][2]
         assert doubled == pytest.approx(2.0 * base, rel=1e-14)
         assert doubled == pytest.approx(2.0 * vbar_limit(P), rel=1e-14)
 
@@ -329,9 +332,3 @@ class TestCurves:
             vbar_curve((1.0,), (0.3,), 1.0)
         with pytest.raises(OutOfRangeError):
             bias_curve((0.5,), (-1.0,), 1.0)
-
-    def test_table_validation(self):
-        with pytest.raises(OutOfRangeError):
-            CurveTable(kind="wrong", rows=())
-        with pytest.raises(OutOfRangeError):
-            CurveTable(kind="vbar", rows=((1.0, 0.3, 2.0),))
