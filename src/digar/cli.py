@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+import warnings
 from dataclasses import asdict
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .dependence import dependence_profile
 from .errors import DigarError, OutOfRangeError
@@ -30,7 +35,7 @@ from .experiments import (
     vbar_curve,
 )
 from .model import ModelParams, stationary_sd, variance_sequence, vbar_limit
-from .simulation import BatchSpec, SamplePath, simulate_path
+from .simulation import BatchSpec, SamplePath, _owned_path, simulate_path
 
 __all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
 
@@ -39,6 +44,10 @@ DEFAULT_SEED = 12345
 # Rows of a path CSV formatted per write, so a long path is never held as
 # one string.
 _CSV_PIECE = 65_536
+
+# Characters of a path CSV read per chunk (rounded up to a line end), so
+# the reader holds a few copies of one chunk besides the path.
+_READ_CHARS = 1 << 18
 
 
 def _g17(x: float) -> str:
@@ -90,8 +99,11 @@ def _path_csv(path: SamplePath) -> Iterator[str]:
     end = path.horizon + 1
     for lo in range(1, end, _CSV_PIECE):
         hi = min(lo + _CSV_PIECE, end)
-        rows = zip(range(lo, hi), path.y[lo:hi].tolist(), path.xi[lo - 1 : hi - 1].tolist())
-        yield "".join(f"{t},{y:.17g},{x:.17g}\n" for t, y, x in rows)
+        cells = [None] * (3 * (hi - lo))  # t, y, xi of each row in turn
+        cells[0::3] = range(lo, hi)
+        cells[1::3] = path.y[lo:hi].tolist()
+        cells[2::3] = path.xi[lo - 1 : hi - 1].tolist()
+        yield ("%d,%.17g,%.17g\n" * (hi - lo)) % tuple(cells)
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
@@ -106,33 +118,124 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
-def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
+def _csv_rows(
+    infile: str, rows: Iterator[list[str]], lineno: int, t: int, last_line: int
+) -> tuple[list[float], list[float], int]:
+    # The row loop: it alone decides which rows a path file may hold and
+    # words every FILE:LINE refusal.  Reads records from rows, a
+    # csv.reader, the first numbered lineno and expected to read t, and
+    # stops after the record that takes the reader to its line last_line
+    # (rows.line_num), or at the end.  Returns their y and xi values and
+    # the next record number.
     y: list[float] = []
     xi: list[float] = []
-    with open(infile, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise OutOfRangeError(f"empty path file: {infile}")
-        if [h.strip() for h in header] != ["t", "y", "xi"]:
-            raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    for row in rows:
+        if row:
             if len(row) != 3:
                 raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
-            if row[0] != str(len(y)):
-                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {len(y)}, got {row[0]!r}")
+            if row[0] != str(t):
+                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {t}, got {row[0]!r}")
             try:
                 y.append(float(row[1]))
                 if row[2].strip() != "":
                     xi.append(float(row[2]))
-                elif len(y) != 1:
+                elif t != 0:
                     raise ValueError("xi may be empty only at t=0")
             except ValueError as exc:
                 raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
-    return SamplePath(params, y, xi, None)
+            t += 1
+        lineno += 1
+        if rows.line_num >= last_line:
+            break
+    return y, xi, lineno
+
+
+_DIGITS = 10 ** np.arange(19, dtype=np.int64)  # n has searchsorted(_DIGITS, n, "right") digits
+
+
+def _plain_rows(text: str, t: int) -> np.ndarray | None:
+    # The rows of text, lines that each end in "\n", as an (n, 3) array,
+    # if every line is "t,y,xi" as simulate writes it: only the characters
+    # 0-9 + - . e , and newline, t written as the decimal digits of the
+    # row's number (t, t+1, ...), and y and xi numbers numpy parses.
+    # csv.reader and float() then read the same values, so the row loop
+    # would take the rows as they are.  None otherwise.  Whitespace is
+    # refused because numpy reads a field of only whitespace as -1.
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, b"0123456789+-.e,\n"):
+        return None
+    u = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(u == ord("\n"))
+    commas = np.flatnonzero(u == ord(","))
+    n = ends.size
+    if n == 0 or ends[-1] != u.size - 1 or commas.size != 2 * n:
+        return None
+    # Comma 2k must follow line k's t digits (checked below); then comma
+    # 2k+1 lies between it and line k+1's, so each line has two commas.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ts = np.arange(t, t + n)
+    width = np.searchsorted(_DIGITS, ts, side="right")
+    if not np.array_equal(commas[0::2], starts + width):
+        return None
+    for d in range(int(width[-1])):  # digit d of the rows whose t has more than d digits
+        ch = u[starts[max(0, 10**d - t) :] + d]
+        if not np.all((ch >= ord("0")) & (ch <= ord("9"))):
+            return None
+    with warnings.catch_warnings():
+        # numpy before 2.0 warns and returns what it read on unparsable text.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            cells = np.fromstring(raw[:-1].replace(b"\n", b","), sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if cells.size != 3 * n:
+        return None
+    cells = cells.reshape(n, 3)
+    return cells if np.array_equal(cells[:, 0], ts) else None
+
+
+def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
+    # After the header the file is read in chunks of whole lines.  A chunk
+    # in simulate's plain form is parsed by numpy in one call (_plain_rows);
+    # any other chunk goes through _csv_rows, so only the row loop refuses
+    # a file.
+    with open(infile, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise OutOfRangeError(f"empty path file: {infile}")
+        if [h.strip() for h in header] != ["t", "y", "xi"]:
+            raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
+        y_parts = [np.empty(0)]
+        xi_parts = [np.empty(0)]
+        t, lineno = 0, 2  # the next row's t and record number
+        while text := fh.read(_READ_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # end the chunk with its last line
+            if t == 0 and text.startswith("0,0,\n"):  # the t = 0 row as simulate writes it
+                y_parts.append(np.zeros(1))
+                text = text[5:]
+                t, lineno = 1, lineno + 1
+            cells = _plain_rows(text, t) if t > 0 and text else None
+            if cells is not None:
+                y_parts.append(cells[:, 1].copy())
+                xi_parts.append(cells[:, 2].copy())
+                t += len(cells)
+                lineno += len(cells)
+            elif text:
+                lines = io.StringIO(text, newline="").readlines()
+                # A quoted field may carry a record past the chunk; the
+                # reader then takes the lines it needs from the file.
+                rows = csv.reader(chain(lines, fh))
+                y, xi, lineno = _csv_rows(infile, rows, lineno, t, len(lines))
+                y_parts.append(np.array(y, dtype=float))
+                xi_parts.append(np.array(xi, dtype=float))
+                t += len(y)
+    y_all = np.concatenate(y_parts)
+    del y_parts  # so y's pieces are gone before xi's are joined
+    return _owned_path(params, y_all, np.concatenate(xi_parts), None)
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:

@@ -75,9 +75,12 @@ def stationary_sd(params: ModelParams) -> float:
     """Standard deviation sigma_xi/sqrt(1 - phi^2) of the classical AR(1).
 
     This is the rho = 0 value of the variance limit; with dependence it
-    serves as the reference level the limit is compared against.
+    serves as the reference level the limit is compared against.  1 - phi^2
+    is formed as (1 - phi)*(1 + phi), which keeps its digits as |phi|
+    nears 1.
     """
-    return params.sigma_xi / math.sqrt(1.0 - params.phi * params.phi)
+    phi = params.phi
+    return params.sigma_xi / math.sqrt((1.0 - phi) * (1.0 + phi))
 
 
 def variance_sequence(params: ModelParams, T: int) -> np.ndarray:

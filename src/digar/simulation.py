@@ -11,8 +11,15 @@ Markov property, so simulating it is exact, not approximate.
 
 Reproducibility contract: standard normals come from numpy's PCG64 bit
 generator through Generator.standard_normal (the ziggurat method); each
-path consumes exactly T variates.  The batch kernel draws them in chunks
-of time steps, which yields the same variates as one T-length draw.
+path consumes exactly T variates.  Both kernels draw them in chunks of
+time steps (_CHUNK for the batch, _PATH_CHUNK for simulate_path), which
+yields the same variates as one T-length draw, and walk each chunk
+before drawing the next; so simulate_path holds the path, V_t and one
+chunk, not T normals and T slopes.  SamplePath keeps the arrays that
+simulate_path and the CLI's path reader build without a second copy
+(arrays a caller passes in are copied), and that reader parses its file
+chunk by chunk, so `digar estimate --in` also runs in memory bounded by
+the path plus a few chunks.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order,
 batch rows are bit-identical to the corresponding single-path calls, and
@@ -72,13 +79,19 @@ _BLOCK_SIZE = 500
 # chunk, so the kernel's memory does not grow with T.
 _CHUNK = 256
 
+# Time steps per chunk of simulate_path.  Its normals and slopes are held
+# for one chunk at a time, so beyond the path and V_t its memory does not
+# grow with T.
+_PATH_CHUNK = 65_536
+
 
 @dataclass(frozen=True)
 class SamplePath:
     """One simulated trajectory: levels Y_0..Y_T and innovations xi_1..xi_T.
 
     seed is the PCG64 seed that produced the path, or None for paths
-    loaded from external data.
+    loaded from external data.  The path keeps read-only copies of the
+    arrays it is given, so later writes to them do not reach it.
     """
 
     params: ModelParams
@@ -87,8 +100,10 @@ class SamplePath:
     seed: int | None
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
+        self._adopt(np.array(self.y, dtype=float), np.array(self.xi, dtype=float))
+
+    def _adopt(self, y: np.ndarray, xi: np.ndarray) -> None:
+        # Check y and xi and keep them, made read-only, as the path's arrays.
         if y.ndim != 1 or xi.ndim != 1 or y.shape[0] != xi.shape[0] + 1 or xi.shape[0] < 1:
             raise OutOfRangeError(
                 f"need len(y) = len(xi)+1 >= 2, got len(y)={y.shape} len(xi)={xi.shape}"
@@ -97,17 +112,17 @@ class SamplePath:
             raise NonFiniteError("path contains non-finite values")
         if y[0] != 0.0:
             raise OutOfRangeError(f"y[0] must be exactly 0, got {y[0]!r}")
-        resid = y[1:] - (self.params.phi * y[:-1] + xi)
-        atol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
-        worst = float(np.max(np.abs(resid)))
+        resid = self.params.phi * y[:-1]  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
+        resid += xi
+        np.subtract(y[1:], resid, out=resid)
+        atol = 1e-12 * max(1.0, -float(y.min()), float(y.max()))
+        worst = float(np.max(np.abs(resid, out=resid)))
         if worst > atol:
             raise OutOfRangeError(
                 f"path violates y[t] = phi*y[t-1] + xi[t] (max residual {worst:.3e})"
             )
         if self.seed is not None:
             _check_seed(self.seed)
-        y = y.copy()
-        xi = xi.copy()
         y.setflags(write=False)
         xi.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -116,6 +131,16 @@ class SamplePath:
     @property
     def horizon(self) -> int:
         return int(self.xi.shape[0])
+
+
+def _owned_path(params: ModelParams, y: np.ndarray, xi: np.ndarray, seed: int | None) -> SamplePath:
+    # A SamplePath that keeps y and xi themselves instead of copies, for
+    # float arrays that nothing else refers to.
+    path = object.__new__(SamplePath)
+    object.__setattr__(path, "params", params)
+    object.__setattr__(path, "seed", seed)
+    path._adopt(y, xi)
+    return path
 
 
 @dataclass(frozen=True)
@@ -238,14 +263,14 @@ def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
         acc[0] = np.cumsum(terms[:, 0])[-1]
 
 
-def _coefficients(params: ModelParams, T: int) -> tuple[np.ndarray, list[float], float]:
-    # V_1..V_T, the conditional-mean slopes rho*sigma_xi/V_t and the
-    # conditional sd of xi_t, shared by both kernels so that a batch row
-    # and its single path multiply by the same numbers.
+def _coefficients(params: ModelParams, T: int) -> tuple[np.ndarray, float, float]:
+    # V_1..V_T, rho*sigma_xi and the conditional sd of xi_t, shared by both
+    # kernels.  Each takes the slopes rho*sigma_xi/V_t chunk by chunk as
+    # rho*sigma_xi / v[chunk], so a batch row and its single path multiply
+    # by the same numbers.
     v = variance_sequence(params, T)
-    slope = (params.rho * params.sigma_xi / v).tolist()
     cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)
-    return v, slope, cond_sd
+    return v, params.rho * params.sigma_xi, cond_sd
 
 
 def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
@@ -253,7 +278,8 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
 
     Identical (params, T, seed) yield bit-identical paths, and the result
     is bit-identical to the corresponding row of any batch that derives
-    this seed.  Scalar loop; the batch kernel performs the same IEEE
+    this seed.  Scalar loop over chunks of _PATH_CHUNK steps, each drawn
+    and walked before the next; the batch kernel performs the same IEEE
     operations in the same order on whole columns.
 
     Raises
@@ -264,23 +290,29 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     _check_seed(seed)
-    eps = normal_stream(seed).standard_normal(T).tolist()
-    _, slope, cond_sd = _coefficients(params, T)
+    stream = normal_stream(seed)
+    v, rs, cond_sd = _coefficients(params, T)
     phi = params.phi
-    sig = params.sigma_xi
     y = np.empty(T + 1)
     xi = np.empty(T)
-    y[0] = 0.0
-    x = sig * eps[0]
-    xi[0] = x
-    level = phi * 0.0 + x
-    y[1] = level
-    for t in range(2, T + 1):
-        x = slope[t - 2] * level + cond_sd * eps[t - 1]
-        xi[t - 1] = x
-        level = phi * level + x
-        y[t] = level
-    return SamplePath(params, y, xi, seed)
+    # Python stores into the arrays through memoryviews, which is cheaper
+    # than numpy's item assignment.
+    with memoryview(y) as ys, memoryview(xi) as xs:
+        ys[0] = 0.0
+        x = params.sigma_xi * stream.standard_normal()  # xi_1 = sigma_xi*eps_1
+        xs[0] = x
+        level = phi * 0.0 + x
+        ys[1] = level
+        for t0 in range(1, T, _PATH_CHUNK):  # steps t = t0+1 .. t1
+            t1 = min(t0 + _PATH_CHUNK, T)
+            noise = (cond_sd * stream.standard_normal(t1 - t0)).tolist()
+            slope = (rs / v[t0 - 1 : t1 - 1]).tolist()  # rho*sigma_xi/V_{t-1}
+            for t, s, e in zip(range(t0 + 1, t1 + 1), slope, noise):
+                x = s * level + e
+                xs[t - 1] = x
+                level = phi * level + x
+                ys[t] = level
+    return _owned_path(params, y, xi, seed)
 
 
 def _run_blocks(
@@ -307,7 +339,7 @@ def _run_blocks(
         raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
     params = spec.params
     T = spec.path_length
-    v, slope, cond_sd = _coefficients(params, T)
+    v, rs, cond_sd = _coefficients(params, T)
     phi = params.phi
     sig = params.sigma_xi
     last = T
@@ -368,10 +400,8 @@ def _run_blocks(
                 mul(y[0], phi, out=y[1])
                 add(y[1], xi[0], out=y[1])
                 j0 = 1
-            for lag, lead, x, s in zip(
-                y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m],
-                slope[t0 + j0 - 2 : t0 + m - 2],
-            ):
+            slope = (rs / v[t0 + j0 - 2 : t0 + m - 2]).tolist()  # rho*sigma_xi/V_{t-1}
+            for lag, lead, x, s in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m], slope):
                 mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
                 add(tmp, x, x)
                 mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t

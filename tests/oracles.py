@@ -1,5 +1,6 @@
 """Independent reference computations the tests check the package against."""
 
+import csv
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -63,13 +64,13 @@ def decay_bound_scan(params: ModelParams, T: int) -> float:
     return max(float(np.max(np.abs(taus))), abs(tau_bar(params)))
 
 
-def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Decimal]:
-    """vbar, tau_bar, eta_bar and sigma_bar_sq at 60 digits, taking the
+def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
+    """vbar, tau_bar, eta_bar, sigma_bar_sq and S at 60 digits, taking the
     binary parameter values as exact.
 
     vbar = sigma*(rho*phi + sqrt(rho^2*phi^2 + 1 - phi^2))/(1 - phi^2),
     tau_bar = phi + rho*sigma/vbar, eta_bar = sigma*sqrt(1 - rho^2)/vbar,
-    sigma_bar_sq = sigma^2*(1 - rho^2)*vbar^2.
+    sigma_bar_sq = sigma^2*(1 - rho^2)*vbar^2, S = sigma/sqrt(1 - phi^2).
     """
     p, r, s = Decimal(params.phi), Decimal(params.rho), Decimal(params.sigma_xi)
     with localcontext() as ctx:
@@ -80,6 +81,7 @@ def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Deci
             p + r * s / vbar,
             s * (1 - r * r).sqrt() / vbar,
             s * s * (1 - r * r) * vbar * vbar,
+            s / (1 - p * p).sqrt(),
         )
 
 
@@ -128,3 +130,35 @@ def z_series(path: SamplePath) -> MartingaleDiagnostics:
     w = z * z - sig * sig * lag_sq * one_minus_rho2
     sigma_t_sq = sig * sig * v * v * one_minus_rho2
     return MartingaleDiagnostics(z=z, w=w, sigma_t_sq=sigma_t_sq)
+
+
+def read_path_csv(infile: str, params: ModelParams) -> SamplePath:
+    """A path CSV read row by row with csv.reader and float(), the whole
+    file in one loop: the reader the CLI's chunked reader must agree with
+    on every file, in the values it reads and in every refusal."""
+    y: list[float] = []
+    xi: list[float] = []
+    with open(infile, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise OutOfRangeError(f"empty path file: {infile}")
+        if [h.strip() for h in header] != ["t", "y", "xi"]:
+            raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
+            if row[0] != str(len(y)):
+                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {len(y)}, got {row[0]!r}")
+            try:
+                y.append(float(row[1]))
+                if row[2].strip() != "":
+                    xi.append(float(row[2]))
+                elif len(y) != 1:
+                    raise ValueError("xi may be empty only at t=0")
+            except ValueError as exc:
+                raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
+    return SamplePath(params, y, xi, None)

@@ -1,7 +1,13 @@
 import hashlib
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from digar import (
     DEFAULT_PHI_GRID,
@@ -19,8 +25,9 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
-from digar import simulation
+from digar import cli, simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
+from oracles import read_path_csv
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -293,6 +300,183 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--in", str(path_file), "--phi", "0.6")
         assert code == 3
         assert err.startswith("error:")
+
+
+def _set_field(line, k, new):
+    def edit(rows):
+        cells = rows[line].rstrip("\n").split(",")
+        cells[k] = new
+        rows[line] = ",".join(cells) + "\n"
+        return rows
+
+    return edit
+
+
+def _quote_y(extra=""):
+    # Quote row t = 2's y, with `extra` inside the quotes.
+    return lambda rows: _set_field(3, 1, '"' + rows[3].split(",")[1] + extra + '"')(rows)
+
+
+# Edits of the file `simulate -T 4 --seed 4` writes (rows[0] is the
+# header, rows[1] the t = 0 row), each with the exit status, stdout and
+# stderr ("{}" for the file name) that estimate --in printed for it when
+# it read the whole file with csv.reader.
+_EST_T4 = (
+    "phi_hat,phi_tilde,correction,sample_size\n"
+    "0.59606882517892701,0.35131745463667835,0.24475137054224866,4\n"
+)
+READER_CONTRACT = {
+    "crlf": (lambda rows: [r.replace("\n", "\r\n") for r in rows], 0, _EST_T4, ""),
+    "blank_line": (lambda rows: rows[:3] + ["\n"] + rows[3:], 0, _EST_T4, ""),
+    "quoted_y": (_quote_y(), 0, _EST_T4, ""),
+    "space_before_y": (
+        lambda rows: _set_field(3, 1, " " + rows[3].split(",")[1])(rows), 0, _EST_T4, ""
+    ),
+    "t0_row_y_0.0": (_set_field(1, 1, "0.0"), 0, _EST_T4, ""),
+    "no_trailing_newline": (lambda rows: rows[:-1] + [rows[-1].rstrip("\n")], 0, _EST_T4, ""),
+    "newline_inside_quoted_y": (_quote_y("\n"), 0, _EST_T4, ""),
+    "t_1.0": (_set_field(2, 0, "1.0"), 3, "", "error: {}:3: expected t = 1, got '1.0'\n"),
+    "t_space_1": (_set_field(2, 0, " 1"), 3, "", "error: {}:3: expected t = 1, got ' 1'\n"),
+    "t_01": (_set_field(2, 0, "01"), 3, "", "error: {}:3: expected t = 1, got '01'\n"),
+    "t_+1": (_set_field(2, 0, "+1"), 3, "", "error: {}:3: expected t = 1, got '+1'\n"),
+    "t_3e0": (_set_field(4, 0, "3e0"), 3, "", "error: {}:5: expected t = 3, got '3e0'\n"),
+    "four_fields": (
+        lambda rows: rows[:3] + [rows[3].rstrip("\n") + ",0\n"] + rows[4:],
+        3, "", "error: {}:4: expected 3 fields, got 4\n",
+    ),
+    # Row t = 2 takes row t = 3's xi: two commas per line on average.
+    "fields_shifted": (
+        lambda rows: rows[:3] + [rows[3].rstrip("\n") + ",3\n", rows[4].split(",", 1)[1]] + rows[5:],
+        3, "", "error: {}:4: expected 3 fields, got 4\n",
+    ),
+    "empty_xi": (_set_field(3, 2, ""), 3, "", "error: {}:4: xi may be empty only at t=0\n"),
+    "y_abc": (_set_field(3, 1, "abc"), 3, "", "error: {}:4: could not convert string to float: 'abc'\n"),
+    # numpy reads a field of only whitespace as -1.
+    "y_space": (_set_field(3, 1, " "), 3, "", "error: {}:4: could not convert string to float: ' '\n"),
+    "xi_tab": (_set_field(3, 2, "\t"), 3, "", "error: {}:4: xi may be empty only at t=0\n"),
+    "y_nan(1)": (
+        _set_field(3, 1, "nan(1)"), 3, "", "error: {}:4: could not convert string to float: 'nan(1)'\n"
+    ),
+    "y_infinity": (_set_field(3, 1, "infinity"), 3, "", "error: path contains non-finite values\n"),
+    "y_inf": (_set_field(3, 1, "inf"), 3, "", "error: path contains non-finite values\n"),
+    # A record that spans two lines counts once: line 6 is record 5.
+    "blank_line_before_t0_row_then_bad_t": (
+        lambda rows: _set_field(3, 0, "x")(rows[:1] + ["\n"] + rows[1:]),
+        3, "", "error: {}:4: expected t = 1, got 'x'\n",
+    ),
+    "bad_t_after_two_line_record": (
+        lambda rows: _set_field(4, 0, "x")(_quote_y("\n")(rows)),
+        3, "", "error: {}:5: expected t = 3, got 'x'\n",
+    ),
+    "header_only": (
+        lambda rows: rows[:1], 3, "",
+        "error: need len(y) = len(xi)+1 >= 2, got len(y)=(0,) len(xi)=(0,)\n",
+    ),
+    "t0_row_only": (
+        lambda rows: rows[:2], 3, "",
+        "error: need len(y) = len(xi)+1 >= 2, got len(y)=(1,) len(xi)=(0,)\n",
+    ),
+}
+
+
+class TestReadPathCsv:
+    """estimate --in parses chunks in simulate's plain form with numpy and
+    sends every other chunk through the csv row loop; either way a file
+    reads as oracles.read_path_csv, the row loop over the whole file,
+    reads it."""
+
+    @pytest.mark.parametrize("read_chars", [1, 7, 40, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(READER_CONTRACT))
+    def test_contract(self, capsys, tmp_path, monkeypatch, case, read_chars):
+        # Small reads put chunk ends inside rows, between \r and \n and
+        # inside a quoted field.
+        edit, code, out, err = READER_CONTRACT[case]
+        good = tmp_path / "good.csv"
+        assert parse_and_dispatch(["simulate", "-T", "4", "--seed", "4", "--out", str(good)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))), newline="")
+        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        capsys.readouterr()
+        assert run_cli(capsys, "estimate", "--in", str(bad)) == (code, out, err.format(bad))
+
+    @pytest.mark.parametrize("read_chars", [40, 1 << 20])
+    def test_t_written_with_exponent(self, capsys, tmp_path, monkeypatch, read_chars):
+        # "1e2" has as many characters as "100" and reads as 100.0.
+        path_file = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", "120", "--seed", "4", "--out", str(path_file)]) == 0
+        rows = path_file.read_text().splitlines(keepends=True)
+        rows[101] = "1e2" + rows[101][3:]
+        path_file.write_text("".join(rows))
+        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        capsys.readouterr()
+        err = f"error: {path_file}:102: expected t = 100, got '1e2'\n"
+        assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", err)
+
+    @pytest.mark.parametrize("sigma", ["1", "1e-100", "1e100"])
+    def test_simulate_output_never_reaches_row_loop(self, capsys, tmp_path, monkeypatch, sigma):
+        # 70,000 rows span several read chunks and two write pieces; the
+        # sigmas put exponents into the text.  Falling back to the row
+        # loop would be correct but several times slower.
+        path_file = tmp_path / "path.csv"
+        argv = ["--sigma", sigma, "--seed", "5", "-T", "70000"]
+        assert parse_and_dispatch(["simulate", *argv, "--out", str(path_file)]) == 0
+        _, direct, _ = run_cli(capsys, "estimate", *argv)
+
+        def refuse(*args):
+            raise AssertionError("a file written by simulate reached the csv row loop")
+
+        monkeypatch.setattr(cli, "_csv_rows", refuse)
+        assert run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file)) == (0, direct, "")
+
+    @settings(max_examples=300)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "replace", "delete"]),
+                st.integers(0, 10**6),
+                st.sampled_from(list(' \t\r\n",,,.+-e00123456789x\x00\u00e9')),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        read_chars=st.sampled_from([1, 7, 40, 1 << 20]),
+    )
+    def test_edited_file_reads_as_the_row_loop_reads_it(self, edits, read_chars):
+        text = "".join(cli._path_csv(simulate_path(P, 12, 4)))
+        for op, pos, ch in edits:
+            pos %= len(text) + 1
+            text = text[:pos] + ("" if op == "delete" else ch) + text[pos + (op != "insert") :]
+
+        def outcome(read, infile):
+            try:
+                path = read(infile, P)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return path.y.tobytes(), path.xi.tobytes()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            infile = str(Path(tmp) / "edited.csv")
+            with open(infile, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            want = outcome(read_path_csv, infile)
+            with mock.patch.object(cli, "_READ_CHARS", read_chars):
+                assert outcome(cli._read_path_csv, infile) == want
+
+    def test_memory_is_a_few_words_per_row(self, tmp_path):
+        # y and xi, the chunk pieces they are joined from and a few copies
+        # of one read chunk: 4 words (8 bytes) per row at this T.  A copy
+        # of y and xi in SamplePath takes it to 6, and Python lists of
+        # floats, as the reader built before, took 12.
+        T = 200_000
+        path_file = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
+        tracemalloc.start()
+        try:
+            cli._read_path_csv(str(path_file), P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * T
 
 
 class TestExperimentCli:

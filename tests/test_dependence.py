@@ -165,9 +165,10 @@ class TestEtaBarAndSigmaBar:
 
 
 class TestLimitsAgainstDecimal:
-    """vbar, tau_bar, eta_bar and sigma_bar_sq to within 1e-15 relative of
-    60 digits, also where rho*phi nears -1 and a sum in the textbook form
-    cancels, and where |rho| nears 1 and 1 - rho^2 loses digits."""
+    """vbar, tau_bar, eta_bar, sigma_bar_sq and S to within 1e-15 relative
+    of 60 digits, also where rho*phi nears -1 and a sum in the textbook
+    form cancels, and where |rho| or |phi| nears 1 and 1 - rho^2 or
+    1 - phi^2 loses digits."""
 
     @pytest.mark.parametrize(
         "phi, rho",
@@ -176,8 +177,8 @@ class TestLimitsAgainstDecimal:
     def test_relative_error(self, phi, rho):
         p = ModelParams(phi, rho, 1.0)
         exact = decimal_limits(p)
-        got = (vbar_limit(p), tau_bar(p), eta_bar(p), sigma_bar_sq(p))
-        names = ("vbar", "tau_bar", "eta_bar", "sigma_bar_sq")
+        got = (vbar_limit(p), tau_bar(p), eta_bar(p), sigma_bar_sq(p), stationary_sd(p))
+        names = ("vbar", "tau_bar", "eta_bar", "sigma_bar_sq", "S")
         for name, value, want in zip(names, got, exact):
             assert abs((Decimal(value) - want) / want) <= Decimal("1e-15"), name
 

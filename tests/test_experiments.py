@@ -229,7 +229,7 @@ class TestCltExperiment:
 
     def test_memory_does_not_grow_with_horizon(self):
         # The kernel streams time in chunks, so T = 1e5 needs only the
-        # O(T) variance and slope arrays, not (R, T) path arrays (~240 MB).
+        # O(T) variance array, not (R, T) path arrays (~240 MB).
         tracemalloc.start()
         try:
             run_consistency_experiment(BatchSpec(P, 100_000, 100, 7))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,34 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             path.xi[0] = 1.0
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 48, 49])
+    def test_path_does_not_depend_on_chunk_length(self, monkeypatch, chunk):
+        # simulate_path draws and walks chunk by chunk; the walk after the
+        # first step covers 49 steps here, so 48 and 49 end at its edges.
+        whole = simulate_path(P, 50, 3)
+        monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
+        part = simulate_path(P, 50, 3)
+        assert whole.y.tobytes() == part.y.tobytes()
+        assert whole.xi.tobytes() == part.xi.tobytes()
+        spec = BatchSpec(P, 50, 1, 3)
+        (_, y, xi), = _path_blocks(spec)
+        solo = simulate_path(P, 50, mix_seed(3, 0))
+        assert y[0].tobytes() == solo.y.tobytes() and xi[0].tobytes() == solo.xi.tobytes()
+
+    def test_memory_is_a_few_words_per_step(self):
+        # y, xi and V_t are a word (8 bytes) per step each, and the check
+        # of the recursion one more; normals and slopes are held a chunk
+        # at a time.  Holding them for all T steps as Python lists, with a
+        # second copy of y and xi, took 14 words per step.
+        T = 1_000_000
+        tracemalloc.start()
+        try:
+            simulate_path(P, T, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * T
+
     @given(params_strategy(), seeds_strategy(), st.integers(1, 40))
     def test_recursion_identity_generic(self, p, seed, T):
         path = simulate_path(p, T, seed)
@@ -254,6 +283,20 @@ class TestSamplePathValidation:
     def test_bad_seed_rejected(self):
         with pytest.raises(OutOfRangeError):
             SamplePath(P, np.array([0.0, 1.0]), np.array([1.0]), -1)
+
+    def test_keeps_copies_of_the_callers_arrays(self):
+        y = np.array([0.0, 1.0, 2.0, 1.0])
+        xi = np.array([1.0, 1.5, 0.0])
+        path = SamplePath(P, y, xi, None)
+        y[1:] = 5.0
+        xi[:] = 7.0
+        assert path.y.tolist() == [0.0, 1.0, 2.0, 1.0]
+        assert path.xi.tolist() == [1.0, 1.5, 0.0]
+        # Read-only arrays are copied too: their owner can make them
+        # writable again.
+        again = SamplePath(P, path.y, path.xi, None)
+        assert not np.shares_memory(again.y, path.y)
+        assert not np.shares_memory(again.xi, path.xi)
 
 
 class TestScaleEquivariance:
