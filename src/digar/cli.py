@@ -24,7 +24,7 @@ import numpy as np
 
 from .dependence import dependence_profile
 from .errors import DigarError, OutOfRangeError
-from .estimation import infeasible_estimate
+from .estimation import EstimateResult, _estimate
 from .experiments import (
     DEFAULT_PHI_GRID,
     DEFAULT_RHO_GRID,
@@ -35,19 +35,18 @@ from .experiments import (
     vbar_curve,
 )
 from .model import ModelParams, stationary_sd, variance_sequence, vbar_limit
-from .simulation import BatchSpec, SamplePath, _owned_path, simulate_path
+from .simulation import BatchSpec, _walk, simulate_path
 
 __all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
 
 DEFAULT_SEED = 12345
 
-# Rows of a path CSV formatted per write, so a long path is never held as
-# one string.
-_CSV_PIECE = 65_536
-
 # Characters of a path CSV read per chunk (rounded up to a line end), so
-# the reader holds a few copies of one chunk besides the path.
-_READ_CHARS = 1 << 18
+# estimate --in holds a few copies of one chunk and nothing T-long.  Chunks
+# of 64 KiB to 256 KiB read at the same speed; at 256 KiB the C heap grew
+# with T (peak RSS 31.7 MiB at T = 1e6, 38.7 MiB at 5e6), at 64 KiB it
+# does not (30.0 and 30.8 MiB).
+_READ_CHARS = 1 << 16
 
 
 def _g17(x: float) -> str:
@@ -94,27 +93,30 @@ def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
-def _path_csv(path: SamplePath) -> Iterator[str]:
-    yield f"t,y,xi\n0,{_g17(path.y[0])},\n"
-    end = path.horizon + 1
-    for lo in range(1, end, _CSV_PIECE):
-        hi = min(lo + _CSV_PIECE, end)
-        cells = [None] * (3 * (hi - lo))  # t, y, xi of each row in turn
-        cells[0::3] = range(lo, hi)
-        cells[1::3] = path.y[lo:hi].tolist()
-        cells[2::3] = path.xi[lo - 1 : hi - 1].tolist()
-        yield ("%d,%.17g,%.17g\n" * (hi - lo)) % tuple(cells)
+def _path_csv(chunks: Iterable[tuple[list[float], list[float]]]) -> Iterator[str]:
+    # The CSV of the path whose Y_t and xi_t chunks come from
+    # simulation._walk, one piece per chunk, so a long path is never held.
+    yield "t,y,xi\n0,0,\n"
+    t = 1
+    for ys, xs in chunks:
+        n = len(ys)
+        cells = [None] * (3 * n)  # t, y, xi of each row in turn
+        cells[0::3] = range(t, t + n)
+        cells[1::3] = ys
+        cells[2::3] = xs
+        yield ("%d,%.17g,%.17g\n" * n) % tuple(cells)
+        t += n
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     _seed_banner(ns.seed)
-    path = simulate_path(params, ns.T, ns.seed)
     if ns.format == "json":
+        path = simulate_path(params, ns.T, ns.seed)
         y, xi = path.y.tolist(), path.xi.tolist()
         tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
         _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     else:
-        _write_text(ns.out, _path_csv(path))
+        _write_text(ns.out, _path_csv(_walk(params, ns.T, ns.seed)))
     return 0
 
 
@@ -196,11 +198,9 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
     return cells if np.array_equal(cells[:, 0], ts) else None
 
 
-def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
-    # After the header the file is read in chunks of whole lines.  A chunk
-    # in simulate's plain form is parsed by numpy in one call (_plain_rows);
-    # any other chunk goes through _csv_rows, so only the row loop refuses
-    # a file.
+def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
+    # The estimate of the path in a CSV file, read and summed chunk by
+    # chunk; the file's path is never held whole.
     with open(infile, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
@@ -208,47 +208,49 @@ def _read_path_csv(infile: str, params: ModelParams) -> SamplePath:
             raise OutOfRangeError(f"empty path file: {infile}")
         if [h.strip() for h in header] != ["t", "y", "xi"]:
             raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        y_parts = [np.empty(0)]
-        xi_parts = [np.empty(0)]
-        t, lineno = 0, 2  # the next row's t and record number
-        while text := fh.read(_READ_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()  # end the chunk with its last line
-            if t == 0 and text.startswith("0,0,\n"):  # the t = 0 row as simulate writes it
-                y_parts.append(np.zeros(1))
-                text = text[5:]
-                t, lineno = 1, lineno + 1
-            cells = _plain_rows(text, t) if t > 0 and text else None
-            if cells is not None:
-                y_parts.append(cells[:, 1].copy())
-                xi_parts.append(cells[:, 2].copy())
-                t += len(cells)
-                lineno += len(cells)
-            elif text:
-                lines = io.StringIO(text, newline="").readlines()
-                # A quoted field may carry a record past the chunk; the
-                # reader then takes the lines it needs from the file.
-                rows = csv.reader(chain(lines, fh))
-                y, xi, lineno = _csv_rows(infile, rows, lineno, t, len(lines))
-                y_parts.append(np.array(y, dtype=float))
-                xi_parts.append(np.array(xi, dtype=float))
-                t += len(y)
-    y_all = np.concatenate(y_parts)
-    del y_parts  # so y's pieces are gone before xi's are joined
-    return _owned_path(params, y_all, np.concatenate(xi_parts), None)
+        return _estimate(params, _csv_pieces(infile, fh))
+
+
+def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # The y and xi values of the rows after the header, in chunks of whole
+    # lines.  A chunk in simulate's plain form is parsed by numpy in one
+    # call (_plain_rows); any other chunk goes through _csv_rows, so only
+    # the row loop refuses a file.
+    t, lineno = 0, 2  # the next row's t and record number
+    while text := fh.read(_READ_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()  # end the chunk with its last line
+        if t == 0 and text.startswith("0,0,\n"):  # the t = 0 row as simulate writes it
+            yield np.zeros(1), np.empty(0)
+            text = text[5:]
+            t, lineno = 1, lineno + 1
+        cells = _plain_rows(text, t) if t > 0 and text else None
+        if cells is not None:
+            yield cells[:, 1], cells[:, 2]
+            t += len(cells)
+            lineno += len(cells)
+        elif text:
+            lines = io.StringIO(text, newline="").readlines()
+            # A quoted field may carry a record past the chunk; the
+            # reader then takes the lines it needs from the file.
+            rows = csv.reader(chain(lines, fh))
+            y, xi, lineno = _csv_rows(infile, rows, lineno, t, len(lines))
+            yield np.array(y, dtype=float), np.array(xi, dtype=float)
+            t += len(y)
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
     if ns.infile is not None:
-        path = _read_path_csv(ns.infile, params)
+        res, seed = _estimate_csv(ns.infile, params), None
     else:
         _seed_banner(ns.seed)
-        path = simulate_path(params, ns.T, ns.seed)
-    res = asdict(infeasible_estimate(path))
+        chunks = _walk(params, ns.T, ns.seed)
+        res, seed = _estimate(params, chain([([0.0], [])], chunks)), ns.seed  # Y_0, then the walk
+    tree = asdict(res)
     if ns.format == "json":
-        text = json.dumps({**res, "seed": path.seed}, indent=2) + "\n"
+        text = json.dumps({**tree, "seed": seed}, indent=2) + "\n"
     else:
-        text = ",".join(res) + "\n" + ",".join(map(_g17, res.values())) + "\n"
+        text = ",".join(tree) + "\n" + ",".join(map(_g17, tree.values())) + "\n"
     _write_text(ns.out, [text])
     return 0
 

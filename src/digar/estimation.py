@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .dependence import eta_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
-from .model import ModelParams, variance_sequence
-from .simulation import SamplePath, _accumulate
+from .model import ModelParams
+from .simulation import SamplePath, _path_pieces, _PathSums
 
 __all__ = [
     "EstimateResult",
@@ -61,8 +62,8 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
     and phi_tilde = phi_hat - correction with the bias correction
     rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2), which converges
     almost surely to rho*sigma_xi/vbar and is exactly zero when rho = 0.
-    V_t comes from variance_sequence(path.params, path.horizon).  Sums run
-    over t=2..T and add their terms in time order, as the batch kernel
+    V_t comes from variance_sequence's recursion.  Sums run over t=2..T
+    and add their terms in time order, chunk by chunk, as the batch kernel
     does, so a batch row's estimates equal its path's bit for bit.
 
     Raises
@@ -70,17 +71,17 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
     DegenerateDenominatorError
         If the path is too short (T < 2) or all lagged values are zero.
     """
-    lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
-    terms = np.empty((lag.size, 3))
-    np.multiply(lag, lag, out=terms[:, 0])
-    np.multiply(path.y[2:], lag, out=terms[:, 1])
-    v = variance_sequence(path.params, path.horizon)[:-1]  # V_{t-1}, t = 2..T
-    np.divide(terms[:, 0], v, out=terms[:, 2])
-    acc = np.full(3, -0.0)  # -0.0 + x == x for every x
-    if lag.size:
-        _accumulate(acc, terms)
-    hat, corr = _slopes(path.params.rho * path.params.sigma_xi, *acc.tolist())
-    return EstimateResult(phi_hat=hat, correction=corr, sample_size=path.horizon)
+    return _estimate(path.params, _path_pieces(path.y, path.xi))
+
+
+def _estimate(params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> EstimateResult:
+    # infeasible_estimate of the path whose (Y, xi) pieces these are, in
+    # time order, with SamplePath's refusals; no T-long array is held.
+    sums = _PathSums(params)
+    for piece in pieces:
+        sums.add(*piece)
+    hat, corr = _slopes(params.rho * params.sigma_xi, *sums.close().tolist())
+    return EstimateResult(phi_hat=hat, correction=corr, sample_size=sums.nx)
 
 
 def studentized_statistic(result: EstimateResult, true_phi: float, params: ModelParams) -> float:

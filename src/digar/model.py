@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -108,28 +109,56 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
+    values = _variance_walk(params)(T)
+    _check_variances(bool(np.all(np.isfinite(values))), not np.any(values <= 0.0))
+    values.setflags(write=False)
+    return values
+
+
+def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
+    # next_v(n) returns the next n >= 1 entries of V_1, V_2, ... as a float
+    # array, by variance_sequence's recursion and fixed-point fill; a walk
+    # taken in pieces yields the same entries as one taken whole.
     a = params.phi * params.phi
     b = 2.0 * params.phi * params.rho * params.sigma_xi
     c = params.sigma_xi * params.sigma_xi
-    out = array("d", [0.0]) * T  # cheaper to store into from Python than numpy
-    v = params.sigma_xi
-    out[0] = v
     sqrt = math.sqrt
-    for t in range(1, T):
-        nxt = sqrt(a * v * v + b * v + c)
-        if nxt == v:
-            # An exact fixed point of the map: every later entry equals it.
-            np.frombuffer(out)[t:] = v
-            break
-        v = nxt
-        out[t] = v
-    values = np.frombuffer(out)
-    if not np.all(np.isfinite(values)):
+    v = None  # the last entry returned
+    fixed = False
+
+    def next_v(n: int) -> np.ndarray:
+        nonlocal v, fixed
+        out = array("d", [0.0]) * n  # cheaper to store into from Python than numpy
+        values = np.frombuffer(out)
+        start = 0
+        if v is None:
+            v = params.sigma_xi
+            out[0] = v
+            start = 1
+        if fixed:
+            values[:] = v
+            return values
+        for t in range(start, n):
+            nxt = sqrt(a * v * v + b * v + c)
+            if nxt == v:
+                # An exact fixed point of the map: every later entry equals it.
+                fixed = True
+                values[t:] = v
+                break
+            v = nxt
+            out[t] = v
+        return values
+
+    return next_v
+
+
+def _check_variances(finite: bool, positive: bool) -> None:
+    # variance_sequence's refusals, given whether every entry is finite
+    # and whether every entry is positive.
+    if not finite:
         raise NonFiniteError("variance sequence contains non-finite entries")
-    if np.any(values <= 0.0):
+    if not positive:
         raise OutOfRangeError("every V_t must be positive")
-    values.setflags(write=False)
-    return values
 
 
 def vbar_limit(params: ModelParams) -> float:
@@ -140,11 +169,12 @@ def vbar_limit(params: ModelParams) -> float:
     i.e. the fixed point of the one-step variance recursion.  Where
     rho*phi < 0 that sum cancels, so there the equal form
     sigma_xi/(sqrt(rho^2*phi^2 + (1-phi)*(1+phi)) - rho*phi) is used, whose
-    terms are all positive.
+    terms are all positive.  Both forms take 1 - phi^2 as (1-phi)*(1+phi),
+    which keeps its digits as |phi| nears 1.
     """
     phi = params.phi
     rp = params.rho * phi
+    d = (1.0 - phi) * (1.0 + phi)  # 1 - phi^2
     if rp < 0.0:
-        return params.sigma_xi / (math.sqrt(rp * rp + (1.0 - phi) * (1.0 + phi)) - rp)
-    disc = params.rho * params.rho * phi * phi + 1.0 - phi * phi
-    return params.sigma_xi * (rp + math.sqrt(disc)) / (1.0 - phi * phi)
+        return params.sigma_xi / (math.sqrt(rp * rp + d) - rp)
+    return params.sigma_xi * (rp + math.sqrt(params.rho * params.rho * phi * phi + d)) / d

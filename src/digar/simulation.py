@@ -12,14 +12,16 @@ Markov property, so simulating it is exact, not approximate.
 Reproducibility contract: standard normals come from numpy's PCG64 bit
 generator through Generator.standard_normal (the ziggurat method); each
 path consumes exactly T variates.  Both kernels draw them in chunks of
-time steps (_CHUNK for the batch, _PATH_CHUNK for simulate_path), which
+time steps (_CHUNK for the batch, _PATH_CHUNK for the single path), which
 yields the same variates as one T-length draw, and walk each chunk
-before drawing the next; so simulate_path holds the path, V_t and one
-chunk, not T normals and T slopes.  SamplePath keeps the arrays that
-simulate_path and the CLI's path reader build without a second copy
-(arrays a caller passes in are copied), and that reader parses its file
-chunk by chunk, so `digar estimate --in` also runs in memory bounded by
-the path plus a few chunks.
+before drawing the next.  The single-path kernel, _walk, hands out its
+path a chunk at a time: simulate_path stores the chunks, and `digar
+simulate` formats and writes each one, so it holds V_t and one chunk,
+not the path.  _PathSums runs SamplePath's checks and adds the
+estimator's sums over a path fed in pieces, taking V_t piece by piece
+from variance_sequence's recursion; infeasible_estimate feeds it a
+stored path, and `digar estimate --in` each chunk it parses from the
+file, so it holds a few chunks and nothing T-long.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order,
 batch rows are bit-identical to the corresponding single-path calls, and
@@ -40,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError, OutOfRangeError
-from .model import ModelParams, variance_sequence
+from .model import ModelParams, _check_variances, _variance_walk, variance_sequence
 
 __all__ = [
     "SamplePath",
@@ -79,10 +81,12 @@ _BLOCK_SIZE = 500
 # chunk, so the kernel's memory does not grow with T.
 _CHUNK = 256
 
-# Time steps per chunk of simulate_path.  Its normals and slopes are held
-# for one chunk at a time, so beyond the path and V_t its memory does not
-# grow with T.
-_PATH_CHUNK = 65_536
+# Time steps per chunk of the single-path route: simulate_path and the
+# CSV writer walk the path, and _PathSums checks and sums a stored path,
+# this many steps at a time.  `simulate -T 1000000` formats at the same
+# speed with chunks of 2,048 to 65,536 steps; its peak RSS is 44.6 MiB at
+# 4,096, 46.4 MiB at 8,192 and 72.9 MiB at 65,536.
+_PATH_CHUNK = 4_096
 
 
 @dataclass(frozen=True)
@@ -104,23 +108,11 @@ class SamplePath:
 
     def _adopt(self, y: np.ndarray, xi: np.ndarray) -> None:
         # Check y and xi and keep them, made read-only, as the path's arrays.
-        if y.ndim != 1 or xi.ndim != 1 or y.shape[0] != xi.shape[0] + 1 or xi.shape[0] < 1:
-            raise OutOfRangeError(
-                f"need len(y) = len(xi)+1 >= 2, got len(y)={y.shape} len(xi)={xi.shape}"
-            )
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(xi))):
-            raise NonFiniteError("path contains non-finite values")
-        if y[0] != 0.0:
-            raise OutOfRangeError(f"y[0] must be exactly 0, got {y[0]!r}")
-        resid = self.params.phi * y[:-1]  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
-        resid += xi
-        np.subtract(y[1:], resid, out=resid)
-        atol = 1e-12 * max(1.0, -float(y.min()), float(y.max()))
-        worst = float(np.max(np.abs(resid, out=resid)))
-        if worst > atol:
-            raise OutOfRangeError(
-                f"path violates y[t] = phi*y[t-1] + xi[t] (max residual {worst:.3e})"
-            )
+        _check_lengths(y.shape, xi.shape)
+        check = _PathSums(self.params, sums=False)
+        for piece in _path_pieces(y, xi):
+            check.add(*piece)
+        check.close()
         if self.seed is not None:
             _check_seed(self.seed)
         y.setflags(write=False)
@@ -141,6 +133,102 @@ def _owned_path(params: ModelParams, y: np.ndarray, xi: np.ndarray, seed: int | 
     object.__setattr__(path, "seed", seed)
     path._adopt(y, xi)
     return path
+
+
+def _check_lengths(y_shape: tuple[int, ...], xi_shape: tuple[int, ...]) -> None:
+    if len(y_shape) != 1 or len(xi_shape) != 1 or y_shape[0] != xi_shape[0] + 1 or xi_shape[0] < 1:
+        raise OutOfRangeError(f"need len(y) = len(xi)+1 >= 2, got len(y)={y_shape} len(xi)={xi_shape}")
+
+
+def _path_pieces(y: np.ndarray, xi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # Y_0.. and xi_1.. of a stored path in pieces of _PATH_CHUNK, for _PathSums.add.
+    for lo in range(0, y.shape[0], _PATH_CHUNK):
+        yield y[lo : lo + _PATH_CHUNK], xi[lo : lo + _PATH_CHUNK]
+
+
+class _PathSums:
+    # SamplePath's checks on a path fed in pieces, and with sums=True the
+    # estimator's sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and
+    # Y_{t-1}^2/V_{t-1}, each added in time order with _accumulate.
+    # add(y, xi) takes the next Y values (Y_0 first) and the next xi values
+    # (xi_1 first); a piece may hold more of one than of the other.  V_t
+    # comes piece by piece from variance_sequence's recursion, so no
+    # T-long array is held.  close() raises the first refusal in
+    # SamplePath's order (lengths, finiteness, y_0 = 0, the recursion
+    # against an atol from the extremes of all Y), then variance_sequence's
+    # for V_1..V_T, and returns the three sums (None without sums).  Once a
+    # refusal is certain the rest is only counted.
+    def __init__(self, params: ModelParams, sums: bool = True) -> None:
+        self.params = params
+        self.ny = self.nx = 0
+        self.finite = True
+        self.y0 = 0.0
+        self.scale = 1.0  # max(1, |Y|) over the Y seen
+        self.worst = 0.0  # largest |y[t] - (phi*y[t-1] + xi[t])| seen
+        self.ys = self.xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
+        self.next_v = _variance_walk(params) if sums else None
+        self.v_lag = None  # V_{t-1} of the next step t, None before t = 2
+        self.v_finite = self.v_positive = True
+        self.acc = np.full(3, -0.0)  # -0.0 + x == x for every x
+
+    def add(self, y: Sequence[float], xi: Sequence[float]) -> None:
+        y = np.asarray(y, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        if self.ny == 0 and y.size:
+            self.y0 = float(y[0])
+        self.ny += y.size
+        self.nx += xi.size
+        self.finite = self.finite and bool(np.all(np.isfinite(y)) and np.all(np.isfinite(xi)))
+        if not self.finite:
+            return
+        if y.size:
+            self.scale = max(self.scale, -float(y.min()), float(y.max()))
+        ys = np.concatenate((self.ys, y))
+        xs = np.concatenate((self.xs, xi))
+        k = max(0, min(ys.size - 1, xs.size))  # steps that have Y_{t-1}, Y_t and xi_t
+        if k:
+            lag, lead = ys[:k], ys[1 : k + 1]
+            # A path may still be refused after its terms overflow, so
+            # numpy's floating-point warnings stay off here.
+            with np.errstate(all="ignore"):
+                resid = self.params.phi * lag  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
+                resid += xs[:k]
+                np.subtract(lead, resid, out=resid)
+                self.worst = max(self.worst, float(np.max(np.abs(resid, out=resid))))
+                if self.next_v is not None:
+                    self._add_terms(lag, lead)
+        self.ys, self.xs = ys[k:], xs[k:]
+
+    def _add_terms(self, lag: np.ndarray, lead: np.ndarray) -> None:
+        v = self.next_v(lag.size)  # V_t of these steps
+        self.v_finite = self.v_finite and bool(np.all(np.isfinite(v)))
+        self.v_positive = self.v_positive and not np.any(v <= 0.0)
+        if self.v_lag is None:  # step t = 1 adds no terms
+            lag, lead, v_lag = lag[1:], lead[1:], v[:-1]
+        else:
+            v_lag = np.concatenate(([self.v_lag], v[:-1]))
+        self.v_lag = v[-1]
+        if lag.size and self.v_finite and self.v_positive:
+            terms = np.empty((lag.size, 3))
+            np.multiply(lag, lag, out=terms[:, 0])
+            np.multiply(lead, lag, out=terms[:, 1])
+            np.divide(terms[:, 0], v_lag, out=terms[:, 2])
+            _accumulate(self.acc, terms)
+
+    def close(self) -> np.ndarray | None:
+        _check_lengths((self.ny,), (self.nx,))
+        if not self.finite:
+            raise NonFiniteError("path contains non-finite values")
+        if self.y0 != 0.0:
+            raise OutOfRangeError(f"y[0] must be exactly 0, got {self.y0!r}")
+        if self.worst > 1e-12 * self.scale:
+            raise OutOfRangeError(
+                f"path violates y[t] = phi*y[t-1] + xi[t] (max residual {self.worst:.3e})"
+            )
+        if self.next_v is None:
+            return None
+        _check_variances(self.v_finite, self.v_positive)
+        return self.acc
 
 
 @dataclass(frozen=True)
@@ -287,32 +375,54 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     OutOfRangeError
         If T < 1.
     """
+    chunks = _walk(params, T, seed)
+    y = np.empty(T + 1)
+    xi = np.empty(T)
+    y[0] = 0.0
+    t = 1
+    for ys, xs in chunks:
+        y[t : t + len(ys)] = ys
+        xi[t - 1 : t - 1 + len(xs)] = xs
+        t += len(ys)
+    return _owned_path(params, y, xi, seed)
+
+
+def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float], list[float]]]:
+    # The single-path kernel: lists of Y_t and of xi_t for t = 1..T, one
+    # pair per chunk of _PATH_CHUNK steps, each chunk drawn from the path's
+    # stream and walked before the next.  T, the seed and V_t are checked
+    # here, before the first chunk is asked for.
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
-    _check_seed(seed)
     stream = normal_stream(seed)
     v, rs, cond_sd = _coefficients(params, T)
     phi = params.phi
-    y = np.empty(T + 1)
-    xi = np.empty(T)
-    # Python stores into the arrays through memoryviews, which is cheaper
-    # than numpy's item assignment.
-    with memoryview(y) as ys, memoryview(xi) as xs:
-        ys[0] = 0.0
-        x = params.sigma_xi * stream.standard_normal()  # xi_1 = sigma_xi*eps_1
-        xs[0] = x
-        level = phi * 0.0 + x
-        ys[1] = level
-        for t0 in range(1, T, _PATH_CHUNK):  # steps t = t0+1 .. t1
-            t1 = min(t0 + _PATH_CHUNK, T)
-            noise = (cond_sd * stream.standard_normal(t1 - t0)).tolist()
-            slope = (rs / v[t0 - 1 : t1 - 1]).tolist()  # rho*sigma_xi/V_{t-1}
-            for t, s, e in zip(range(t0 + 1, t1 + 1), slope, noise):
-                x = s * level + e
-                xs[t - 1] = x
+
+    def chunks() -> Iterator[tuple[list[float], list[float]]]:
+        level = 0.0  # Y_0
+        for t0 in range(1, T + 1, _PATH_CHUNK):  # steps t = t0 .. t1-1
+            t1 = min(t0 + _PATH_CHUNK, T + 1)
+            eps = stream.standard_normal(t1 - t0)
+            ys: list[float] = []
+            xs: list[float] = []
+            first = t0
+            if t0 == 1:
+                x = params.sigma_xi * float(eps[0])  # xi_1 = sigma_xi*eps_1
                 level = phi * level + x
-                ys[t] = level
-    return _owned_path(params, y, xi, seed)
+                xs.append(x)
+                ys.append(level)
+                first = 2
+            noise = (cond_sd * eps[first - t0 :]).tolist()
+            slope = (rs / v[first - 2 : t1 - 2]).tolist()  # rho*sigma_xi/V_{t-1}
+            y_append, x_append = ys.append, xs.append
+            for s, e in zip(slope, noise):
+                x = s * level + e
+                x_append(x)
+                level = phi * level + x
+                y_append(level)
+            yield ys, xs
+
+    return chunks()
 
 
 def _run_blocks(

@@ -132,6 +132,19 @@ def z_series(path: SamplePath) -> MartingaleDiagnostics:
     return MartingaleDiagnostics(z=z, w=w, sigma_t_sq=sigma_t_sq)
 
 
+def one_shot_sums(path: SamplePath) -> np.ndarray:
+    """sum(Y_{t-1}^2), sum(Y_t*Y_{t-1}) and sum(Y_{t-1}^2/V_{t-1}) over
+    t = 2..T, from one (T-1, 3) array of all terms reduced along its rows,
+    which numpy adds one row after another: the estimator's sums as they
+    were taken before the single-path route summed chunk by chunk."""
+    lag = path.y[1:-1]  # Y_{t-1}, t = 2..T
+    terms = np.empty((lag.size, 3))
+    np.multiply(lag, lag, out=terms[:, 0])
+    np.multiply(path.y[2:], lag, out=terms[:, 1])
+    np.divide(terms[:, 0], variance_sequence(path.params, path.horizon)[:-1], out=terms[:, 2])
+    return np.add.reduce(terms, axis=0)
+
+
 def read_path_csv(infile: str, params: ModelParams) -> SamplePath:
     """A path CSV read row by row with csv.reader and float(), the whole
     file in one loop: the reader the CLI's chunked reader must agree with

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -233,8 +234,9 @@ class TestEstimate:
         assert tree["seed"] is None
 
     def test_csv_across_write_pieces_round_trips_exactly(self, capsys, tmp_path):
-        # The CSV is written in pieces of 65,536 rows; this path crosses
-        # a piece boundary, and no row may be lost, repeated or altered.
+        # The CSV is written in pieces of simulation._PATH_CHUNK rows; this
+        # path crosses many piece boundaries and ends in a partial piece,
+        # and no row may be lost, repeated or altered.
         T = 65_536 + 5
         path_file = tmp_path / "path.csv"
         assert parse_and_dispatch(
@@ -333,6 +335,7 @@ READER_CONTRACT = {
         lambda rows: _set_field(3, 1, " " + rows[3].split(",")[1])(rows), 0, _EST_T4, ""
     ),
     "t0_row_y_0.0": (_set_field(1, 1, "0.0"), 0, _EST_T4, ""),
+    "t0_row_y_0.5": (_set_field(1, 1, "0.5"), 3, "", "error: y[0] must be exactly 0, got 0.5\n"),
     "no_trailing_newline": (lambda rows: rows[:-1] + [rows[-1].rstrip("\n")], 0, _EST_T4, ""),
     "newline_inside_quoted_y": (_quote_y("\n"), 0, _EST_T4, ""),
     "t_1.0": (_set_field(2, 0, "1.0"), 3, "", "error: {}:3: expected t = 1, got '1.0'\n"),
@@ -442,41 +445,105 @@ class TestReadPathCsv:
         read_chars=st.sampled_from([1, 7, 40, 1 << 20]),
     )
     def test_edited_file_reads_as_the_row_loop_reads_it(self, edits, read_chars):
-        text = "".join(cli._path_csv(simulate_path(P, 12, 4)))
+        # The chunked reader and its running checks and sums end as the
+        # whole-file row loop, SamplePath and infeasible_estimate end: the
+        # same estimate, or the same refusal.
+        text = "".join(cli._path_csv(simulation._walk(P, 12, 4)))
         for op, pos, ch in edits:
             pos %= len(text) + 1
             text = text[:pos] + ("" if op == "delete" else ch) + text[pos + (op != "insert") :]
 
-        def outcome(read, infile):
+        def outcome(estimate, infile):
             try:
-                path = read(infile, P)
+                return dataclasses.asdict(estimate(infile, P))
             except Exception as exc:
                 return type(exc), str(exc)
-            return path.y.tobytes(), path.xi.tobytes()
 
         with tempfile.TemporaryDirectory() as tmp:
             infile = str(Path(tmp) / "edited.csv")
             with open(infile, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
-            want = outcome(read_path_csv, infile)
+            want = outcome(lambda f, p: infeasible_estimate(read_path_csv(f, p)), infile)
             with mock.patch.object(cli, "_READ_CHARS", read_chars):
-                assert outcome(cli._read_path_csv, infile) == want
+                assert outcome(cli._estimate_csv, infile) == want
 
-    def test_memory_is_a_few_words_per_row(self, tmp_path):
-        # y and xi, the chunk pieces they are joined from and a few copies
-        # of one read chunk: 4 words (8 bytes) per row at this T.  A copy
-        # of y and xi in SamplePath takes it to 6, and Python lists of
-        # floats, as the reader built before, took 12.
-        T = 200_000
+    @pytest.mark.parametrize("read_chars", [1, 40, 1 << 20])
+    @pytest.mark.parametrize(
+        "sigma, edit, err",
+        [
+            ("1e-200", None, "error: every V_t must be positive\n"),
+            ("1e-200", _set_field(5, 0, "x"), "error: {}:6: expected t = 4, got 'x'\n"),
+            ("1e200", _set_field(5, 1, "inf"), "error: path contains non-finite values\n"),
+            ("1e200", None, "error: variance sequence contains non-finite entries\n"),
+        ],
+        ids=["underflow", "bad_t_then_underflow", "inf_then_overflow", "overflow"],
+    )
+    def test_variance_refusal_comes_last(self, capsys, tmp_path, monkeypatch, sigma, edit, err, read_chars):
+        # V_t is taken and checked piece by piece as the rows arrive, but
+        # its refusal waits for the file and the path checks, as when the
+        # path was read whole first.  V_2 underflows to 0 at sigma 1e-200
+        # and V_1 overflows at 1e200.
+        path_file = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", "4", "--seed", "4", "--out", str(path_file)]) == 0
+        rows = path_file.read_text().splitlines(keepends=True)
+        path_file.write_text("".join(edit(rows) if edit else rows))
+        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        capsys.readouterr()
+        got = run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file))
+        assert got == (3, "", err.format(path_file))
+
+    @pytest.mark.parametrize("T", [100_000, 1_000_000])
+    def test_memory_does_not_grow_with_horizon(self, tmp_path, T):
+        # A few copies of one read chunk and its sums' buffers, 0.44 MiB
+        # at either T; reading the path whole and then summing a (T-1, 3)
+        # array of its terms peaked at 46.7 MiB at T = 1e6.
         path_file = tmp_path / "path.csv"
         assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
         tracemalloc.start()
         try:
-            cli._read_path_csv(str(path_file), P)
+            cli._estimate_csv(str(path_file), P)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * T
+        assert peak < 4 << 20
+
+
+class TestSinglePathRoute:
+    """The single-path route walks, writes, reads and sums a path chunk by
+    chunk; no chunk length may change a byte."""
+
+    @pytest.mark.parametrize("params", [P, ModelParams(0.95, 0.9, 2.0)], ids=["P", "slow_V"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
+    def test_estimate_in_equals_estimate_T(self, capsys, tmp_path, monkeypatch, params, chunk):
+        # At (0.95, 0.9) V_t is still moving at T = 50, so its pieces
+        # come from the recursion, not the fixed-point fill.
+        flags = ["--phi", str(params.phi), "--rho", str(params.rho), "--sigma", str(params.sigma_xi)]
+        monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
+        path_file = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", *flags, "-T", "50", "--out", str(path_file)]) == 0
+        capsys.readouterr()
+        for fmt in ("csv", "json"):
+            code, direct, _ = run_cli(capsys, "estimate", *flags, "-T", "50", "--format", fmt)
+            assert code == 0
+            # A path read from a file has no seed.
+            want = direct.replace(f'"seed": {DEFAULT_SEED}', '"seed": null')
+            for read_chars in (1, 7, 40):
+                monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+                got = run_cli(capsys, "estimate", *flags, "--in", str(path_file), "--format", fmt)
+                assert got == (0, want, "")
+
+    def test_simulate_memory_is_v_plus_a_chunk(self, tmp_path):
+        # simulate holds V_t (8 bytes per step) and one chunk of the walk
+        # and its CSV text, 8.9 MiB in all at this T; holding the path as
+        # well peaked at 31.6 MiB.
+        T = 1_000_000
+        tracemalloc.start()
+        try:
+            assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(tmp_path / "p.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * T + (4 << 20)
 
 
 class TestExperimentCli:
@@ -560,7 +627,10 @@ GOLDEN_SHA256 = {
 
 # sha256 of the single-path and figure outputs, recorded before their
 # encoders were built from the result dataclasses' fields.  "PATH" stands
-# for a T=3000 path that `simulate` wrote at the default seed.
+# for a T=3000 path that `simulate` wrote at the default seed.  The two
+# figure digests were recorded again when vbar_limit began to form 1 - phi^2
+# as (1 - phi)(1 + phi) where rho*phi >= 0, which moved 12 rows of vbar
+# and 8 of bias by one or two units in the last place.
 GOLDEN_OUTPUTS = {
     ("estimate", "-T", "5000"):
         "09832d0499402061c5449ae583b6f523cb0b07c9db5e9a8e695e67da681925f7",
@@ -572,8 +642,8 @@ GOLDEN_OUTPUTS = {
         "b69d451d5ca8267ae29eb3028abb4c649a671c2347136e45f47a7d7baf36e5d4",
     ("simulate", "-T", "20", "--format", "json"):
         "c3e07748ae40fa796e6ad99ffe3dff3167ed5e3912df8a32eac835b06a07f05b",
-    ("figure", "vbar"): "f79389c49fa392393b3bb8457820ce1a6d02b6ac59b6fc1daf9988f14c5c00b7",
-    ("figure", "bias"): "5870dad6565eac44c8a83d9efa13274026cb3a968cc4babf973bdf58fe782f72",
+    ("figure", "vbar"): "1d202b3b02f425d733920e043c5baf2fff2e84203750fb7a065b7cf455e45da8",
+    ("figure", "bias"): "975c59b775cbb2db3f4a1745b1953d96738923ef9339522d7589a9ab40091553",
 }
 
 

@@ -172,7 +172,15 @@ class TestLimitsAgainstDecimal:
 
     @pytest.mark.parametrize(
         "phi, rho",
-        [(-0.999999, 0.999999), (0.999999, -0.999999), (-0.99, 0.99), (0.5, 0.3), (0.5, 0.999999)],
+        [
+            (-0.999999, 0.999999),
+            (0.999999, -0.999999),
+            (-0.99, 0.99),
+            (0.5, 0.3),
+            (0.5, 0.999999),
+            (0.999999, 0.999999),
+            (0.999999, 0.5),
+        ],
     )
     def test_relative_error(self, phi, rho):
         p = ModelParams(phi, rho, 1.0)

@@ -23,9 +23,10 @@ from digar import (
     variance_sequence,
 )
 from digar.experiments import _collect_estimates
+from digar import cli, simulation
 from digar.simulation import _run_blocks
 from conftest import params_strategy
-from oracles import MartingaleDiagnostics, z_series
+from oracles import MartingaleDiagnostics, one_shot_sums, z_series
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -123,6 +124,28 @@ class TestInfeasibleEstimate:
         res = infeasible_estimate(path)
         assert abs(res.phi_hat - tau_bar(P)) < 0.02
         assert abs(res.phi_tilde - 0.5) < 0.02
+
+    @pytest.mark.parametrize("params", [P, ModelParams(0.95, 0.9, 2.0)], ids=["P", "slow_V"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
+    def test_sums_equal_one_shot_reduction(self, monkeypatch, tmp_path, params, chunk):
+        # infeasible_estimate and estimate --in add the terms chunk by
+        # chunk; the sums equal those of one (T-1, 3) reduction bit for
+        # bit, whatever the chunk and read lengths.
+        path = simulate_path(params, 50, 3)
+        want = one_shot_sums(path)
+        hat, corr = want[1] / want[0], params.rho * params.sigma_xi * want[2] / want[0]
+        monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
+        sums = simulation._PathSums(params)
+        for piece in simulation._path_pieces(path.y, path.xi):
+            sums.add(*piece)
+        assert sums.close().tobytes() == want.tobytes()
+        res = infeasible_estimate(path)
+        assert (res.phi_hat, res.correction, res.sample_size) == (hat, corr, 50)
+        path_file = tmp_path / "path.csv"
+        path_file.write_text("".join(cli._path_csv(simulation._walk(params, 50, 3))))
+        for read_chars in (1, 7, 40):
+            monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+            assert cli._estimate_csv(str(path_file), params) == res
 
     def test_result_invariants_enforced(self):
         with pytest.raises(OutOfRangeError):

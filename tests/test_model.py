@@ -13,6 +13,7 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
+from digar.model import _variance_walk
 from conftest import params_strategy
 from oracles import variance_sum_form, variance_sum_sequence
 
@@ -137,6 +138,17 @@ class TestVarianceSequence:
     @given(params_strategy())
     def test_fixed_point_exit_matches_plain_loop_generic(self, p):
         assert np.array_equal(variance_sequence(p, 3000), _plain_recursion(p, 3000))
+
+    @pytest.mark.parametrize("piece", [1, 2, 7, 49])
+    @pytest.mark.parametrize("phi, rho", [(0.5, 0.3), (0.9999, 0.999), (-0.999, 0.9)])
+    def test_walk_in_pieces_matches_whole(self, phi, rho, piece):
+        # The estimator takes V_t piece by piece from the recursion that
+        # builds variance_sequence; at (0.5, 0.3) the fixed point is hit
+        # inside a piece, and later pieces are only filled.
+        p = ModelParams(phi, rho, 1.0)
+        next_v = _variance_walk(p)
+        pieces = [next_v(piece) for _ in range(0, 300, piece)]
+        assert np.concatenate(pieces)[:300].tobytes() == variance_sequence(p, 300).tobytes()
 
 
 def _plain_recursion(p, T):

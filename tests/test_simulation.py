@@ -214,8 +214,8 @@ class TestSimulatePath:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 48, 49])
     def test_path_does_not_depend_on_chunk_length(self, monkeypatch, chunk):
-        # simulate_path draws and walks chunk by chunk; the walk after the
-        # first step covers 49 steps here, so 48 and 49 end at its edges.
+        # simulate_path draws and walks chunk by chunk; the walk covers 50
+        # steps here, so chunks of 49 and 48 leave one and two over.
         whole = simulate_path(P, 50, 3)
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
         part = simulate_path(P, 50, 3)
@@ -261,7 +261,9 @@ class TestSamplePathValidation:
         assert path.seed is None
 
     def test_nonzero_origin_rejected(self):
-        with pytest.raises(OutOfRangeError):
+        # Worded by the float's repr, not the numpy scalar's (which NumPy
+        # 2 prints as np.float64(0.5)).
+        with pytest.raises(OutOfRangeError, match=r"^y\[0\] must be exactly 0, got 0\.5$"):
             SamplePath(P, np.array([0.5, 1.25]), np.array([1.0]), None)
 
     def test_broken_recursion_rejected(self):
@@ -271,6 +273,11 @@ class TestSamplePathValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(OutOfRangeError):
             SamplePath(P, np.array([0.0, 1.0]), np.array([1.0, 1.5]), None)
+
+    def test_two_dimensional_arrays_rejected(self):
+        msg = r"^need len\(y\) = len\(xi\)\+1 >= 2, got len\(y\)=\(3, 1\) len\(xi\)=\(2,\)$"
+        with pytest.raises(OutOfRangeError, match=msg):
+            SamplePath(P, np.zeros((3, 1)), np.zeros(2), None)
 
     def test_empty_path_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -283,6 +290,22 @@ class TestSamplePathValidation:
     def test_bad_seed_rejected(self):
         with pytest.raises(OutOfRangeError):
             SamplePath(P, np.array([0.0, 1.0]), np.array([1.0]), -1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_tolerance_scales_with_the_whole_path(self, monkeypatch, sign, chunk):
+        # The recursion is checked chunk by chunk, but its atol is 1e-12
+        # times the largest |Y| of the whole path, here Y_1 = +-1e6, far
+        # from the residual at the last step.
+        monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
+        y = np.concatenate(([0.0], sign * 1e6 * 0.5 ** np.arange(30.0)))  # exact at phi = 0.5
+        xi = np.zeros(30)
+        xi[0] = y[1]
+        y[-1] += 1e-7
+        SamplePath(P, y, xi, None)
+        y[-1] += 1e-5
+        with pytest.raises(OutOfRangeError, match="path violates"):
+            SamplePath(P, y, xi, None)
 
     def test_keeps_copies_of_the_callers_arrays(self):
         y = np.array([0.0, 1.0, 2.0, 1.0])
