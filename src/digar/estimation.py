@@ -47,12 +47,17 @@ class EstimateResult:
 
 def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Sums, _Sums]:
     # Plain slope cross/den and correction coef*weighted/den from the
-    # time-ordered sums.
+    # time-ordered sums, refused by name when the denominator is zero or
+    # when the sums or the slopes overflow.
     if np.any(den <= 0.0):
         raise DegenerateDenominatorError(
             "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
         )
-    return cross / den, coef * weighted / den
+    with np.errstate(all="ignore"):
+        hat, corr = cross / den, coef * weighted / den
+    if not np.isfinite([den, hat, corr]).all():
+        raise NonFiniteError("estimator sums or slopes are not finite (they overflow double precision)")
+    return hat, corr
 
 
 def infeasible_estimate(path: SamplePath) -> EstimateResult:
@@ -80,7 +85,7 @@ def _estimate(params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray
     sums = _PathSums(params)
     for piece in pieces:
         sums.add(*piece)
-    hat, corr = _slopes(params.rho * params.sigma_xi, *sums.close().tolist())
+    hat, corr = _slopes(params.rho * params.sigma_xi, *sums.close()[:, 0].tolist())
     return EstimateResult(phi_hat=hat, correction=corr, sample_size=sums.nx)
 
 

@@ -130,18 +130,17 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def ks_distance(sample: Sequence[float], cdf: Callable[[float], float] | None = None) -> float:
-    """Kolmogorov-Smirnov distance of a sample to a continuous CDF.
+def ks_distance(sample: Sequence[float]) -> float:
+    """Kolmogorov-Smirnov distance of a sample to N(0, 1).
 
-    Defaults to the standard normal CDF.  Uses the two one-sided suprema
-    over the sorted sample, exact for continuous reference distributions.
+    Uses the two one-sided suprema over the sorted sample, exact for a
+    continuous reference distribution.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     if n < 1:
         raise OutOfRangeError("sample must be nonempty")
-    f = normal_cdf if cdf is None else cdf
-    fx = np.array([f(float(v)) for v in x])
+    fx = np.array([normal_cdf(float(v)) for v in x])
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - fx))
     d_minus = float(np.max(fx - (grid - 1.0 / n)))

@@ -23,10 +23,12 @@ from variance_sequence's recursion; infeasible_estimate feeds it a
 stored path, and `digar estimate --in` each chunk it parses from the
 file, so it holds a few chunks and nothing T-long.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
-a SplitMix64 step, so batch output is independent of execution order,
-batch rows are bit-identical to the corresponding single-path calls, and
-the estimator sums, which the kernel and estimation.infeasible_estimate
-both add in time order with _accumulate, agree bit for bit.
+a SplitMix64 step, so batch output is independent of execution order and
+batch rows are bit-identical to the corresponding single-path calls.  The
+estimator's sums have one reduction, _add_sums, which adds them in time
+order: the batch kernel calls it once per chunk of a block, and _PathSums
+once per piece of a path, with one-column views, so a batch row's sums
+and its path's agree bit for bit.
 
 Row r's stream is PCG64(mix_seed(master_seed, r)).  The batch kernel
 computes the starting states of a block's rows in one numpy pass
@@ -149,7 +151,7 @@ def _path_pieces(y: np.ndarray, xi: np.ndarray) -> Iterator[tuple[np.ndarray, np
 class _PathSums:
     # SamplePath's checks on a path fed in pieces, and with sums=True the
     # estimator's sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and
-    # Y_{t-1}^2/V_{t-1}, each added in time order with _accumulate.
+    # Y_{t-1}^2/V_{t-1}, each added in time order by _add_sums.
     # add(y, xi) takes the next Y values (Y_0 first) and the next xi values
     # (xi_1 first); a piece may hold more of one than of the other.  V_t
     # comes piece by piece from variance_sequence's recursion, so no
@@ -169,7 +171,7 @@ class _PathSums:
         self.next_v = _variance_walk(params) if sums else None
         self.v_lag = None  # V_{t-1} of the next step t, None before t = 2
         self.v_finite = self.v_positive = True
-        self.acc = np.full(3, -0.0)  # -0.0 + x == x for every x
+        self.acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
 
     def add(self, y: Sequence[float], xi: Sequence[float]) -> None:
         y = np.asarray(y, dtype=float)
@@ -188,15 +190,15 @@ class _PathSums:
         k = max(0, min(ys.size - 1, xs.size))  # steps that have Y_{t-1}, Y_t and xi_t
         if k:
             lag, lead = ys[:k], ys[1 : k + 1]
-            # A path may still be refused after its terms overflow, so
+            # A path may still be refused after its residuals overflow, so
             # numpy's floating-point warnings stay off here.
             with np.errstate(all="ignore"):
                 resid = self.params.phi * lag  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
                 resid += xs[:k]
                 np.subtract(lead, resid, out=resid)
                 self.worst = max(self.worst, float(np.max(np.abs(resid, out=resid))))
-                if self.next_v is not None:
-                    self._add_terms(lag, lead)
+            if self.next_v is not None:
+                self._add_terms(lag, lead)
         self.ys, self.xs = ys[k:], xs[k:]
 
     def _add_terms(self, lag: np.ndarray, lead: np.ndarray) -> None:
@@ -209,11 +211,7 @@ class _PathSums:
             v_lag = np.concatenate(([self.v_lag], v[:-1]))
         self.v_lag = v[-1]
         if lag.size and self.v_finite and self.v_positive:
-            terms = np.empty((lag.size, 3))
-            np.multiply(lag, lag, out=terms[:, 0])
-            np.multiply(lead, lag, out=terms[:, 1])
-            np.divide(terms[:, 0], v_lag, out=terms[:, 2])
-            _accumulate(self.acc, terms)
+            _add_sums(self.acc, lag[:, None], lead[:, None], v_lag[:, None], np.empty((lag.size, 1)))
 
     def close(self) -> np.ndarray | None:
         _check_lengths((self.ny,), (self.nx,))
@@ -340,15 +338,29 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
     return states
 
 
-def _accumulate(acc: np.ndarray, terms: np.ndarray) -> None:
-    # acc + terms[0] + terms[1] + ..., added in that order.  Reducing axis 0
-    # of a C-ordered array adds whole rows in turn; numpy sums pairwise only
-    # along the fast axis, which a single column becomes.
-    terms[0] += acc
-    if terms.shape[1] > 1:
-        np.add.reduce(terms, axis=0, out=acc)
-    else:
-        acc[0] = np.cumsum(terms[:, 0])[-1]
+def _add_sums(
+    acc: np.ndarray, lag: np.ndarray, lead: np.ndarray, v_lag: np.ndarray, scratch: np.ndarray
+) -> None:
+    # The estimator's one reduction, shared by both kernels.  For a
+    # (steps, paths) block of lag = Y_{t-1} and lead = Y_t, and v_lag =
+    # V_{t-1} as a (steps, 1) column, it adds the terms Y_{t-1}^2,
+    # Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1} to rows 0, 1 and 2 of acc, a
+    # (3, paths) array, each as acc + term_1 + term_2 + ..., in time order.
+    # Reducing axis 0 of a C-ordered array adds whole rows in turn; numpy
+    # sums pairwise only along the fast axis, which a single column becomes,
+    # so one path goes through cumsum.  scratch is a C-ordered (steps, paths)
+    # buffer for the terms.  estimation._slopes refuses sums that overflow,
+    # so numpy's floating-point warnings stay off here.
+    with np.errstate(all="ignore"):
+        for i in range(3):
+            terms = np.multiply(lag, lead if i == 1 else lag, out=scratch)
+            if i == 2:
+                np.divide(terms, v_lag, out=terms)
+            terms[0] += acc[i]
+            if terms.shape[1] > 1:
+                np.add.reduce(terms, axis=0, out=acc[i])
+            else:
+                acc[i] = np.cumsum(terms[:, 0])[-1]
 
 
 def _coefficients(params: ModelParams, T: int) -> tuple[np.ndarray, float, float]:
@@ -516,17 +528,10 @@ def _run_blocks(
                 add(tmp, x, x)
                 mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
                 add(lead, x, lead)
-            if acc is not None:
-                d = 1 if t0 == 1 else 0  # the sums start at t = 2
-                k = m - d
-                if k > 0:
-                    lags = y[d:m]
-                    terms = raw[: k * n].reshape(k, n)
-                    _accumulate(acc[0], mul(lags, lags, out=terms))
-                    _accumulate(acc[1], mul(y[d + 1 : m + 1], lags, out=terms))
-                    mul(lags, lags, out=terms)
-                    v_lag = v[t0 + d - 2 : t0 + m - 2, None]
-                    _accumulate(acc[2], np.divide(terms, v_lag, out=terms))
+            d = 1 if t0 == 1 else 0  # the sums start at t = 2
+            if acc is not None and m > d:
+                terms = raw[: (m - d) * n].reshape(m - d, n)
+                _add_sums(acc, y[d:m], y[d + 1 : m + 1], v[t0 + d - 2 : t0 + m - 2, None], terms)
             if ys is not None:
                 a, b = max(lo, t0), min(hi, t0 + m)
                 if a < b:

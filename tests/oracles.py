@@ -85,6 +85,37 @@ def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Deci
         )
 
 
+def decimal_decay_bound(params: ModelParams) -> Decimal:
+    """eta_hat = sup_t |tau_{t,t+1}| at 60 digits, taking the binary
+    parameter values as exact.
+
+    Walks V_{t+1} = sqrt(u(V_t)^2 + s2), u(v) = phi*v + rho*sigma,
+    s2 = sigma^2*(1 - rho^2), from V_1 = sigma with |tau_{t,t+1}| =
+    H(|u(V_t)|), H(x) = x/sqrt(x^2 + s2).  Every later V_s lies within
+    d = |V_{t+1} - vbar| of vbar, so every later |tau| is at most
+    H(|u(vbar)| + |phi|*d); the walk stops once that bound is at most the
+    running max, and the answer is that max or |tau_bar| = H(|u(vbar)|).
+    """
+    p, r, s = Decimal(params.phi), Decimal(params.rho), Decimal(params.sigma_xi)
+    vbar = decimal_limits(params)[0]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rs, s2 = r * s, s * s * (1 - r * r)
+        u_bar = abs(p * vbar + rs)
+
+        def h(x: Decimal) -> Decimal:
+            return x / (x * x + s2).sqrt()
+
+        v, head = s, Decimal(0)
+        while True:
+            u = p * v + rs
+            w = (u * u + s2).sqrt()
+            head = max(head, abs(u) / w)
+            if h(u_bar + abs(p) * abs(w - vbar)) <= head:
+                return max(head, h(u_bar))
+            v = w
+
+
 @dataclass(frozen=True)
 class MartingaleDiagnostics:
     """Score diagnostics Z_2..Z_T, W_2..W_T and the deterministic E[Z_t^2].

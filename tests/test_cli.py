@@ -294,6 +294,12 @@ class TestEstimate:
         assert code == 3
         assert err == f"error: {bad}:{line}: expected t = {line - 2}, got {t!r}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_refused(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "-T", "200", "--sigma", "1e153")
+        assert (code, out) == (3, "")
+        assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_OVERFLOW
+
     def test_wrong_parameters_for_file(self, capsys, tmp_path):
         # the loaded path must satisfy the recursion at the declared phi
         path_file = tmp_path / "path.csv"
@@ -327,6 +333,7 @@ _EST_T4 = (
     "phi_hat,phi_tilde,correction,sample_size\n"
     "0.59606882517892701,0.35131745463667835,0.24475137054224866,4\n"
 )
+_SUMS_OVERFLOW = "error: estimator sums or slopes are not finite (they overflow double precision)\n"
 READER_CONTRACT = {
     "crlf": (lambda rows: [r.replace("\n", "\r\n") for r in rows], 0, _EST_T4, ""),
     "blank_line": (lambda rows: rows[:3] + ["\n"] + rows[3:], 0, _EST_T4, ""),
@@ -378,6 +385,13 @@ READER_CONTRACT = {
     "t0_row_only": (
         lambda rows: rows[:2], 3, "",
         "error: need len(y) = len(xi)+1 >= 2, got len(y)=(1,) len(xi)=(0,)\n",
+    ),
+    # A path that keeps its recursion but whose sums overflow.
+    "squares_overflow": (
+        lambda rows: rows[:2] + ["1,1e300,1e300\n", "2,1e300,5e299\n"], 3, "", _SUMS_OVERFLOW,
+    ),
+    "slope_overflows": (
+        lambda rows: rows[:2] + ["1,1e-150,1e-150\n", "2,1e200,1e200\n"], 3, "", _SUMS_OVERFLOW,
     ),
 }
 
@@ -573,6 +587,13 @@ class TestExperimentCli:
         assert tree["k_max"] == 2
         assert tree["t_obs"] == 200
         assert tree["rows"] == table.as_tree()["rows"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_refused(self, capsys):
+        argv = ("experiment", "consistency", "--sigma", "1e153", "-T", "200", "-R", "100")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_OVERFLOW
 
     def test_clt_precondition_via_cli(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "clt", "-T", "100", "-R", "1000")

@@ -23,8 +23,9 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
+from digar.dependence import _ROUNDING
 from conftest import boundary_params_strategy, params_strategy
-from oracles import decay_bound_scan, decimal_limits
+from oracles import decay_bound_scan, decimal_decay_bound, decimal_limits
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -237,6 +238,35 @@ class TestMixingDecayBound:
         ):
             p = ModelParams(phi, rho, sig)
             assert mixing_decay_bound(p) == decay_bound_scan(p, 50)
+
+    @pytest.mark.parametrize(
+        "phi, rho, sigma",
+        [
+            (0.5, -0.3, 1.0),
+            (-0.5, 0.3, 1.0),
+            (-0.9, 0.6, 2.0),
+            (0.95, -0.9, 3.0),
+            (-0.999, 0.9, 1.0),
+            (0.6, -0.5, 1.0),
+            (0.3, -0.9, 0.5),
+            (-0.999999, 0.999999, 1.0),
+            (-4.00055585733605e-09, 4.0005558573360486e-09, 0.001637124367153567),
+        ],
+    )
+    def test_matches_decimal_walk(self, phi, rho, sigma):
+        # phi*rho < 0, where the sign rule decides when the walk stops, and
+        # tau_bar near 0, where it fires only close to the fixed point
+        p = ModelParams(phi, rho, sigma)
+        want = decimal_decay_bound(p)
+        assert abs((Decimal(mixing_decay_bound(p)) - want) / want) <= Decimal("1e-14"), p
+
+    def test_matches_decimal_walk_where_tau_bar_cancels(self):
+        # phi*V + rho*sigma_xi cancels to about 1e-24 of its terms here, so
+        # eta_hat holds only the rounding of those terms, relative to vbar
+        p = ModelParams(3.656990495425337e-08, -3.656990495425337e-08, 42.75804774600064)
+        vb = vbar_limit(p)
+        bound = _ROUNDING * (abs(p.phi) * vb + abs(p.rho) * p.sigma_xi) / vb
+        assert abs(Decimal(mixing_decay_bound(p)) - decimal_decay_bound(p)) <= Decimal(bound)
 
     def test_answers_near_boundary_with_opposite_signs(self):
         # |phi*tau_bar|, the contraction of V_t at vbar, is 1 - 5e-6 here

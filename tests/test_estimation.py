@@ -25,7 +25,7 @@ from digar import (
 from digar.experiments import _collect_estimates
 from digar import cli, simulation
 from digar.simulation import _run_blocks
-from conftest import params_strategy
+from conftest import boundary_params_strategy, seeds_strategy
 from oracles import MartingaleDiagnostics, one_shot_sums, z_series
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -157,7 +157,7 @@ class TestInfeasibleEstimate:
         with pytest.raises(TypeError):
             EstimateResult(phi_hat=0.8, phi_tilde=0.5, correction=0.25, sample_size=3)
 
-    @given(params_strategy(), st.integers(0, 2**32))
+    @given(boundary_params_strategy(), st.integers(0, 2**32))
     def test_score_decomposition_identity(self, p, seed):
         # phi_tilde - phi = sum(Z_t)/sum(Y_{t-1}^2): the corrected
         # estimation error is exactly the normalized score sum.
@@ -188,6 +188,13 @@ class TestBatchAgreement:
             for r in range(R):
                 res = infeasible_estimate(simulate_path(p, 300, mix_seed(2718, r)))
                 assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), (p, r)
+
+    @given(boundary_params_strategy(), st.integers(2, 600), st.integers(1, 4), seeds_strategy())
+    def test_batch_rows_equal_single_paths_at_boundary(self, p, T, R, seed):
+        hats, tildes = _collect_estimates(BatchSpec(p, T, R, seed))
+        for r in range(R):
+            res = infeasible_estimate(simulate_path(p, T, mix_seed(seed, r)))
+            assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), r
 
     def test_sums_run_in_time_order(self):
         for p in self.PARAMS:

@@ -70,12 +70,6 @@ class TestKsDistance:
         expected = scipy.stats.kstest(z, "norm").statistic
         assert ks_distance(z) == pytest.approx(expected, abs=1e-12)
 
-    def test_custom_cdf(self):
-        u = np.array([normal_cdf(v) for v in normal_stream(6).standard_normal(300)])
-        expected = scipy.stats.kstest(u, "uniform").statistic
-        got = ks_distance(u, cdf=lambda v: min(max(v, 0.0), 1.0))
-        assert got == pytest.approx(expected, abs=1e-12)
-
     def test_single_point(self):
         assert ks_distance([0.0]) == 0.5
 

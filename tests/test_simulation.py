@@ -21,7 +21,7 @@ from digar import (
 )
 from digar import simulation
 from digar.simulation import _mix_seeds, _pcg64_states, _run_blocks
-from conftest import params_strategy, seeds_strategy
+from conftest import boundary_params_strategy, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -240,7 +240,7 @@ class TestSimulatePath:
             tracemalloc.stop()
         assert peak < 5 * 8 * T
 
-    @given(params_strategy(), seeds_strategy(), st.integers(1, 40))
+    @given(boundary_params_strategy(), seeds_strategy(), st.integers(1, 40))
     def test_recursion_identity_generic(self, p, seed, T):
         path = simulate_path(p, T, seed)
         assert np.array_equal(path.y[1:], p.phi * path.y[:-1] + path.xi)
