@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -152,39 +153,21 @@ def _csv_rows(
     return y, xi, lineno
 
 
-_DIGITS = 10 ** np.arange(19, dtype=np.int64)  # n has searchsorted(_DIGITS, n, "right") digits
-
-
 def _plain_rows(text: str, t: int) -> np.ndarray | None:
     # The rows of text, lines that each end in "\n", as an (n, 3) array,
-    # if every line is "t,y,xi" as simulate writes it: only the characters
-    # 0-9 + - . e , and newline, t written as the decimal digits of the
-    # row's number (t, t+1, ...), and y and xi numbers numpy parses.
-    # csv.reader and float() then read the same values, so the row loop
-    # would take the rows as they are.  None otherwise.  Whitespace is
-    # refused because numpy reads a field of only whitespace as -1.
+    # if every line is "t,y,xi" as simulate writes it: t written as the
+    # decimal digits of the row's number (t, t+1, ...), with no leading
+    # zero, and y and xi numbers numpy parses from the characters
+    # 0-9 + - . e.  csv.reader and float() then read the same values, so
+    # the row loop would take the rows as they are.  None otherwise.
+    # Whitespace is refused because numpy reads a field of only whitespace
+    # as -1.
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    if raw.translate(None, b"0123456789+-.e,\n"):
+    if not re.fullmatch(rb"(?:[1-9][0-9]*,[-+.0-9e]+,[-+.0-9e]+\n)+", raw):
         return None
-    u = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(u == ord("\n"))
-    commas = np.flatnonzero(u == ord(","))
-    n = ends.size
-    if n == 0 or ends[-1] != u.size - 1 or commas.size != 2 * n:
-        return None
-    # Comma 2k must follow line k's t digits (checked below); then comma
-    # 2k+1 lies between it and line k+1's, so each line has two commas.
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ts = np.arange(t, t + n)
-    width = np.searchsorted(_DIGITS, ts, side="right")
-    if not np.array_equal(commas[0::2], starts + width):
-        return None
-    for d in range(int(width[-1])):  # digit d of the rows whose t has more than d digits
-        ch = u[starts[max(0, 10**d - t) :] + d]
-        if not np.all((ch >= ord("0")) & (ch <= ord("9"))):
-            return None
+    n = raw.count(b"\n")
     with warnings.catch_warnings():
         # numpy before 2.0 warns and returns what it read on unparsable text.
         warnings.simplefilter("error", DeprecationWarning)
@@ -195,7 +178,7 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
     if cells.size != 3 * n:
         return None
     cells = cells.reshape(n, 3)
-    return cells if np.array_equal(cells[:, 0], ts) else None
+    return cells if np.array_equal(cells[:, 0], np.arange(t, t + n)) else None
 
 
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:

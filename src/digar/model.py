@@ -109,14 +109,14 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
     """
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
+    _check_variances(params, T)
     values = _variance_walk(params)(T)
-    _check_variances(bool(np.all(np.isfinite(values))), not np.any(values <= 0.0))
     values.setflags(write=False)
     return values
 
 
 def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
-    # next_v(n) returns the next n >= 1 entries of V_1, V_2, ... as a float
+    # next_v(n) returns the next n >= 0 entries of V_1, V_2, ... as a float
     # array, by variance_sequence's recursion and fixed-point fill; a walk
     # taken in pieces yields the same entries as one taken whole.
     a = params.phi * params.phi
@@ -131,7 +131,7 @@ def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
         out = array("d", [0.0]) * n  # cheaper to store into from Python than numpy
         values = np.frombuffer(out)
         start = 0
-        if v is None:
+        if v is None and n:
             v = params.sigma_xi
             out[0] = v
             start = 1
@@ -152,11 +152,22 @@ def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
     return next_v
 
 
-def _check_variances(finite: bool, positive: bool) -> None:
-    # variance_sequence's refusals, given whether every entry is finite
-    # and whether every entry is positive.
-    if not finite:
-        raise NonFiniteError("variance sequence contains non-finite entries")
+def _check_variances(params: ModelParams, T: int) -> None:
+    # variance_sequence's refusals for V_1..V_T, and the only code that
+    # decides them: a non-finite entry, else an entry <= 0.  It walks V_t
+    # in pieces and stops at the first entry equal to one of the two before
+    # it: V_{t+1} is a function of V_t alone, so every later entry repeats
+    # a checked one.
+    next_v = _variance_walk(params)
+    w = np.empty(0)  # the last two entries checked, then the next piece
+    positive = True
+    for lo in range(0, T, 4_096):
+        w = np.concatenate((w[-2:], next_v(min(4_096, T - lo))))
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteError("variance sequence contains non-finite entries")
+        positive = positive and bool(np.all(w > 0.0))
+        if np.any(w[2:] == w[1:-1]) or np.any(w[2:] == w[:-2]):
+            break
     if not positive:
         raise OutOfRangeError("every V_t must be positive")
 

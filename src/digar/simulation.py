@@ -14,14 +14,17 @@ generator through Generator.standard_normal (the ziggurat method); each
 path consumes exactly T variates.  Both kernels draw them in chunks of
 time steps (_CHUNK for the batch, _PATH_CHUNK for the single path), which
 yields the same variates as one T-length draw, and walk each chunk
-before drawing the next.  The single-path kernel, _walk, hands out its
-path a chunk at a time: simulate_path stores the chunks, and `digar
-simulate` formats and writes each one, so it holds V_t and one chunk,
-not the path.  _PathSums runs SamplePath's checks and adds the
-estimator's sums over a path fed in pieces, taking V_t piece by piece
-from variance_sequence's recursion; infeasible_estimate feeds it a
-stored path, and `digar estimate --in` each chunk it parses from the
-file, so it holds a few chunks and nothing T-long.
+before drawing the next.  Both kernels have model._check_variances, a
+walk in constant memory, refuse V_1..V_T before their first chunk, and
+_PathSums when it closes; every route takes V_t chunk by chunk from a
+fresh model._variance_walk, so none holds a T-long V.  The single-path
+kernel, _walk, hands out its path a chunk at a time: simulate_path
+stores the chunks, and `digar simulate` formats and writes each one, so
+it holds one chunk, not the path.  _PathSums runs SamplePath's checks
+and adds the estimator's sums over a path fed in pieces;
+infeasible_estimate feeds it a stored path, and `digar estimate --in`
+each chunk it parses from the file, so it holds a few chunks and
+nothing T-long.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order and
 batch rows are bit-identical to the corresponding single-path calls.  The
@@ -49,7 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NonFiniteError, OutOfRangeError
-from .model import ModelParams, _check_variances, _variance_walk, variance_sequence
+from .model import ModelParams, _check_variances, _variance_walk
 
 __all__ = [
     "SamplePath",
@@ -154,12 +157,12 @@ class _PathSums:
     # Y_{t-1}^2/V_{t-1}, each added in time order by _add_sums.
     # add(y, xi) takes the next Y values (Y_0 first) and the next xi values
     # (xi_1 first); a piece may hold more of one than of the other.  V_t
-    # comes piece by piece from variance_sequence's recursion, so no
-    # T-long array is held.  close() raises the first refusal in
+    # comes piece by piece from model._variance_walk, so no T-long array
+    # is held.  close() raises the first refusal in
     # SamplePath's order (lengths, finiteness, y_0 = 0, the recursion
-    # against an atol from the extremes of all Y), then variance_sequence's
-    # for V_1..V_T, and returns the three sums (None without sums).  Once a
-    # refusal is certain the rest is only counted.
+    # against an atol from the extremes of all Y), then, with sums,
+    # _check_variances' for V_1..V_T, and returns the three sums (None
+    # without sums).  Once a refusal is certain the rest is only counted.
     def __init__(self, params: ModelParams, sums: bool = True) -> None:
         self.params = params
         self.ny = self.nx = 0
@@ -170,7 +173,6 @@ class _PathSums:
         self.ys = self.xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
         self.next_v = _variance_walk(params) if sums else None
         self.v_lag = None  # V_{t-1} of the next step t, None before t = 2
-        self.v_finite = self.v_positive = True
         self.acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
 
     def add(self, y: Sequence[float], xi: Sequence[float]) -> None:
@@ -203,14 +205,12 @@ class _PathSums:
 
     def _add_terms(self, lag: np.ndarray, lead: np.ndarray) -> None:
         v = self.next_v(lag.size)  # V_t of these steps
-        self.v_finite = self.v_finite and bool(np.all(np.isfinite(v)))
-        self.v_positive = self.v_positive and not np.any(v <= 0.0)
         if self.v_lag is None:  # step t = 1 adds no terms
             lag, lead, v_lag = lag[1:], lead[1:], v[:-1]
         else:
             v_lag = np.concatenate(([self.v_lag], v[:-1]))
         self.v_lag = v[-1]
-        if lag.size and self.v_finite and self.v_positive:
+        if lag.size:
             _add_sums(self.acc, lag[:, None], lead[:, None], v_lag[:, None], np.empty((lag.size, 1)))
 
     def close(self) -> np.ndarray | None:
@@ -225,7 +225,7 @@ class _PathSums:
             )
         if self.next_v is None:
             return None
-        _check_variances(self.v_finite, self.v_positive)
+        _check_variances(self.params, self.nx)
         return self.acc
 
 
@@ -363,16 +363,6 @@ def _add_sums(
                 acc[i] = np.cumsum(terms[:, 0])[-1]
 
 
-def _coefficients(params: ModelParams, T: int) -> tuple[np.ndarray, float, float]:
-    # V_1..V_T, rho*sigma_xi and the conditional sd of xi_t, shared by both
-    # kernels.  Each takes the slopes rho*sigma_xi/V_t chunk by chunk as
-    # rho*sigma_xi / v[chunk], so a batch row and its single path multiply
-    # by the same numbers.
-    v = variance_sequence(params, T)
-    cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)
-    return v, params.rho * params.sigma_xi, cond_sd
-
-
 def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     """Simulate one trajectory of length T from the given seed.
 
@@ -402,12 +392,15 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
 def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float], list[float]]]:
     # The single-path kernel: lists of Y_t and of xi_t for t = 1..T, one
     # pair per chunk of _PATH_CHUNK steps, each chunk drawn from the path's
-    # stream and walked before the next.  T, the seed and V_t are checked
-    # here, before the first chunk is asked for.
+    # stream and walked before the next.  T, the seed and V_1..V_T are
+    # checked here, before the first chunk is asked for.
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     stream = normal_stream(seed)
-    v, rs, cond_sd = _coefficients(params, T)
+    _check_variances(params, T)
+    next_v = _variance_walk(params)
+    rs = params.rho * params.sigma_xi
+    cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # sd of xi_t | Y_{t-1}
     phi = params.phi
 
     def chunks() -> Iterator[tuple[list[float], list[float]]]:
@@ -425,7 +418,7 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
                 ys.append(level)
                 first = 2
             noise = (cond_sd * eps[first - t0 :]).tolist()
-            slope = (rs / v[first - 2 : t1 - 2]).tolist()  # rho*sigma_xi/V_{t-1}
+            slope = (rs / next_v(t1 - first)).tolist()  # rho*sigma_xi/V_{t-1}
             y_append, x_append = ys.append, xs.append
             for s, e in zip(slope, noise):
                 x = s * level + e
@@ -441,14 +434,14 @@ def _run_blocks(
     spec: BatchSpec,
     keep: tuple[int, int] | None = None,
     sums: bool = False,
-    block_size: int = _BLOCK_SIZE,
-    chunk: int = _CHUNK,
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
     # Yield (start_index, ys, xs, sums) per block of replications, in
-    # replication order.  Each block is walked time-major: time in chunks of
-    # `chunk` steps with the rows contiguous at each step, each row's normals
-    # drawn chunk by chunk from its own stream.  Every operation is
-    # elementwise, so each row's arithmetic is that of simulate_path.
+    # replication order, _BLOCK_SIZE rows per block.  Each block is walked
+    # time-major: time in chunks of _CHUNK steps with the rows contiguous at
+    # each step, each row's normals drawn chunk by chunk from its own stream
+    # and V_{t-1} chunk by chunk from the block's own walk of V_t, after
+    # V_1..V_T is checked.  Every operation is elementwise, so each row's
+    # arithmetic is that of simulate_path.
     #
     # keep=(lo, hi) yields Y_t for lo <= t < hi and xi_t for
     # max(lo, 1) <= t < hi, one row per path.  sums=True yields the (3, n)
@@ -457,11 +450,11 @@ def _run_blocks(
     # walk stops at the last kept step.  The yielded arrays are fresh per
     # block; the chunk buffers are allocated once, and a shorter last block
     # uses prefixes of them.
-    if block_size < 1:
-        raise OutOfRangeError(f"block_size must be >= 1, got {block_size}")
     params = spec.params
     T = spec.path_length
-    v, rs, cond_sd = _coefficients(params, T)
+    _check_variances(params, T)
+    rs = params.rho * params.sigma_xi
+    cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # as in _walk
     phi = params.phi
     sig = params.sigma_xi
     last = T
@@ -470,8 +463,8 @@ def _run_blocks(
         xlo = max(lo, 1)
         if not sums:
             last = min(T, hi - 1)
-    c = min(chunk, last)
-    width = min(block_size, spec.replications)
+    c = min(_CHUNK, last)
+    width = min(_BLOCK_SIZE, spec.replications)
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
     xi_buf = np.empty(c * width)
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
@@ -481,8 +474,8 @@ def _run_blocks(
     bulk = True
     mul = np.multiply
     add = np.add
-    for start in range(0, spec.replications, block_size):
-        n = min(block_size, spec.replications - start)
+    for start in range(0, spec.replications, _BLOCK_SIZE):
+        n = min(_BLOCK_SIZE, spec.replications - start)
         # The block's first row checks the bulk states against numpy's own
         # constructor; after a mismatch every block seeds row by row.
         if bulk:
@@ -505,6 +498,7 @@ def _run_blocks(
         y_rows = list(y)
         xi_rows = list(xi)
         ys = xs = acc = None
+        next_v = _variance_walk(params)
         if keep is not None:
             ys = np.zeros((n, hi - lo))
             xs = np.empty((n, hi - xlo))
@@ -522,16 +516,16 @@ def _run_blocks(
                 mul(y[0], phi, out=y[1])
                 add(y[1], xi[0], out=y[1])
                 j0 = 1
-            slope = (rs / v[t0 + j0 - 2 : t0 + m - 2]).tolist()  # rho*sigma_xi/V_{t-1}
+            v = next_v(m - j0)  # V_{t-1} of steps t = t0+j0 .. t0+m-1
+            slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             for lag, lead, x, s in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m], slope):
                 mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
                 add(tmp, x, x)
                 mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
                 add(lead, x, lead)
-            d = 1 if t0 == 1 else 0  # the sums start at t = 2
-            if acc is not None and m > d:
-                terms = raw[: (m - d) * n].reshape(m - d, n)
-                _add_sums(acc, y[d:m], y[d + 1 : m + 1], v[t0 + d - 2 : t0 + m - 2, None], terms)
+            if acc is not None and m > j0:  # the sums start at t = 2
+                terms = raw[: (m - j0) * n].reshape(m - j0, n)
+                _add_sums(acc, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
             if ys is not None:
                 a, b = max(lo, t0), min(hi, t0 + m)
                 if a < b:

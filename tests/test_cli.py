@@ -202,6 +202,29 @@ class TestSimulate:
         assert "error: variance sequence contains non-finite entries" in err
 
 
+class TestLateVarianceRefusal:
+    """V_15009 is the first non-finite V_t at (0.999999, 0.9, 1e150), many
+    chunks into the path; every route must refuse T = 15009 before its
+    first output byte, as when V_1..V_T was built whole first."""
+
+    FLAGS = ("--phi", "0.999999", "--rho", "0.9", "--sigma", "1e150")
+    ERR = "error: variance sequence contains non-finite entries\n"
+
+    def test_simulate_refuses_before_creating_the_file(self, capsys, tmp_path):
+        out = tmp_path / "p.csv"
+        code, _, err = run_cli(capsys, "simulate", *self.FLAGS, "-T", "15009", "--out", str(out))
+        assert (code, err) == (3, f"seed = {DEFAULT_SEED}\n" + self.ERR)
+        assert not out.exists()
+        code, _, _ = run_cli(capsys, "simulate", *self.FLAGS, "-T", "15008", "--out", str(out))
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [["estimate"], ["experiment", "consistency", "-R", "100"]])
+    def test_batch_and_estimate_refuse(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, *self.FLAGS, "-T", "15009")
+        assert (code, out) == (3, "")
+        assert err == f"seed = {DEFAULT_SEED}\n" + self.ERR
+
+
 class TestEstimate:
     def test_fresh_simulation_matches_module(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "-T", "200", "--seed", "4")
@@ -546,10 +569,10 @@ class TestSinglePathRoute:
                 got = run_cli(capsys, "estimate", *flags, "--in", str(path_file), "--format", fmt)
                 assert got == (0, want, "")
 
-    def test_simulate_memory_is_v_plus_a_chunk(self, tmp_path):
-        # simulate holds V_t (8 bytes per step) and one chunk of the walk
-        # and its CSV text, 8.9 MiB in all at this T; holding the path as
-        # well peaked at 31.6 MiB.
+    def test_simulate_memory_is_a_chunk(self, tmp_path):
+        # simulate holds one chunk of the walk and its CSV text, and checks
+        # V_t in constant memory; holding V_t whole as well peaked at 8.9
+        # MiB at this T, and holding the path too at 31.6 MiB.
         T = 1_000_000
         tracemalloc.start()
         try:
@@ -557,7 +580,7 @@ class TestSinglePathRoute:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * T + (4 << 20)
+        assert peak < 4 << 20
 
 
 class TestExperimentCli:
@@ -594,6 +617,18 @@ class TestExperimentCli:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_OVERFLOW
+
+    def test_acf_memory_does_not_grow_with_horizon(self, tmp_path):
+        # The batch kernel walks only to t_obs + k_max and checks V_t in
+        # constant memory; holding V_1..V_T peaked at 43 MiB here.
+        argv = ["experiment", "acf", "-T", "5000000", "-R", "30", "--out", str(tmp_path / "acf.json")]
+        tracemalloc.start()
+        try:
+            assert parse_and_dispatch(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_clt_precondition_via_cli(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "clt", "-T", "100", "-R", "1000")

@@ -100,6 +100,15 @@ class TestVarianceSequence:
         with pytest.raises(NonFiniteError, match="variance sequence contains non-finite entries"):
             variance_sequence(ModelParams(0.5, 0.3, 1e200), 3)
 
+    def test_late_overflow_refused(self):
+        # V_15009 is the first non-finite entry here: past several of the
+        # pieces the refusal walk takes, so a walk that stopped early
+        # would let T = 15009 through.
+        p = ModelParams(0.999999, 0.9, 1e150)
+        assert np.all(np.isfinite(variance_sequence(p, 15008)))
+        with pytest.raises(NonFiniteError, match="variance sequence contains non-finite entries"):
+            variance_sequence(p, 15009)
+
     def test_underflow_refused(self):
         # every term of V_2^2 underflows to 0
         with pytest.raises(OutOfRangeError, match="every V_t must be positive"):
