@@ -5,7 +5,8 @@ copula parameter tau_{t,t+k} between levels k steps apart, which derives
 V_t itself, the large-t limit tau_bar of tau_{t,t+1}, the induced
 innovation autocorrelation limit, the asymptotic bias of least squares,
 the asymptotic standard deviation eta_bar of the corrected estimator, and
-the geometric decay bound eta_hat.
+the geometric decay bound eta_hat.  tau_lag_k, delta_limit and eta_hat
+are scale-free and run at sigma_xi's binary mantissa, for any sigma_xi > 0.
 
 eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
 f(v) = sqrt(u(v)^2 + s2), u(v) = phi*v + rho*sigma_xi, s2 = sigma_xi^2*(1-rho^2):
@@ -44,6 +45,12 @@ __all__ = [
 _ROUNDING = 8 * math.ulp(1.0)
 
 
+def _unit_scale(params: ModelParams) -> ModelParams:
+    # params at sigma_xi's binary mantissa, in [0.5, 1).  Division by a power
+    # of two is exact: same bits wherever sigma_xi's own arithmetic is in range.
+    return ModelParams(params.phi, params.rho, math.frexp(params.sigma_xi)[0])
+
+
 @dataclass(frozen=True)
 class DependenceProfile:
     """Bundle of the limiting dependence quantities for one parameter set."""
@@ -52,7 +59,6 @@ class DependenceProfile:
     tau_bar: float = field(init=False)  # phi + ols_bias
     ols_bias: float
     eta_bar: float
-    sigma_bar_sq: float
     eta_hat: float
 
     def __post_init__(self) -> None:
@@ -66,8 +72,6 @@ class DependenceProfile:
             raise OutOfRangeError(f"|tau_bar| < 1 required, got {self.tau_bar!r}")
         if not self.eta_bar > 0.0:
             raise OutOfRangeError(f"eta_bar > 0 required, got {self.eta_bar!r}")
-        if not self.sigma_bar_sq > 0.0:
-            raise OutOfRangeError(f"sigma_bar_sq > 0 required, got {self.sigma_bar_sq!r}")
         if not abs(self.tau_bar) <= self.eta_hat < 1.0:  # the sup includes the limit
             raise OutOfRangeError(f"|tau_bar| <= eta_hat < 1 required, got eta_hat={self.eta_hat!r}")
 
@@ -92,6 +96,7 @@ def tau_lag_k(params: ModelParams, t: int, k: int) -> float:
         raise OutOfRangeError(f"t must be >= 1, got {t}")
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
+    params = _unit_scale(params)
     v = variance_sequence(params, t + k)
     out = 1.0
     for s in range(t, t + k):
@@ -123,6 +128,7 @@ def delta_limit(params: ModelParams, k: int) -> float:
     """
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
+    params = _unit_scale(params)
     vb = vbar_limit(params)
     tb = tau_bar(params)
     phi = params.phi
@@ -164,6 +170,7 @@ def mixing_decay_bound(params: ModelParams) -> float:
     is exact.  At tau_bar = 0 a tail bound or a fixed point stops the walk
     (module docstring).  Rules allow a few ulps; 1.0 if tau_bar rounds to 1.
     """
+    params = _unit_scale(params)
     phi, rho, sig = params.phi, params.rho, params.sigma_xi
     # evaluated as in variance_sequence, so each tau equals tau_lag_k's at k = 1
     a, b, c = phi * phi, 2.0 * phi * rho * sig, sig * sig
@@ -191,6 +198,5 @@ def dependence_profile(params: ModelParams) -> DependenceProfile:
         params=params,
         ols_bias=ols_bias(params),
         eta_bar=eta_bar(params),
-        sigma_bar_sq=sigma_bar_sq(params),
         eta_hat=mixing_decay_bound(params),
     )

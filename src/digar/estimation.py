@@ -11,6 +11,7 @@ take the true parameters explicitly, through the path or as an argument.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -48,10 +49,14 @@ class EstimateResult:
 def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Sums, _Sums]:
     # Plain slope cross/den and correction coef*weighted/den from the
     # time-ordered sums, refused by name when the denominator is zero or
-    # when the sums or the slopes overflow.
+    # subnormal, or when the sums or the slopes overflow.
     if np.any(den <= 0.0):
         raise DegenerateDenominatorError(
             "sum of squared lagged values is zero (need T >= 2 and a nonzero path)"
+        )
+    if np.any(den < sys.float_info.min):
+        raise DegenerateDenominatorError(
+            "sum of squared lagged values is subnormal, so its terms lost digits (the path is too small)"
         )
     with np.errstate(all="ignore"):
         hat, corr = cross / den, coef * weighted / den
@@ -74,7 +79,7 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
     Raises
     ------
     DegenerateDenominatorError
-        If the path is too short (T < 2) or all lagged values are zero.
+        If T < 2, or the squared lagged values sum to zero or a subnormal.
     """
     return _estimate(path.params, _path_pieces(path.y, path.xi))
 

@@ -187,7 +187,7 @@ def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     hats = np.empty(spec.replications)
     tildes = np.empty(spec.replications)
     coef = spec.params.rho * spec.params.sigma_xi
-    for start, _, _, sums in _run_blocks(spec, sums=True):
+    for start, _, _, sums in _run_blocks(spec):
         h, corr = _slopes(coef, *sums)
         hats[start : start + h.size] = h
         tildes[start : start + h.size] = h - corr
@@ -215,13 +215,12 @@ def run_consistency_experiment(spec: BatchSpec) -> tuple[ExperimentSummary, Expe
     )
 
 
-def run_clt_experiment(spec: BatchSpec, true_phi: float | None = None) -> ExperimentSummary:
-    """Distributional check of sqrt(T)*(phi_tilde - true_phi)/eta_bar.
+def run_clt_experiment(spec: BatchSpec) -> ExperimentSummary:
+    """Distributional check of sqrt(T)*(phi_tilde - phi)/eta_bar at the generating phi.
 
     The summary's estimate fields describe the phi_tilde sample; the
     standardized moments and the KS distance describe the studentized
-    statistic, which should approach N(0,1).  true_phi defaults to the
-    generating coefficient.
+    statistic, which should approach N(0,1).
 
     Requires R >= 1000 and T >= 5000.
     """
@@ -229,12 +228,9 @@ def run_clt_experiment(spec: BatchSpec, true_phi: float | None = None) -> Experi
         raise OutOfRangeError(f"need R >= 1000, got {spec.replications}")
     if spec.path_length < 5000:
         raise OutOfRangeError(f"need T >= 5000, got {spec.path_length}")
-    truth = spec.params.phi if true_phi is None else float(true_phi)
-    if not math.isfinite(truth):
-        raise NonFiniteError(f"true_phi must be finite, got {true_phi!r}")
     _, tildes = _collect_estimates(spec)
-    stats = math.sqrt(spec.path_length) * (tildes - truth) / eta_bar(spec.params)
-    return _summary(spec, truth, tildes, statistic=stats)
+    stats = math.sqrt(spec.path_length) * (tildes - spec.params.phi) / eta_bar(spec.params)
+    return _summary(spec, spec.params.phi, tildes, statistic=stats)
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -156,13 +156,13 @@ class _PathSums:
     # estimator's sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and
     # Y_{t-1}^2/V_{t-1}, each added in time order by _add_sums.
     # add(y, xi) takes the next Y values (Y_0 first) and the next xi values
-    # (xi_1 first); a piece may hold more of one than of the other.  V_t
-    # comes piece by piece from model._variance_walk, so no T-long array
-    # is held.  close() raises the first refusal in
-    # SamplePath's order (lengths, finiteness, y_0 = 0, the recursion
-    # against an atol from the extremes of all Y), then, with sums,
-    # _check_variances' for V_1..V_T, and returns the three sums (None
-    # without sums).  Once a refusal is certain the rest is only counted.
+    # (xi_1 first); a piece may hold more of one than of the other.  As in
+    # _run_blocks, V_{t-1} comes piece by piece from a model._variance_walk
+    # begun at step t = 2, so no T-long array is held.  close() raises the
+    # first refusal in SamplePath's order (lengths, finiteness, y_0 = 0,
+    # the recursion against an atol from the extremes of all Y), then, with
+    # sums, _check_variances' for V_1..V_T, and returns the three sums
+    # (None without sums).  Once a refusal is certain the rest is only counted.
     def __init__(self, params: ModelParams, sums: bool = True) -> None:
         self.params = params
         self.ny = self.nx = 0
@@ -172,7 +172,7 @@ class _PathSums:
         self.worst = 0.0  # largest |y[t] - (phi*y[t-1] + xi[t])| seen
         self.ys = self.xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
         self.next_v = _variance_walk(params) if sums else None
-        self.v_lag = None  # V_{t-1} of the next step t, None before t = 2
+        self.skip = 1  # step t = 1 adds no terms
         self.acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
 
     def add(self, y: Sequence[float], xi: Sequence[float]) -> None:
@@ -199,19 +199,11 @@ class _PathSums:
                 resid += xs[:k]
                 np.subtract(lead, resid, out=resid)
                 self.worst = max(self.worst, float(np.max(np.abs(resid, out=resid))))
-            if self.next_v is not None:
-                self._add_terms(lag, lead)
+            j0, self.skip = self.skip, 0
+            if self.next_v is not None and k > j0:
+                v_lag = self.next_v(k - j0)[:, None]  # V_{t-1} of steps t = 2.. of these
+                _add_sums(self.acc, lag[j0:, None], lead[j0:, None], v_lag, np.empty((k - j0, 1)))
         self.ys, self.xs = ys[k:], xs[k:]
-
-    def _add_terms(self, lag: np.ndarray, lead: np.ndarray) -> None:
-        v = self.next_v(lag.size)  # V_t of these steps
-        if self.v_lag is None:  # step t = 1 adds no terms
-            lag, lead, v_lag = lag[1:], lead[1:], v[:-1]
-        else:
-            v_lag = np.concatenate(([self.v_lag], v[:-1]))
-        self.v_lag = v[-1]
-        if lag.size:
-            _add_sums(self.acc, lag[:, None], lead[:, None], v_lag[:, None], np.empty((lag.size, 1)))
 
     def close(self) -> np.ndarray | None:
         _check_lengths((self.ny,), (self.nx,))
@@ -431,9 +423,7 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
 
 
 def _run_blocks(
-    spec: BatchSpec,
-    keep: tuple[int, int] | None = None,
-    sums: bool = False,
+    spec: BatchSpec, keep: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
     # Yield (start_index, ys, xs, sums) per block of replications, in
     # replication order, _BLOCK_SIZE rows per block.  Each block is walked
@@ -444,12 +434,12 @@ def _run_blocks(
     # arithmetic is that of simulate_path.
     #
     # keep=(lo, hi) yields Y_t for lo <= t < hi and xi_t for
-    # max(lo, 1) <= t < hi, one row per path.  sums=True yields the (3, n)
-    # sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1},
-    # each accumulated in time order, as np.cumsum adds.  Without sums the
-    # walk stops at the last kept step.  The yielded arrays are fresh per
-    # block; the chunk buffers are allocated once, and a shorter last block
-    # uses prefixes of them.
+    # max(lo, 1) <= t < hi, one row per path, and the walk stops at the last
+    # kept step.  Without keep it yields the (3, n) sums over t = 2..T of
+    # Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each accumulated in time
+    # order, as np.cumsum adds.  The yielded arrays are fresh per block;
+    # the chunk buffers are allocated once, and a shorter last block uses
+    # prefixes of them.
     params = spec.params
     T = spec.path_length
     _check_variances(params, T)
@@ -461,8 +451,7 @@ def _run_blocks(
     if keep is not None:
         lo, hi = keep
         xlo = max(lo, 1)
-        if not sums:
-            last = min(T, hi - 1)
+        last = min(T, hi - 1)
     c = min(_CHUNK, last)
     width = min(_BLOCK_SIZE, spec.replications)
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
@@ -502,7 +491,7 @@ def _run_blocks(
         if keep is not None:
             ys = np.zeros((n, hi - lo))
             xs = np.empty((n, hi - xlo))
-        if sums:
+        else:
             acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
         for t0 in range(1, last + 1, c):
             m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; xi[j] is xi_{t0+j}

@@ -125,6 +125,15 @@ class TestLimits:
         assert code == 0
         assert out.endswith("tau_bar = 0.999996\nbias    = 1.999995\neta_bar = 0.002828422\neta_hat = 0.999999\n")
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-170", "1e-100", "1e155", "1e300"])
+    @pytest.mark.parametrize("phi, rho", [("0.9", "-0.9"), ("0.5", "0.3")])
+    def test_scale_free_lines_at_any_sigma(self, capsys, phi, rho, sigma):
+        # tau_bar, bias, eta_bar and eta_hat do not depend on sigma_xi.
+        _, unit, _ = run_cli(capsys, "limits", "--phi", phi, "--rho", rho)
+        code, out, err = run_cli(capsys, "limits", "--phi", phi, "--rho", rho, "--sigma", sigma)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == unit.splitlines()[2:]
+
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "limits", "--out", str(tmp_path / "no" / "dir.txt"))
         assert code == 4
@@ -323,6 +332,15 @@ class TestEstimate:
         assert (code, out) == (3, "")
         assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_OVERFLOW
 
+    @pytest.mark.parametrize("sigma", ["1e-158", "1e-160"])
+    @pytest.mark.parametrize(
+        "argv", [("estimate", "-T", "200"), ("experiment", "consistency", "-T", "100", "-R", "100")]
+    )
+    def test_subnormal_sums_refused(self, capsys, argv, sigma):
+        code, out, err = run_cli(capsys, *argv, "--sigma", sigma)
+        assert (code, out) == (3, "")
+        assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_SUBNORMAL
+
     def test_wrong_parameters_for_file(self, capsys, tmp_path):
         # the loaded path must satisfy the recursion at the declared phi
         path_file = tmp_path / "path.csv"
@@ -357,6 +375,9 @@ _EST_T4 = (
     "0.59606882517892701,0.35131745463667835,0.24475137054224866,4\n"
 )
 _SUMS_OVERFLOW = "error: estimator sums or slopes are not finite (they overflow double precision)\n"
+_SUMS_SUBNORMAL = (
+    "error: sum of squared lagged values is subnormal, so its terms lost digits (the path is too small)\n"
+)
 READER_CONTRACT = {
     "crlf": (lambda rows: [r.replace("\n", "\r\n") for r in rows], 0, _EST_T4, ""),
     "blank_line": (lambda rows: rows[:3] + ["\n"] + rows[3:], 0, _EST_T4, ""),

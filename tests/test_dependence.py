@@ -290,7 +290,6 @@ class TestDependenceProfile:
         prof = dependence_profile(P)
         assert prof.tau_bar == P.phi + prof.ols_bias
         assert prof.eta_bar == eta_bar(P)
-        assert prof.sigma_bar_sq == sigma_bar_sq(P)
         assert prof.eta_hat == pytest.approx(0.7186759374687043, rel=1e-12)
         assert prof.eta_hat == mixing_decay_bound(P)
 
@@ -304,9 +303,7 @@ class TestDependenceProfile:
         p = ModelParams(phi, rho, 1.0)
         assert dependence_profile(p).tau_bar == p.phi + ols_bias(p)
         with pytest.raises(TypeError):
-            DependenceProfile(
-                params=p, tau_bar=0.7, ols_bias=0.1, eta_bar=0.5, sigma_bar_sq=1.0, eta_hat=0.7
-            )
+            DependenceProfile(params=p, tau_bar=0.7, ols_bias=0.1, eta_bar=0.5, eta_hat=0.7)
 
     def test_eta_hat_below_limit_rejected(self):
         prof = dependence_profile(P)
@@ -329,3 +326,14 @@ class TestDependenceProfile:
             return
         assert abs(prof.tau_bar) <= prof.eta_hat < 1.0
         assert abs(tau_lag_k(p, 1, 1)) <= prof.eta_hat
+
+
+class TestScaleFree:
+    """tau_lag_k, delta_limit and eta_hat do not depend on sigma_xi's
+    scale; they answer at every sigma_xi > 0 with the same bits."""
+
+    @given(boundary_params_strategy(), st.integers(-1000, 1000), st.integers(1, 40), st.integers(1, 8))
+    def test_same_bits_at_every_power_of_two(self, p, e, t, k):
+        scaled = ModelParams(p.phi, p.rho, math.ldexp(p.sigma_xi, e))
+        for f in (lambda q: tau_lag_k(q, t, k), lambda q: delta_limit(q, k), mixing_decay_bound):
+            assert f(scaled).hex() == f(p).hex()

@@ -196,6 +196,22 @@ class TestBatchAgreement:
             res = infeasible_estimate(simulate_path(p, T, mix_seed(seed, r)))
             assert (res.phi_hat, res.phi_tilde) == (hats[r], tildes[r]), r
 
+    def test_subnormal_denominator_refused_on_both_routes(self):
+        # At sigma_xi near 1e-158 the squares Y_{t-1}^2 are subnormal and
+        # lose digits; a sum below the smallest normal double is refused.
+        for sigma, refused in ((1e-150, False), (1e-158, True), (1e-160, True)):
+            p = ModelParams(0.5, 0.3, sigma)
+            routes = (
+                lambda: infeasible_estimate(simulate_path(p, 200, 12345)).phi_hat,
+                lambda: _collect_estimates(BatchSpec(p, 200, 3, 12345))[0][0],
+            )
+            for route in routes:
+                if refused:
+                    with pytest.raises(DegenerateDenominatorError, match="is subnormal"):
+                        route()
+                else:
+                    assert math.isfinite(route())
+
     def test_sums_run_in_time_order(self):
         for p in self.PARAMS:
             path = simulate_path(p, 1000, 5)

@@ -192,18 +192,11 @@ class TestCltExperiment:
         assert abs(m.variance - 1.0) < 0.25
         assert summary.ks_distance < 0.1
 
-    def test_shifted_truth_moves_the_statistic(self):
-        summary = run_clt_experiment(BatchSpec(P, 5000, 1000, 11), true_phi=0.4)
-        assert summary.target == 0.4
-        assert summary.standardized_moments.mean > 3.0
-
     def test_preconditions(self):
         with pytest.raises(OutOfRangeError):
             run_clt_experiment(BatchSpec(P, 5000, 999, 11))
         with pytest.raises(OutOfRangeError):
             run_clt_experiment(BatchSpec(P, 4999, 1000, 11))
-        with pytest.raises(NonFiniteError):
-            run_clt_experiment(BatchSpec(P, 5000, 1000, 11), true_phi=math.inf)
 
     def test_distance_to_normal_shrinks_with_horizon(self):
         # The studentized statistic is asymptotically N(0,1), so its KS

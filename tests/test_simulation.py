@@ -426,8 +426,8 @@ class TestKernelChunking:
         for p in (P, MOVING):
             spec = BatchSpec(p, 600, 1001, 4242)
             self._assert_same(
-                self._chunked(monkeypatch, 7, spec, sums=True),
-                self._chunked(monkeypatch, 256, spec, sums=True),
+                self._chunked(monkeypatch, 7, spec),
+                self._chunked(monkeypatch, 256, spec),
             )
 
     def test_acf_window_does_not_depend_on_chunk_length(self, monkeypatch):
