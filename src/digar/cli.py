@@ -6,20 +6,37 @@ success, 2 on usage errors, 3 on domain/range errors, 4 on I/O errors,
 always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
 randomized run is echoed on stderr and embedded in JSON outputs.
+
+A process that imports this module before numpy loads numpy with one
+OpenBLAS thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set: the commands' only BLAS call is a 2 x R
+np.corrcoef, and idle OpenBLAS workers spin about 0.1 s of CPU per
+process.  The variable is removed again, so child processes inherit
+nothing.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when OpenBLAS loads
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import argparse
 import csv
 import io
 import json
 import re
-import sys
 import warnings
 from dataclasses import asdict
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,8 +52,8 @@ from .experiments import (
     run_consistency_experiment,
     vbar_curve,
 )
-from .model import ModelParams, stationary_sd, variance_sequence, vbar_limit
-from .simulation import BatchSpec, _walk, simulate_path
+from .model import ModelParams, _checked_variance_walk, stationary_sd, vbar_limit
+from .simulation import _PATH_CHUNK, BatchSpec, _walk, simulate_path
 
 __all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
 
@@ -88,10 +105,28 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
-    rows = ["t,v"]
-    rows.extend(f"{t + 1},{_g17(v)}" for t, v in enumerate(variance_sequence(params, ns.T)))
-    _write_text(ns.out, ["\n".join(rows) + "\n"])
+    next_v = _checked_variance_walk(params, ns.T)  # refuses before the first byte
+    _write_text(ns.out, _variance_csv(next_v, ns.T))
     return 0
+
+
+def _rows(t: int, columns: tuple[list[float], ...]) -> str:
+    # CSV rows t, t+1, ... whose other cells are the columns' values, each
+    # written as %.17g, formatted with one % template.
+    n, k = len(columns[0]), 1 + len(columns)
+    cells = [None] * (k * n)  # the cells of each row in turn
+    cells[0::k] = range(t, t + n)
+    for i, column in enumerate(columns, 1):
+        cells[i::k] = column
+    return (("%d" + ",%.17g" * len(columns) + "\n") * n) % tuple(cells)
+
+
+def _variance_csv(next_v: Callable[[int], np.ndarray], T: int) -> Iterator[str]:
+    # The CSV of V_1..V_T, one piece per _PATH_CHUNK entries of a fresh
+    # variance walk, so V_t is never held whole.
+    yield "t,v\n"
+    for t in range(1, T + 1, _PATH_CHUNK):
+        yield _rows(t, (next_v(min(_PATH_CHUNK, T + 1 - t)).tolist(),))
 
 
 def _path_csv(chunks: Iterable[tuple[list[float], list[float]]]) -> Iterator[str]:
@@ -100,13 +135,8 @@ def _path_csv(chunks: Iterable[tuple[list[float], list[float]]]) -> Iterator[str
     yield "t,y,xi\n0,0,\n"
     t = 1
     for ys, xs in chunks:
-        n = len(ys)
-        cells = [None] * (3 * n)  # t, y, xi of each row in turn
-        cells[0::3] = range(t, t + n)
-        cells[1::3] = ys
-        cells[2::3] = xs
-        yield ("%d,%.17g,%.17g\n" * n) % tuple(cells)
-        t += n
+        yield _rows(t, (ys, xs))
+        t += len(ys)
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:

@@ -107,12 +107,18 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
     NonFiniteError
         If an entry is not finite, as when sigma_xi^2 overflows.
     """
+    values = _checked_variance_walk(params, T)(T)
+    values.setflags(write=False)
+    return values
+
+
+def _checked_variance_walk(params: ModelParams, T: int) -> Callable[[int], np.ndarray]:
+    # variance_sequence's refusals, T < 1 first and then V_1..V_T's, made
+    # before a fresh _variance_walk is returned: the one place that orders them.
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     _check_variances(params, T)
-    values = _variance_walk(params)(T)
-    values.setflags(write=False)
-    return values
+    return _variance_walk(params)
 
 
 def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:

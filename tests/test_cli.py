@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,7 @@ from digar import (
 )
 from digar import cli, simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
+from conftest import fresh_python
 from oracles import read_path_csv
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -158,6 +160,25 @@ class TestVariancePath:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("phi, rho", [(0.5, 0.3), (0.999999, 0.9)])
+    def test_bytes_equal_the_whole_sequence_joined(self, capsys, phi, rho):
+        # The rows are written in pieces of _PATH_CHUNK; this T spans three.
+        T = 2 * simulation._PATH_CHUNK + 5
+        vs = variance_sequence(ModelParams(phi, rho, 1.0), T)
+        want = "\n".join(["t,v", *(f"{t},{format(float(v), '.17g')}" for t, v in enumerate(vs, 1))]) + "\n"
+        flags = ("--phi", str(phi), "--rho", str(rho), "-T", str(T))
+        assert run_cli(capsys, "variance-path", *flags) == (0, want, "")
+
+    def test_memory_is_a_chunk(self, tmp_path):
+        # Holding V_t and every row before writing peaked at 24.9 MiB here.
+        tracemalloc.start()
+        try:
+            assert parse_and_dispatch(["variance-path", "-T", "200000", "--out", str(tmp_path / "v.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 
 class TestSimulate:
     def test_csv_round_trip_exactly(self, capsys):
@@ -226,6 +247,12 @@ class TestLateVarianceRefusal:
         assert not out.exists()
         code, _, _ = run_cli(capsys, "simulate", *self.FLAGS, "-T", "15008", "--out", str(out))
         assert code == 0
+
+    def test_variance_path_refuses_before_creating_the_file(self, capsys, tmp_path):
+        out = tmp_path / "v.csv"
+        code, _, err = run_cli(capsys, "variance-path", *self.FLAGS, "-T", "15009", "--out", str(out))
+        assert (code, err) == (3, self.ERR)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["estimate"], ["experiment", "consistency", "-R", "100"]])
     def test_batch_and_estimate_refuse(self, capsys, argv):
@@ -757,6 +784,13 @@ class TestGoldenBytes:
         replications = int(GOLDEN_RUNS[kind][GOLDEN_RUNS[kind].index("-R") + 1])
         assert len(streams) == 1 + replications
 
+    @pytest.mark.parametrize("kind", ["acf", "clt"])
+    def test_fresh_cli_process_bytes_unchanged(self, kind):
+        # The runs above follow numpy's import by the test session; here
+        # digar.cli loads numpy itself, with one OpenBLAS thread.
+        out = fresh_python("-m", "digar.cli", *GOLDEN_RUNS[kind], "--seed", "12345")
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[12345, kind]
+
     @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS))
     def test_output_bytes_unchanged(self, capsys, tmp_path, argv):
         path = tmp_path / "path.csv"
@@ -764,6 +798,34 @@ class TestGoldenBytes:
         code, out, _ = run_cli(capsys, *(str(path) if a == "PATH" else a for a in argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS[argv]
+
+
+def _threads_after(statement, **env):
+    # The thread count and environment of a fresh interpreter after statement.
+    threads = "int(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+    code = f"import json, os; {statement}; print(json.dumps([{threads}, dict(os.environ)]))"
+    return json.loads(fresh_python("-c", code, env=env))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="thread count is read from /proc")
+class TestBlasThreads:
+    @pytest.fixture(autouse=True, scope="class")
+    def _numpy_starts_threads(self):
+        if _threads_after("import numpy")[0] == 1:
+            pytest.skip("numpy already runs one thread here")
+
+    @pytest.mark.parametrize("statement", ["from digar.cli import main", "from digar import cli"])
+    def test_cli_loads_numpy_with_one_thread(self, statement):
+        threads, environ = _threads_after(statement)
+        assert threads == 1
+        assert "OPENBLAS_NUM_THREADS" not in environ
+
+    def test_caller_thread_variable_wins(self):
+        plain, _ = _threads_after("import numpy", OMP_NUM_THREADS="2")
+        threads, environ = _threads_after("from digar.cli import main", OMP_NUM_THREADS="2")
+        assert threads == plain
+        assert environ["OMP_NUM_THREADS"] == "2"
+        assert "OPENBLAS_NUM_THREADS" not in environ
 
 
 class TestFigure:

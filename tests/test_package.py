@@ -1,4 +1,5 @@
 import importlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import digar
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +30,25 @@ def test_all_is_the_union_of_the_submodules():
     for name in SUBMODULES:
         union.update(importlib.import_module(f"digar.{name}").__all__)
     assert set(digar.__all__) == union
+
+
+def test_import_loads_no_numpy_and_leaves_environ():
+    # The modules load on first use, so digar.cli can choose how numpy starts.
+    code = (
+        "import json, os, sys; before = dict(os.environ); import digar; "
+        "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))"
+    )
+    assert json.loads(fresh_python("-c", code)) == [False, True]
+
+
+def test_star_import_and_dir_in_a_fresh_interpreter():
+    code = (
+        "import json; ns = {}; exec('from digar import *', ns); del ns['__builtins__']; "
+        "import digar; print(json.dumps([sorted(ns), digar.__all__, dir(digar)]))"
+    )
+    bound, names, listed = json.loads(fresh_python("-c", code))
+    assert bound == sorted(names)
+    assert set(names) <= set(listed)
 
 
 def test_version():
