@@ -3,7 +3,10 @@ innovations are linked to the lagged level through a Gaussian copula.
 
 The package exposes each library module's __all__.  The modules load on
 the first lookup of a name (PEP 562), so `import digar` alone loads no
-numpy and `digar.cli` can choose how numpy starts."""
+numpy.  Nor does `import digar.cli`, or its limits and figure commands:
+numpy loads only when a command that computes with arrays starts
+(variance-path, simulate, estimate, experiment), and digar.cli chooses
+how it starts."""
 
 import importlib
 

@@ -7,53 +7,38 @@ always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
 randomized run is echoed on stderr and embedded in JSON outputs.
 
-A process that imports this module before numpy loads numpy with one
-OpenBLAS thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set: the commands' only BLAS call is a 2 x R
-np.corrcoef, and idle OpenBLAS workers spin about 0.1 s of CPU per
-process.  The variable is removed again, so child processes inherit
-nothing.
+`import digar.cli`, limits and figure load no numpy: their work is float
+arithmetic.  variance-path, simulate, estimate and experiment compute
+with arrays, and each starts by loading numpy and the array modules
+(estimation, experiments, simulation) through _load_arrays.  numpy loads
+there with one OpenBLAS thread, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy is already loaded:
+the commands' only BLAS call is a 2 x R np.corrcoef, and idle OpenBLAS
+workers spin about 0.1 s of CPU per process.  The variable is removed
+again, so child processes inherit nothing.
 """
 
 from __future__ import annotations
-
-import os
-import sys
-
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when OpenBLAS loads
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import argparse
 import csv
 import io
 import json
+import os
 import re
+import sys
 import warnings
 from dataclasses import asdict
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-import numpy as np
-
-from .dependence import dependence_profile
+from .dependence import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, bias_curve, dependence_profile, vbar_curve
 from .errors import DigarError, OutOfRangeError
-from .estimation import EstimateResult, _estimate
-from .experiments import (
-    DEFAULT_PHI_GRID,
-    DEFAULT_RHO_GRID,
-    bias_curve,
-    empirical_acf_experiment,
-    run_clt_experiment,
-    run_consistency_experiment,
-    vbar_curve,
-)
 from .model import ModelParams, _checked_variance_walk, stationary_sd, vbar_limit
-from .simulation import _PATH_CHUNK, BatchSpec, _walk, simulate_path
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .estimation import EstimateResult
 
 __all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
 
@@ -65,6 +50,40 @@ DEFAULT_SEED = 12345
 # with T (peak RSS 31.7 MiB at T = 1e6, 38.7 MiB at 5e6), at 64 KiB it
 # does not (30.0 and 30.8 MiB).
 _READ_CHARS = 1 << 16
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _load_arrays() -> None:
+    # Loads numpy, with the thread rule of the module docstring, and the
+    # array modules, and binds here the names the array commands call from
+    # them.  A name already bound is kept, so a profiler may wrap one.
+    pin = "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_VARS)
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when OpenBLAS loads
+    try:
+        import numpy as np
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    from .estimation import _estimate
+    from .experiments import empirical_acf_experiment, run_clt_experiment, run_consistency_experiment
+    from .simulation import _PATH_CHUNK, BatchSpec, _walk, simulate_path
+
+    del pin  # the other locals are the names to bind
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # The names _load_arrays binds also resolve on first lookup (PEP 562);
+    # probes of dunder names, as `from digar.cli import main` makes, load
+    # nothing.
+    if not name.startswith("__"):
+        _load_arrays()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _g17(x: float) -> str:
@@ -105,6 +124,7 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
+    _load_arrays()
     next_v = _checked_variance_walk(params, ns.T)  # refuses before the first byte
     _write_text(ns.out, _variance_csv(next_v, ns.T))
     return 0
@@ -140,6 +160,7 @@ def _path_csv(chunks: Iterable[tuple[list[float], list[float]]]) -> Iterator[str
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
+    _load_arrays()
     _seed_banner(ns.seed)
     if ns.format == "json":
         path = simulate_path(params, ns.T, ns.seed)
@@ -214,6 +235,7 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
     # The estimate of the path in a CSV file, read and summed chunk by
     # chunk; the file's path is never held whole.
+    _load_arrays()
     with open(infile, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
@@ -253,6 +275,7 @@ def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
+    _load_arrays()
     if ns.infile is not None:
         res, seed = _estimate_csv(ns.infile, params), None
     else:
@@ -269,6 +292,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
+    _load_arrays()
     spec = BatchSpec(params, ns.T, ns.R, ns.seed)
     _seed_banner(spec.master_seed)
     if ns.kind == "consistency":

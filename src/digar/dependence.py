@@ -4,9 +4,13 @@ Everything here is a deterministic function of the parameters alone: the
 copula parameter tau_{t,t+k} between levels k steps apart, which derives
 V_t itself, the large-t limit tau_bar of tau_{t,t+1}, the induced
 innovation autocorrelation limit, the asymptotic bias of least squares,
-the asymptotic standard deviation eta_bar of the corrected estimator, and
-the geometric decay bound eta_hat.  tau_lag_k, delta_limit and eta_hat
-are scale-free and run at sigma_xi's binary mantissa, for any sigma_xi > 0.
+the asymptotic standard deviation eta_bar of the corrected estimator, the
+geometric decay bound eta_hat, and the figure curves: vbar_curve and
+bias_curve, rows (phi, rho, vbar) and (phi, rho, bias) over a (phi, rho)
+grid, which `digar figure` takes as DEFAULT_PHI_GRID by DEFAULT_RHO_GRID
+unless told otherwise.  Only tau_lag_k, through variance_sequence, loads
+numpy.  tau_lag_k, delta_limit and eta_hat are scale-free and run at
+sigma_xi's binary mantissa, for any sigma_xi > 0.
 
 eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
 f(v) = sqrt(u(v)^2 + s2), u(v) = phi*v + rho*sigma_xi, s2 = sigma_xi^2*(1-rho^2):
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .errors import OutOfRangeError
 from .model import ModelParams, variance_sequence, vbar_limit
@@ -39,7 +44,16 @@ __all__ = [
     "sigma_bar_sq",
     "mixing_decay_bound",
     "dependence_profile",
+    "DEFAULT_PHI_GRID",
+    "DEFAULT_RHO_GRID",
+    "vbar_curve",
+    "bias_curve",
 ]
+
+# Grid behind the exported curves: six phi values by seven rho values
+# at unit innovation scale.
+DEFAULT_PHI_GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
+DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
 # Relative rounding in vbar, tau_bar and H that mixing_decay_bound allows for
 _ROUNDING = 8 * math.ulp(1.0)
@@ -200,3 +214,34 @@ def dependence_profile(params: ModelParams) -> DependenceProfile:
         eta_bar=eta_bar(params),
         eta_hat=mixing_decay_bound(params),
     )
+
+
+def _curve(
+    value: Callable[[ModelParams], float],
+    phi_list: Sequence[float],
+    rho_grid: Sequence[float],
+    sigma_xi: float,
+) -> tuple[tuple[float, float, float], ...]:
+    # Rows (phi, rho, value(params)), phi-major; ModelParams refuses any
+    # grid point outside the domain.
+    rows = []
+    for phi in phi_list:
+        for rho in rho_grid:
+            p = ModelParams(phi, rho, sigma_xi)
+            rows.append((p.phi, p.rho, value(p)))
+    return tuple(rows)
+
+
+def vbar_curve(
+    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
+) -> tuple[tuple[float, float, float], ...]:
+    """Rows (phi, rho, vbar) of the variance limit over a (phi, rho) grid."""
+    return _curve(vbar_limit, phi_list, rho_grid, sigma_xi)
+
+
+def bias_curve(
+    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
+) -> tuple[tuple[float, float, float], ...]:
+    """Rows (phi, rho, bias) of the asymptotic slope bias rho*sigma_xi/vbar
+    over a (phi, rho) grid."""
+    return _curve(ols_bias, phi_list, rho_grid, sigma_xi)

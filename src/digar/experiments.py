@@ -1,4 +1,4 @@
-"""Monte Carlo experiments and figure-data exports.
+"""Monte Carlo experiments.
 
 The asymptotic claims about the process (slope limit tau_bar, corrected
 estimator consistency and its sqrt(T) normal limit, level and innovation
@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dependence import delta_limit, eta_bar, ols_bias, tau_bar
+from .dependence import delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
-from .model import ModelParams, vbar_limit
 from .simulation import BatchSpec, _run_blocks
 
 __all__ = [
@@ -27,21 +26,12 @@ __all__ = [
     "ExperimentSummary",
     "AcfRow",
     "AcfTable",
-    "DEFAULT_PHI_GRID",
-    "DEFAULT_RHO_GRID",
     "normal_cdf",
     "ks_distance",
     "run_consistency_experiment",
     "run_clt_experiment",
     "empirical_acf_experiment",
-    "vbar_curve",
-    "bias_curve",
 ]
-
-# Grid behind the exported curves: six phi values by seven rho values
-# at unit innovation scale.
-DEFAULT_PHI_GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
-DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -288,33 +278,3 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
         )
     return AcfTable(spec=spec, t_obs=t_obs, rows=tuple(rows))
 
-
-def _curve(
-    value: Callable[[ModelParams], float],
-    phi_list: Sequence[float],
-    rho_grid: Sequence[float],
-    sigma_xi: float,
-) -> tuple[tuple[float, float, float], ...]:
-    # Rows (phi, rho, value(params)), phi-major; ModelParams refuses any
-    # grid point outside the domain.
-    rows = []
-    for phi in phi_list:
-        for rho in rho_grid:
-            p = ModelParams(phi, rho, sigma_xi)
-            rows.append((p.phi, p.rho, value(p)))
-    return tuple(rows)
-
-
-def vbar_curve(
-    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (phi, rho, vbar) of the variance limit over a (phi, rho) grid."""
-    return _curve(vbar_limit, phi_list, rho_grid, sigma_xi)
-
-
-def bias_curve(
-    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (phi, rho, bias) of the asymptotic slope bias rho*sigma_xi/vbar
-    over a (phi, rho) grid."""
-    return _curve(ols_bias, phi_list, rho_grid, sigma_xi)

@@ -10,13 +10,15 @@ closed-form limit vbar; both are implemented here.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NonFiniteError, OutOfRangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -56,9 +58,12 @@ class ModelParams:
     sigma_xi: float
 
     def __post_init__(self) -> None:
+        # numpy's scalars are real too; none exists before numpy is loaded.
+        numpy = sys.modules.get("numpy")
+        real = (int, float) if numpy is None else (int, float, numpy.floating, numpy.integer)
         for name in ("phi", "rho", "sigma_xi"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, real):
                 raise NonFiniteError(f"{name} must be a real number, got {type(value).__name__}")
             value = float(value)
             if not math.isfinite(value):
@@ -125,6 +130,7 @@ def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
     # next_v(n) returns the next n >= 0 entries of V_1, V_2, ... as a float
     # array, by variance_sequence's recursion and fixed-point fill; a walk
     # taken in pieces yields the same entries as one taken whole.
+    import numpy as np
     a = params.phi * params.phi
     b = 2.0 * params.phi * params.rho * params.sigma_xi
     c = params.sigma_xi * params.sigma_xi
@@ -164,6 +170,7 @@ def _check_variances(params: ModelParams, T: int) -> None:
     # in pieces and stops at the first entry equal to one of the two before
     # it: V_{t+1} is a function of V_t alone, so every later entry repeats
     # a checked one.
+    import numpy as np
     next_v = _variance_walk(params)
     w = np.empty(0)  # the last two entries checked, then the next piece
     positive = True

@@ -49,6 +49,19 @@ def fresh_python(*args: str, env: dict[str, str] | None = None) -> bytes:
     return subprocess.run([sys.executable, *args], env=child, capture_output=True, check=True).stdout
 
 
+def peak_rss(*args: str) -> int:
+    """Max RSS in bytes of `python *args`, run as fresh_python runs it with
+    its stdout discarded; it must exit 0.  A small interpreter starts it and
+    reads the figure, since a child's max RSS counts its parent's size at
+    the fork.  Linux reports ru_maxrss in KiB."""
+    code = (
+        "import resource, subprocess, sys; "
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    return int(fresh_python("-c", code, sys.executable, *args)) * 1024
+
+
 def seeds_strategy():
     return st.integers(min_value=0, max_value=(1 << 64) - 1)
 

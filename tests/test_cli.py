@@ -29,7 +29,7 @@ from digar import (
 )
 from digar import cli, simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
-from conftest import fresh_python
+from conftest import fresh_python, peak_rss
 from oracles import read_path_csv
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -619,16 +619,11 @@ class TestSinglePathRoute:
 
     def test_simulate_memory_is_a_chunk(self, tmp_path):
         # simulate holds one chunk of the walk and its CSV text, and checks
-        # V_t in constant memory; holding V_t whole as well peaked at 8.9
-        # MiB at this T, and holding the path too at 31.6 MiB.
-        T = 1_000_000
-        tracemalloc.start()
-        try:
-            assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(tmp_path / "p.csv")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+        # V_t in constant memory: from T = 1e3 to 1e6 its peak RSS grew 0.8
+        # MiB on a 2-core Linux host with numpy 2.4.  Holding V_t whole as
+        # well grew it 8.5 MiB, and holding the path's chunks as lists 78 MiB.
+        argv = ("-m", "digar.cli", "simulate", "--out", str(tmp_path / "p.csv"), "-T")
+        assert peak_rss(*argv, "1000000") - peak_rss(*argv, "1000") < 4 << 20
 
 
 class TestExperimentCli:
@@ -807,6 +802,10 @@ def _threads_after(statement, **env):
     return json.loads(fresh_python("-c", code, env=env))
 
 
+# A command that loads numpy: digar.cli loads it when such a command starts.
+_ARRAY_COMMAND = "import digar.cli; digar.cli.main(['variance-path', '-T', '3', '--out', os.devnull])"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="thread count is read from /proc")
 class TestBlasThreads:
     @pytest.fixture(autouse=True, scope="class")
@@ -816,16 +815,76 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("statement", ["from digar.cli import main", "from digar import cli"])
     def test_cli_loads_numpy_with_one_thread(self, statement):
-        threads, environ = _threads_after(statement)
+        threads, environ = _threads_after(f"{statement}; {_ARRAY_COMMAND}")
         assert threads == 1
         assert "OPENBLAS_NUM_THREADS" not in environ
 
     def test_caller_thread_variable_wins(self):
         plain, _ = _threads_after("import numpy", OMP_NUM_THREADS="2")
-        threads, environ = _threads_after("from digar.cli import main", OMP_NUM_THREADS="2")
+        threads, environ = _threads_after(_ARRAY_COMMAND, OMP_NUM_THREADS="2")
         assert threads == plain
         assert environ["OMP_NUM_THREADS"] == "2"
         assert "OPENBLAS_NUM_THREADS" not in environ
+
+
+# limits at the benchmark's three points near (1, 1): argv, exit status,
+# stdout, stderr.  The last point is refused.
+LIMITS_EDGE = [
+    (
+        ["limits", "--phi", "0.9999", "--rho", "0.999"],
+        0,
+        "vbar    = 9990.001\nS       = 70.71245\ntau_bar = 1\nbias    = 9.999999e-05\n"
+        "eta_bar = 4.475493e-06\neta_hat = 1\n",
+        "",
+    ),
+    (
+        ["limits", "--phi", "0.99999", "--rho", "0.9999"],
+        0,
+        "vbar    = 99990\nS       = 223.6074\ntau_bar = 1\nbias    = 1e-05\n"
+        "eta_bar = 1.41432e-07\neta_hat = 1\n",
+        "",
+    ),
+    (
+        ["limits", "--phi", "0.999999", "--rho", "0.999999"],
+        3,
+        "",
+        "error: |tau_bar| < 1 required, got 1.0: tau_bar rounds to +-1 in double precision, "
+        "since the exact 1 - |tau_bar| is about 1e-18\n",
+    ),
+]
+
+# Imports digar.cli and runs main on each argv of the JSON list in
+# sys.argv[1], in that order.  Prints, as JSON, one entry after the import
+# and one per argv: [exit status, stdout, stderr] (None for the import),
+# whether numpy is loaded, and whether os.environ is as it was.
+_CLI_RUNS = """
+import contextlib, io, json, os, sys
+before = dict(os.environ)
+import digar.cli
+report = [[None, "numpy" in sys.modules, dict(os.environ) == before]]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = digar.cli.main(argv)
+    run = [status, out.getvalue(), err.getvalue()]
+    report.append([run, "numpy" in sys.modules, dict(os.environ) == before])
+print(json.dumps(report))
+"""
+
+
+class TestStartWithoutNumpy:
+    """`import digar.cli`, limits and figure compute with floats alone, so
+    they load no numpy and leave the environment as it was."""
+
+    def test_import_limits_and_figure_load_no_numpy(self):
+        argvs = [argv for argv, *_ in LIMITS_EDGE] + [["figure", "vbar"]]
+        report = json.loads(fresh_python("-c", _CLI_RUNS, json.dumps(argvs)))
+        assert [numpy for _, numpy, _ in report] == [False] * 5
+        assert [same for _, _, same in report] == [True] * 5
+        assert [run for run, _, _ in report[1:4]] == [list(case[1:]) for case in LIMITS_EDGE]
+        status, out, err = report[4][0]
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS["figure", "vbar"]
 
 
 class TestFigure:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,10 +15,41 @@ from digar import (
     vbar_limit,
 )
 from digar.model import _variance_walk
-from conftest import params_strategy
+from conftest import fresh_python, params_strategy
 from oracles import variance_sum_form, variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)
+
+# outcomes() builds ModelParams with numpy scalars as sigma_xi, each stored
+# as a float, and with other types as phi, each refused: [type name, value]
+# of the stored sigma_xi, or [error name, message].
+_TYPE_CASES = """
+from decimal import Decimal
+from fractions import Fraction
+
+from digar.errors import DigarError
+from digar.model import ModelParams
+import numpy as np
+
+def outcomes():
+    out = []
+    for value in (np.float32(0.5), np.float64(0.25), np.int64(2)):
+        sigma = ModelParams(0.5, 0.3, value).sigma_xi
+        out.append([type(sigma).__name__, sigma])
+    for value in (True, "0.5", Decimal("0.5"), Fraction(1, 2), None):
+        try:
+            ModelParams(value, 0.3, 1.0)
+        except DigarError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+"""
+TYPE_OUTCOMES = [
+    ["float", 0.5],
+    ["float", 0.25],
+    ["float", 2.0],
+    *(["NonFiniteError", f"phi must be a real number, got {name}"]
+      for name in ("bool", "str", "Decimal", "Fraction", "NoneType")),
+]
 
 
 class TestValidateParams:
@@ -52,6 +84,20 @@ class TestValidateParams:
     def test_non_numeric_rejected(self):
         with pytest.raises(NonFiniteError):
             ModelParams("0.5", 0.3, 1.0)
+
+    def test_numpy_scalars_accepted_other_types_refused(self):
+        namespace = {}
+        exec(_TYPE_CASES, namespace)
+        assert namespace["outcomes"]() == TYPE_OUTCOMES
+
+    def test_types_when_numpy_loads_after_the_model(self):
+        # digar.model loads no numpy; it must still take numpy's scalars
+        # once a later import loads numpy.
+        code = (
+            "import json, sys\nimport digar.model\nloaded = 'numpy' in sys.modules\n"
+            f"{_TYPE_CASES}\nprint(json.dumps([loaded, outcomes()]))"
+        )
+        assert json.loads(fresh_python("-c", code)) == [False, TYPE_OUTCOMES]
 
 
 class TestStationarySd:
