@@ -5,6 +5,7 @@ estimates against their limits, and the studentized statistic.
 from __future__ import annotations
 
 import argparse
+import math
 
 from digar import (
     ModelParams,
@@ -12,7 +13,6 @@ from digar import (
     infeasible_estimate,
     simulate_path,
     stationary_sd,
-    studentized_statistic,
     variance_sequence,
 )
 
@@ -37,7 +37,7 @@ def main() -> int:
 
     path = simulate_path(params, args.T, args.seed)
     res = infeasible_estimate(path)
-    stat = studentized_statistic(res, params.phi, params)
+    stat = math.sqrt(res.sample_size) * (res.phi_tilde - params.phi) / prof.eta_bar
 
     print(f"\npath seed {args.seed}, length {path.horizon}")
     print(f"plain slope estimate      = {res.phi_hat:.6f}  -> tau_bar, not phi")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .dependence import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, bias_curve, dependence_profile, vbar_curve
 from .errors import DigarError, OutOfRangeError
-from .model import ModelParams, _checked_variance_walk, stationary_sd, vbar_limit
+from .model import _PATH_CHUNK, ModelParams, _check_variances, stationary_sd, vbar_limit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,9 +66,9 @@ def _load_arrays() -> None:
     finally:
         if pin:
             del os.environ["OPENBLAS_NUM_THREADS"]
-    from .estimation import _estimate
+    from .estimation import _estimate, _walk_estimate
     from .experiments import empirical_acf_experiment, run_clt_experiment, run_consistency_experiment
-    from .simulation import _PATH_CHUNK, BatchSpec, _walk, simulate_path
+    from .simulation import BatchSpec, _walk, simulate_path
 
     del pin  # the other locals are the names to bind
     for name, value in locals().items():
@@ -125,7 +125,7 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
     _load_arrays()
-    next_v = _checked_variance_walk(params, ns.T)  # refuses before the first byte
+    next_v = _check_variances(params, ns.T)  # refuses before the first byte
     _write_text(ns.out, _variance_csv(next_v, ns.T))
     return 0
 
@@ -149,12 +149,12 @@ def _variance_csv(next_v: Callable[[int], np.ndarray], T: int) -> Iterator[str]:
         yield _rows(t, (next_v(min(_PATH_CHUNK, T + 1 - t)).tolist(),))
 
 
-def _path_csv(chunks: Iterable[tuple[list[float], list[float]]]) -> Iterator[str]:
+def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]]) -> Iterator[str]:
     # The CSV of the path whose Y_t and xi_t chunks come from
     # simulation._walk, one piece per chunk, so a long path is never held.
     yield "t,y,xi\n0,0,\n"
     t = 1
-    for ys, xs in chunks:
+    for ys, xs, _ in chunks:
         yield _rows(t, (ys, xs))
         t += len(ys)
 
@@ -280,8 +280,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
         res, seed = _estimate_csv(ns.infile, params), None
     else:
         _seed_banner(ns.seed)
-        chunks = _walk(params, ns.T, ns.seed)
-        res, seed = _estimate(params, chain([([0.0], [])], chunks)), ns.seed  # Y_0, then the walk
+        res, seed = _walk_estimate(params, ns.T, ns.seed), ns.seed
     tree = asdict(res)
     if ns.format == "json":
         text = json.dumps({**tree, "seed": seed}, indent=2) + "\n"

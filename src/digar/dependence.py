@@ -41,7 +41,6 @@ __all__ = [
     "delta_limit",
     "ols_bias",
     "eta_bar",
-    "sigma_bar_sq",
     "mixing_decay_bound",
     "dependence_profile",
     "DEFAULT_PHI_GRID",
@@ -160,18 +159,6 @@ def eta_bar(params: ModelParams) -> float:
     """
     rho = params.rho
     return params.sigma_xi * math.sqrt((1.0 - rho) * (1.0 + rho)) / vbar_limit(params)
-
-
-def sigma_bar_sq(params: ModelParams) -> float:
-    """Limit variance sigma_xi^2*(1 - rho^2)*vbar^2 of the score terms.
-
-    Satisfies sigma_bar_sq = eta_bar^2 * vbar^4; dividing by the squared
-    limit vbar^2 of the normalized denominator gives eta_bar^2.  1 - rho^2
-    is formed as in eta_bar.
-    """
-    rho = params.rho
-    vb = vbar_limit(params)
-    return params.sigma_xi * params.sigma_xi * ((1.0 - rho) * (1.0 + rho)) * vb * vb
 
 
 def mixing_decay_bound(params: ModelParams) -> float:

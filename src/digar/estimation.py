@@ -4,28 +4,25 @@ The plain least-squares slope of Y_t on Y_{t-1} converges to tau_bar, not
 to phi, whenever rho != 0.  Subtracting the correction term
 rho*sigma_xi*sum(Y_{t-1}^2/V_{t-1})/sum(Y_{t-1}^2) restores consistency;
 the corrected estimator is infeasible in practice because the correction
-consumes the true rho, sigma_xi and V_t, which is why these operations
-take the true parameters explicitly, through the path or as an argument.
+consumes the true rho, sigma_xi and V_t, which is why infeasible_estimate
+takes the true parameters from the path.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .dependence import eta_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .model import ModelParams
-from .simulation import SamplePath, _path_pieces, _PathSums
+from .simulation import SamplePath, _add_sums, _path_pieces, _PathSums, _walk
 
 __all__ = [
     "EstimateResult",
     "infeasible_estimate",
-    "studentized_statistic",
 ]
 
 _Sums = float | np.ndarray  # one sum, or one per path
@@ -90,16 +87,24 @@ def _estimate(params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray
     sums = _PathSums(params)
     for piece in pieces:
         sums.add(*piece)
-    hat, corr = _slopes(params.rho * params.sigma_xi, *sums.close()[:, 0].tolist())
-    return EstimateResult(phi_hat=hat, correction=corr, sample_size=sums.nx)
+    return _result(params, sums.close(), sums.nx)
 
 
-def studentized_statistic(result: EstimateResult, true_phi: float, params: ModelParams) -> float:
-    """sqrt(T)*(phi_tilde - true_phi)/eta_bar(params).
+def _walk_estimate(params: ModelParams, T: int, seed: int) -> EstimateResult:
+    # infeasible_estimate of simulate_path(params, T, seed), summed chunk by
+    # chunk from the Y_t and V_{t-1} that _walk hands out, as _run_blocks
+    # sums its rows: the walk's own checks are the only ones.
+    acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
+    level = 0.0  # Y_0, then the last Y_t of the chunk before
+    for ys, _, v in _walk(params, T, seed):
+        y = np.array([level, *ys])[len(ys) - v.size :, None]  # Y_{t-1} of the steps t >= 2, then Y_t
+        if v.size:
+            _add_sums(acc, y[:-1], y[1:], v[:, None], np.empty((v.size, 1)))
+        level = ys[-1]
+    return _result(params, acc, T)
 
-    Asymptotically standard normal across replications when true_phi is
-    the data-generating coefficient and params are the generator's.
-    """
-    if not math.isfinite(true_phi):
-        raise NonFiniteError(f"true_phi must be finite, got {true_phi!r}")
-    return math.sqrt(result.sample_size) * (result.phi_tilde - true_phi) / eta_bar(params)
+
+def _result(params: ModelParams, sums: np.ndarray, n: int) -> EstimateResult:
+    # The estimate of an n-step path from its (3, 1) sums.
+    hat, corr = _slopes(params.rho * params.sigma_xi, *sums[:, 0].tolist())
+    return EstimateResult(phi_hat=hat, correction=corr, sample_size=n)

@@ -12,26 +12,26 @@ Markov property, so simulating it is exact, not approximate.
 Reproducibility contract: standard normals come from numpy's PCG64 bit
 generator through Generator.standard_normal (the ziggurat method); each
 path consumes exactly T variates.  Both kernels draw them in chunks of
-time steps (_CHUNK for the batch, _PATH_CHUNK for the single path), which
-yields the same variates as one T-length draw, and walk each chunk
+time steps (_CHUNK for the batch, model._PATH_CHUNK for the single path),
+which yields the same variates as one T-length draw, and walk each chunk
 before drawing the next.  Both kernels have model._check_variances, a
 walk in constant memory, refuse V_1..V_T before their first chunk, and
 _PathSums when it closes; every route takes V_t chunk by chunk from a
 fresh model._variance_walk, so none holds a T-long V.  The single-path
-kernel, _walk, hands out its path a chunk at a time: simulate_path
-stores the chunks, and `digar simulate` formats and writes each one, so
-it holds one chunk, not the path.  _PathSums runs SamplePath's checks
-and adds the estimator's sums over a path fed in pieces;
-infeasible_estimate feeds it a stored path, and `digar estimate --in`
-each chunk it parses from the file, so it holds a few chunks and
-nothing T-long.
+kernel, _walk, hands out its path and V_{t-1} a chunk at a time:
+simulate_path stores the chunks, and `digar simulate` formats and
+`digar estimate -T` sums each one, so they hold one chunk, not the path.
+_PathSums runs SamplePath's checks and adds the estimator's sums over a
+path from elsewhere, fed in pieces: infeasible_estimate feeds it a
+stored path, and `digar estimate --in` each chunk it parses from the
+file, so it holds a few chunks and nothing T-long.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order and
 batch rows are bit-identical to the corresponding single-path calls.  The
 estimator's sums have one reduction, _add_sums, which adds them in time
-order: the batch kernel calls it once per chunk of a block, and _PathSums
-once per piece of a path, with one-column views, so a batch row's sums
-and its path's agree bit for bit.
+order: the batch kernel calls it once per chunk of a block, and
+`estimate -T` and _PathSums once per chunk or piece of a path, with
+one-column views, so a batch row's sums and its path's agree bit for bit.
 
 Row r's stream is PCG64(mix_seed(master_seed, r)).  The batch kernel
 computes the starting states of a block's rows in one numpy pass
@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NonFiniteError, OutOfRangeError
-from .model import ModelParams, _check_variances, _variance_walk
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _variance_walk
 
 __all__ = [
     "SamplePath",
@@ -86,13 +86,6 @@ _BLOCK_SIZE = 500
 # chunk, so the kernel's memory does not grow with T.
 _CHUNK = 256
 
-# Time steps per chunk of the single-path route: simulate_path and the
-# CSV writer walk the path, and _PathSums checks and sums a stored path,
-# this many steps at a time.  `simulate -T 1000000` formats at the same
-# speed with chunks of 2,048 to 65,536 steps; its peak RSS is 44.6 MiB at
-# 4,096, 46.4 MiB at 8,192 and 72.9 MiB at 65,536.
-_PATH_CHUNK = 4_096
-
 
 @dataclass(frozen=True)
 class SamplePath:
@@ -109,10 +102,7 @@ class SamplePath:
     seed: int | None
 
     def __post_init__(self) -> None:
-        self._adopt(np.array(self.y, dtype=float), np.array(self.xi, dtype=float))
-
-    def _adopt(self, y: np.ndarray, xi: np.ndarray) -> None:
-        # Check y and xi and keep them, made read-only, as the path's arrays.
+        y, xi = np.array(self.y, dtype=float), np.array(self.xi, dtype=float)
         _check_lengths(y.shape, xi.shape)
         check = _PathSums(self.params, sums=False)
         for piece in _path_pieces(y, xi):
@@ -128,16 +118,6 @@ class SamplePath:
     @property
     def horizon(self) -> int:
         return int(self.xi.shape[0])
-
-
-def _owned_path(params: ModelParams, y: np.ndarray, xi: np.ndarray, seed: int | None) -> SamplePath:
-    # A SamplePath that keeps y and xi themselves instead of copies, for
-    # float arrays that nothing else refers to.
-    path = object.__new__(SamplePath)
-    object.__setattr__(path, "params", params)
-    object.__setattr__(path, "seed", seed)
-    path._adopt(y, xi)
-    return path
 
 
 def _check_lengths(y_shape: tuple[int, ...], xi_shape: tuple[int, ...]) -> None:
@@ -175,9 +155,7 @@ class _PathSums:
         self.skip = 1  # step t = 1 adds no terms
         self.acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
 
-    def add(self, y: Sequence[float], xi: Sequence[float]) -> None:
-        y = np.asarray(y, dtype=float)
-        xi = np.asarray(xi, dtype=float)
+    def add(self, y: np.ndarray, xi: np.ndarray) -> None:
         if self.ny == 0 and y.size:
             self.y0 = float(y[0])
         self.ny += y.size
@@ -374,28 +352,32 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     xi = np.empty(T)
     y[0] = 0.0
     t = 1
-    for ys, xs in chunks:
+    for ys, xs, _ in chunks:
         y[t : t + len(ys)] = ys
         xi[t - 1 : t - 1 + len(xs)] = xs
         t += len(ys)
-    return _owned_path(params, y, xi, seed)
+    y.setflags(write=False)
+    xi.setflags(write=False)
+    path = object.__new__(SamplePath)  # the kernel's own arrays, without SamplePath's check pass
+    for name, value in (("params", params), ("y", y), ("xi", xi), ("seed", seed)):
+        object.__setattr__(path, name, value)
+    return path
 
 
-def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float], list[float]]]:
-    # The single-path kernel: lists of Y_t and of xi_t for t = 1..T, one
-    # pair per chunk of _PATH_CHUNK steps, each chunk drawn from the path's
-    # stream and walked before the next.  T, the seed and V_1..V_T are
-    # checked here, before the first chunk is asked for.
+def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float], list[float], np.ndarray]]:
+    # The single-path kernel: for t = 1..T, lists of Y_t and xi_t and the
+    # array of V_{t-1} of the steps t >= 2, one triple per _PATH_CHUNK steps,
+    # each drawn from the path's stream and walked before the next.  T, the
+    # seed and V_1..V_T are checked here, before the first chunk is asked for.
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     stream = normal_stream(seed)
-    _check_variances(params, T)
-    next_v = _variance_walk(params)
+    next_v = _check_variances(params, T)
     rs = params.rho * params.sigma_xi
     cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # sd of xi_t | Y_{t-1}
     phi = params.phi
 
-    def chunks() -> Iterator[tuple[list[float], list[float]]]:
+    def chunks() -> Iterator[tuple[list[float], list[float], np.ndarray]]:
         level = 0.0  # Y_0
         for t0 in range(1, T + 1, _PATH_CHUNK):  # steps t = t0 .. t1-1
             t1 = min(t0 + _PATH_CHUNK, T + 1)
@@ -410,14 +392,15 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
                 ys.append(level)
                 first = 2
             noise = (cond_sd * eps[first - t0 :]).tolist()
-            slope = (rs / next_v(t1 - first)).tolist()  # rho*sigma_xi/V_{t-1}
+            v = next_v(t1 - first)  # V_{t-1} of steps t = first .. t1-1
+            slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             y_append, x_append = ys.append, xs.append
             for s, e in zip(slope, noise):
                 x = s * level + e
                 x_append(x)
                 level = phi * level + x
                 y_append(level)
-            yield ys, xs
+            yield ys, xs, v
 
     return chunks()
 

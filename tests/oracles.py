@@ -64,13 +64,13 @@ def decay_bound_scan(params: ModelParams, T: int) -> float:
     return max(float(np.max(np.abs(taus))), abs(tau_bar(params)))
 
 
-def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
-    """vbar, tau_bar, eta_bar, sigma_bar_sq and S at 60 digits, taking the
+def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """vbar, tau_bar, eta_bar and S at 60 digits, taking the
     binary parameter values as exact.
 
     vbar = sigma*(rho*phi + sqrt(rho^2*phi^2 + 1 - phi^2))/(1 - phi^2),
     tau_bar = phi + rho*sigma/vbar, eta_bar = sigma*sqrt(1 - rho^2)/vbar,
-    sigma_bar_sq = sigma^2*(1 - rho^2)*vbar^2, S = sigma/sqrt(1 - phi^2).
+    S = sigma/sqrt(1 - phi^2).
     """
     p, r, s = Decimal(params.phi), Decimal(params.rho), Decimal(params.sigma_xi)
     with localcontext() as ctx:
@@ -80,7 +80,6 @@ def decimal_limits(params: ModelParams) -> tuple[Decimal, Decimal, Decimal, Deci
             vbar,
             p + r * s / vbar,
             s * (1 - r * r).sqrt() / vbar,
-            s * s * (1 - r * r) * vbar * vbar,
             s / (1 - p * p).sqrt(),
         )
 

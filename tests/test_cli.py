@@ -27,7 +27,7 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
-from digar import cli, simulation
+from digar import cli, estimation, model, simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
 from conftest import fresh_python, peak_rss
 from oracles import read_path_csv
@@ -600,22 +600,56 @@ class TestSinglePathRoute:
     @pytest.mark.parametrize("params", [P, ModelParams(0.95, 0.9, 2.0)], ids=["P", "slow_V"])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
     def test_estimate_in_equals_estimate_T(self, capsys, tmp_path, monkeypatch, params, chunk):
-        # At (0.95, 0.9) V_t is still moving at T = 50, so its pieces
-        # come from the recursion, not the fixed-point fill.
+        # estimate -T sums the walk's own chunks and estimate --in the
+        # file's pieces through _PathSums; the two reductions agree bit for
+        # bit, also at T = 2, a single term.  At (0.95, 0.9) V_t is still
+        # moving at T = 50, so its pieces come from the recursion, not the
+        # fixed-point fill.
         flags = ["--phi", str(params.phi), "--rho", str(params.rho), "--sigma", str(params.sigma_xi)]
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
-        path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", *flags, "-T", "50", "--out", str(path_file)]) == 0
-        capsys.readouterr()
-        for fmt in ("csv", "json"):
-            code, direct, _ = run_cli(capsys, "estimate", *flags, "-T", "50", "--format", fmt)
-            assert code == 0
-            # A path read from a file has no seed.
-            want = direct.replace(f'"seed": {DEFAULT_SEED}', '"seed": null')
-            for read_chars in (1, 7, 40):
-                monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
-                got = run_cli(capsys, "estimate", *flags, "--in", str(path_file), "--format", fmt)
-                assert got == (0, want, "")
+        for T in ("2", "50"):
+            path_file = tmp_path / f"path{T}.csv"
+            assert parse_and_dispatch(["simulate", *flags, "-T", T, "--out", str(path_file)]) == 0
+            capsys.readouterr()
+            for fmt in ("csv", "json"):
+                code, direct, _ = run_cli(capsys, "estimate", *flags, "-T", T, "--format", fmt)
+                assert code == 0
+                # A path read from a file has no seed.
+                want = direct.replace(f'"seed": {DEFAULT_SEED}', '"seed": null')
+                for read_chars in (1, 7, 40):
+                    monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+                    got = run_cli(capsys, "estimate", *flags, "--in", str(path_file), "--format", fmt)
+                    assert got == (0, want, "")
+
+    def test_estimate_T_walks_V_twice_and_checks_it_once(self, capsys, monkeypatch):
+        # One walk checks V_1..V_T and one gives the path and its sums
+        # V_{t-1}; no _PathSums walks and checks V_t again.  At (0.999999,
+        # 0.9) no V_t repeats within T, so each walk runs to its end.
+        T = 20_000
+        drawn, checked = [], []
+        walk, check = model._variance_walk, simulation._check_variances
+
+        def counted_walk(params):
+            next_v = walk(params)
+
+            def counted(n):
+                drawn.append(n)
+                return next_v(n)
+
+            return counted
+
+        def counted_check(params, T):
+            checked.append(T)
+            return check(params, T)
+
+        monkeypatch.setattr(model, "_variance_walk", counted_walk)
+        monkeypatch.setattr(simulation, "_variance_walk", counted_walk)
+        monkeypatch.setattr(simulation, "_check_variances", counted_check)
+        monkeypatch.setattr(estimation, "_PathSums", mock.Mock(side_effect=AssertionError("built a _PathSums")))
+        code, out, _ = run_cli(capsys, "estimate", "-T", str(T), "--phi", "0.999999", "--rho", "0.9")
+        assert code == 0 and out.startswith("phi_hat,")
+        assert T <= sum(drawn) <= 2 * T
+        assert checked == [T]
 
     def test_simulate_memory_is_a_chunk(self, tmp_path):
         # simulate holds one chunk of the walk and its CSV text, and checks

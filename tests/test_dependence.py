@@ -16,7 +16,6 @@ from digar import (
     eta_bar,
     mixing_decay_bound,
     ols_bias,
-    sigma_bar_sq,
     stationary_sd,
     tau_bar,
     tau_lag_k,
@@ -153,12 +152,6 @@ class TestEtaBarAndSigmaBar:
         assert eta_bar(P) == pytest.approx(0.6953451638599925, rel=1e-12)
 
     @given(params_strategy())
-    def test_sigma_bar_two_routes_agree(self, p):
-        direct = sigma_bar_sq(p)
-        via_eta = eta_bar(p) ** 2 * vbar_limit(p) ** 4
-        assert direct == pytest.approx(via_eta, rel=1e-12)
-
-    @given(params_strategy())
     def test_eta_bar_squared_complements_tau_bar_squared(self, p):
         # eta_bar^2 = 1 - tau_bar^2 follows from the quadratic identity
         # satisfied by vbar; a strong consistency check across functions.
@@ -166,7 +159,7 @@ class TestEtaBarAndSigmaBar:
 
 
 class TestLimitsAgainstDecimal:
-    """vbar, tau_bar, eta_bar, sigma_bar_sq and S to within 1e-15 relative
+    """vbar, tau_bar, eta_bar and S to within 1e-15 relative
     of 60 digits, also where rho*phi nears -1 and a sum in the textbook
     form cancels, and where |rho| or |phi| nears 1 and 1 - rho^2 or
     1 - phi^2 loses digits."""
@@ -186,8 +179,8 @@ class TestLimitsAgainstDecimal:
     def test_relative_error(self, phi, rho):
         p = ModelParams(phi, rho, 1.0)
         exact = decimal_limits(p)
-        got = (vbar_limit(p), tau_bar(p), eta_bar(p), sigma_bar_sq(p), stationary_sd(p))
-        names = ("vbar", "tau_bar", "eta_bar", "sigma_bar_sq", "S")
+        got = (vbar_limit(p), tau_bar(p), eta_bar(p), stationary_sd(p))
+        names = ("vbar", "tau_bar", "eta_bar", "S")
         for name, value, want in zip(names, got, exact):
             assert abs((Decimal(value) - want) / want) <= Decimal("1e-15"), name
 

@@ -13,12 +13,9 @@ from digar import (
     NonFiniteError,
     OutOfRangeError,
     SamplePath,
-    dependence_profile,
-    eta_bar,
     infeasible_estimate,
     mix_seed,
     simulate_path,
-    studentized_statistic,
     tau_bar,
     variance_sequence,
 )
@@ -278,32 +275,3 @@ class TestZSeries:
         z_sq = Z[:, i] ** 2
         assert abs(z_sq.mean() - sig_sq) < 3.0 * z_sq.std(ddof=1) / math.sqrt(R)
         assert abs(np.corrcoef(Z[:, 3], Z[:, i])[0, 1]) < 3.0 / math.sqrt(R)
-
-
-class TestStudentizedStatistic:
-    def test_zero_at_truth(self):
-        res = EstimateResult(phi_hat=0.75, correction=0.25, sample_size=400)
-        assert studentized_statistic(res, 0.5, P) == 0.0
-
-    def test_hand_algebra(self):
-        res = EstimateResult(phi_hat=0.85, correction=0.25, sample_size=400)
-        stat = studentized_statistic(res, 0.5, P)
-        assert stat == pytest.approx(20.0 * 0.1 / eta_bar(P), rel=1e-12)
-
-    def test_defined_where_profile_refuses(self):
-        # dependence_profile refuses here because tau_bar rounds to 1, but
-        # eta_bar, about 1.41e-9, is all the statistic needs.
-        p = ModelParams(0.999999, 0.999999, 1.0)
-        with pytest.raises(OutOfRangeError, match="rounds to"):
-            dependence_profile(p)
-        res = infeasible_estimate(simulate_path(p, 500, 11))
-        assert eta_bar(p) == pytest.approx(1.41e-9, rel=1e-2)
-        assert studentized_statistic(res, p.phi, p) == (
-            math.sqrt(500) * (res.phi_tilde - p.phi) / eta_bar(p)
-        )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_truth_rejected(self, bad):
-        res = EstimateResult(phi_hat=0.85, correction=0.25, sample_size=400)
-        with pytest.raises(NonFiniteError):
-            studentized_statistic(res, bad, P)
