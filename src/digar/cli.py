@@ -7,8 +7,9 @@ always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
 randomized run is echoed on stderr and embedded in JSON outputs.
 
-`import digar.cli`, limits and figure load no numpy: their work is float
-arithmetic.  variance-path, simulate, estimate and experiment compute
+`import digar.cli`, limits and figure load no numpy, json or csv: their
+work is float arithmetic, and only the commands that write JSON or read
+a path CSV load json or csv.  variance-path, simulate, estimate and experiment compute
 with arrays, and each starts by loading numpy and the array modules
 (estimation, experiments, simulation) through _load_arrays.  numpy loads
 there with one OpenBLAS thread, unless OPENBLAS_NUM_THREADS,
@@ -21,9 +22,7 @@ again, so child processes inherit nothing.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import re
 import sys
@@ -163,6 +162,7 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     _load_arrays()
     _seed_banner(ns.seed)
     if ns.format == "json":
+        import json
         path = simulate_path(params, ns.T, ns.seed)
         y, xi = path.y.tolist(), path.xi.tolist()
         tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
@@ -235,6 +235,7 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
     # The estimate of the path in a CSV file, read and summed chunk by
     # chunk; the file's path is never held whole.
+    import csv
     _load_arrays()
     with open(infile, newline="", encoding="utf-8") as fh:
         try:
@@ -251,6 +252,7 @@ def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np
     # lines.  A chunk in simulate's plain form is parsed by numpy in one
     # call (_plain_rows); any other chunk goes through _csv_rows, so only
     # the row loop refuses a file.
+    import csv
     t, lineno = 0, 2  # the next row's t and record number
     while text := fh.read(_READ_CHARS):
         if not text.endswith("\n"):
@@ -283,6 +285,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
         res, seed = _walk_estimate(params, ns.T, ns.seed), ns.seed
     tree = asdict(res)
     if ns.format == "json":
+        import json
         text = json.dumps({**tree, "seed": seed}, indent=2) + "\n"
     else:
         text = ",".join(tree) + "\n" + ",".join(map(_g17, tree.values())) + "\n"
@@ -291,6 +294,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
+    import json
     _load_arrays()
     spec = BatchSpec(params, ns.T, ns.R, ns.seed)
     _seed_banner(spec.master_seed)

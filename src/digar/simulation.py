@@ -33,14 +33,19 @@ order: the batch kernel calls it once per chunk of a block, and
 `estimate -T` and _PathSums once per chunk or piece of a path, with
 one-column views, so a batch row's sums and its path's agree bit for bit.
 
+A batch block holds two chunk buffers of _CHUNK steps by its rows: the
+draws, which then serve as scratch for the sums, and the levels, in
+which each step makes xi_t and then Y_t over it.
+
 Row r's stream is PCG64(mix_seed(master_seed, r)).  The batch kernel
 computes the starting states of a block's rows in one numpy pass
 (_pcg64_states) instead of constructing each through numpy's
-SeedSequence, which costs about 20 us per row.  A guard compares each
-block's first row with numpy's own constructor; on a mismatch the batch
-seeds row by row through normal_stream from there on, so a numpy that
-seeds differently cannot change the bytes silently.  simulate_path
-always seeds through normal_stream.
+SeedSequence, which costs about 20 us per row, and sets each row's
+stream as its state is computed, with no list of them held.  A guard
+compares each block's first row with numpy's own constructor; on a
+mismatch the batch seeds row by row through normal_stream from there on,
+so a numpy that seeds differently cannot change the bytes silently.
+simulate_path always seeds through normal_stream.
 """
 
 from __future__ import annotations
@@ -272,12 +277,13 @@ def _hasher(init: int, mult: int):
     return step
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    # The state dict of np.random.PCG64(seed) for each uint64 seed.  numpy
-    # seeds PCG64 through SeedSequence(seed).generate_state(4, uint64); that
-    # hash is uint32 arithmetic with constants that do not depend on the
-    # data, so it runs here across all seeds at once.  A 64-bit seed is at
-    # most two entropy words, and the missing pool words hash as 0.
+def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
+    # The state dict of np.random.PCG64(seed) for each uint64 seed, in
+    # order, each yielded as it is computed, so no list of them is held.
+    # numpy seeds PCG64 through SeedSequence(seed).generate_state(4, uint64);
+    # that hash is uint32 arithmetic with constants that do not depend on
+    # the data, so it runs here across all seeds at once.  A 64-bit seed is
+    # at most two entropy words, and the missing pool words hash as 0.
     u32 = np.uint32
     hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
     pool = [
@@ -297,15 +303,11 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
     # words 0-1 as the initial state and words 2-3 as the stream, then
     # steps its LCG twice: from 0, and again after adding the state.
     s0, s1, s2, s3 = (words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4))
-    states = []
     for a, b, c, d in zip(s0.tolist(), s1.tolist(), s2.tolist(), s3.tolist()):
         inc = ((c << 64 | d) << 1 | 1) & _MASK128
         state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-             "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def _add_sums(
@@ -420,9 +422,12 @@ def _run_blocks(
     # max(lo, 1) <= t < hi, one row per path, and the walk stops at the last
     # kept step.  Without keep it yields the (3, n) sums over t = 2..T of
     # Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each accumulated in time
-    # order, as np.cumsum adds.  The yielded arrays are fresh per block;
-    # the chunk buffers are allocated once, and a shorter last block uses
-    # prefixes of them.
+    # order, as np.cumsum adds.  The yielded arrays are fresh per block.
+    # The two chunk buffers, the draws and the levels, are allocated once,
+    # and a shorter last block uses prefixes of them.  Each step makes xi_t
+    # in the row of Y_t, copies it out only at a kept step, then makes Y_t
+    # over it: the same two roundings as simulate_path, since IEEE
+    # addition commutes.
     params = spec.params
     T = spec.path_length
     _check_variances(params, T)
@@ -435,10 +440,9 @@ def _run_blocks(
         lo, hi = keep
         xlo = max(lo, 1)
         last = min(T, hi - 1)
-    c = min(_CHUNK, last)
+    c = min(_CHUNK, max(last, 1))  # keep=(0, 1), Y_0 alone, walks no step
     width = min(_BLOCK_SIZE, spec.replications)
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
-    xi_buf = np.empty(c * width)
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
     gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
@@ -451,24 +455,23 @@ def _run_blocks(
         # The block's first row checks the bulk states against numpy's own
         # constructor; after a mismatch every block seeds row by row.
         if bulk:
-            states = _pcg64_states(_mix_seeds(spec.master_seed, start, n))
-            guard = normal_stream(mix_seed(spec.master_seed, start)).bit_generator.state
-            bulk = guard == states[0]
+            states = iter(_pcg64_states(_mix_seeds(spec.master_seed, start, n)))
+            first = next(states)
+            bulk = first == normal_stream(mix_seed(spec.master_seed, start)).bit_generator.state
         if bulk:
-            for bit, state in zip(bits, states):
+            bits[0].state = first
+            for state, bit in zip(states, bits[1:n]):
                 bit.state = state
             streams = gens[:n]
         else:
             streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, start + n)]
         raw = raw_buf[: n * c]
         eps = raw.reshape(n, c)
-        xi = xi_buf[: c * n].reshape(c, n)
         y = y_buf[: (c + 1) * n].reshape(c + 1, n)
         tmp = tmp_buf[:n]
         y[0] = 0.0
         eps_rows = list(eps)
         y_rows = list(y)
-        xi_rows = list(xi)
         ys = xs = acc = None
         next_v = _variance_walk(params)
         if keep is not None:
@@ -477,24 +480,32 @@ def _run_blocks(
         else:
             acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
         for t0 in range(1, last + 1, c):
-            m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; xi[j] is xi_{t0+j}
+            m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; y[j+1] is step t0+j
             rows = eps_rows if m == c else [row[:m] for row in eps_rows]
             for row, stream in zip(rows, streams):
                 stream.standard_normal(out=row)
-            mul(eps[:, :m].T, cond_sd, out=xi[:m])
+            mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # cond_sd*eps_t, made into xi_t below
+            outs = [None] * m  # xs's column for xi_t at the kept steps
+            if xs is not None:
+                for t in range(max(xlo, t0), t0 + m):
+                    outs[t - t0] = xs[:, t - xlo]
             j0 = 0
             if t0 == 1:
-                mul(eps[:, 0], sig, out=xi[0])
-                mul(y[0], phi, out=y[1])
-                add(y[1], xi[0], out=y[1])
+                mul(eps[:, 0], sig, out=y[1])  # xi_1 = sigma_xi*eps_1
+                if outs[0] is not None:
+                    outs[0][...] = y[1]
+                mul(y[0], phi, tmp)
+                add(tmp, y[1], y[1])
                 j0 = 1
             v = next_v(m - j0)  # V_{t-1} of steps t = t0+j0 .. t0+m-1
             slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
-            for lag, lead, x, s in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], xi_rows[j0:m], slope):
+            for lag, lead, s, out in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], slope, outs[j0:]):
                 mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
-                add(tmp, x, x)
-                mul(lag, phi, lead)  # Y_t = phi*Y_{t-1} + xi_t
-                add(lead, x, lead)
+                add(tmp, lead, lead)
+                if out is not None:
+                    out[...] = lead
+                mul(lag, phi, tmp)  # Y_t = phi*Y_{t-1} + xi_t
+                add(tmp, lead, lead)
             if acc is not None and m > j0:  # the sums start at t = 2
                 terms = raw[: (m - j0) * n].reshape(m - j0, n)
                 _add_sums(acc, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
@@ -502,6 +513,5 @@ def _run_blocks(
                 a, b = max(lo, t0), min(hi, t0 + m)
                 if a < b:
                     ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
-                    xs[:, a - xlo : b - xlo] = xi[a - t0 : b - t0].T
             y[0] = y[m]
         yield start, ys, xs, acc

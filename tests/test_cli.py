@@ -799,7 +799,7 @@ class TestGoldenBytes:
         streams = []
 
         def wrong(seeds):
-            states = bulk(seeds)
+            states = list(bulk(seeds))
             states[0]["state"]["inc"] ^= 2
             return states
 
@@ -919,6 +919,17 @@ class TestStartWithoutNumpy:
         status, out, err = report[4][0]
         assert (status, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS["figure", "vbar"]
+
+    def test_limits_and_figure_load_neither_json_nor_csv(self):
+        # Only the commands that write JSON or read a path CSV load them.
+        code = (
+            "import contextlib, io, sys\n"
+            "from digar.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['limits']), main(['figure', 'vbar']), main(['figure', 'bias'])\n"
+            "print(sorted(m for m in ('csv', 'json', 'numpy') if m in sys.modules))"
+        )
+        assert fresh_python("-c", code) == b"[]\n"
 
 
 class TestFigure:

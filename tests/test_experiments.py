@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given
 
 from digar import (
     DEFAULT_PHI_GRID,
@@ -20,17 +22,21 @@ from digar import (
     empirical_acf_experiment,
     eta_bar,
     ks_distance,
+    mix_seed,
     normal_cdf,
     normal_stream,
     ols_bias,
     run_clt_experiment,
     run_consistency_experiment,
+    simulate_path,
     stationary_sd,
     tau_bar,
     vbar_curve,
     vbar_limit,
 )
 from digar.experiments import _collect_estimates
+from digar.simulation import _run_blocks
+from conftest import boundary_params_strategy, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -265,6 +271,24 @@ class TestAcfExperiment:
             empirical_acf_experiment(BatchSpec(P, 208, 29, 888), 200, 4)
         with pytest.raises(OutOfRangeError, match="exceeds path length"):
             empirical_acf_experiment(BatchSpec(P, 203, 800, 888), 200, 4)
+
+    @given(
+        boundary_params_strategy(),
+        st.integers(0, 40),
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        seeds_strategy(),
+    )
+    def test_window_rows_equal_single_paths_at_boundary(self, p, t_obs, k_max, extra, R, seed):
+        # The window the experiment asks the batch kernel for, Y_t and xi_t
+        # at t_obs <= t <= t_obs + k_max, holds each row's single path.
+        T = max(2, t_obs + k_max + extra)
+        ((_, ys, xs, _),) = _run_blocks(BatchSpec(p, T, R, seed), keep=(t_obs, t_obs + k_max + 1))
+        for r in range(R):
+            solo = simulate_path(p, T, mix_seed(seed, r))
+            assert np.array_equal(ys[r], solo.y[t_obs : t_obs + k_max + 1])
+            assert np.array_equal(xs[r], solo.xi[max(t_obs, 1) - 1 : t_obs + k_max])
 
 
 class TestCurves:

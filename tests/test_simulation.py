@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,12 +115,12 @@ class TestBulkSeeding:
     EDGE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
 
     def test_edge_seeds_match_numpy(self):
-        states = _pcg64_states(np.array(self.EDGE_SEEDS, dtype=np.uint64))
+        states = list(_pcg64_states(np.array(self.EDGE_SEEDS, dtype=np.uint64)))
         assert states == [np.random.PCG64(s).state for s in self.EDGE_SEEDS]
 
     def test_random_seeds_match_numpy(self):
         seeds = np.random.default_rng(20170411).integers(0, 1 << 64, 10_000, dtype=np.uint64)
-        states = _pcg64_states(seeds)
+        states = list(_pcg64_states(seeds))
         assert states == [np.random.PCG64(s).state for s in seeds.tolist()]
 
     @pytest.mark.parametrize("master", [0, 12345, (1 << 64) - 1])
@@ -150,7 +151,7 @@ class TestBulkSeeding:
         stream_seeds.clear()
 
         def wrong(seeds):
-            states = _pcg64_states(seeds)
+            states = list(_pcg64_states(seeds))
             states[0]["state"]["state"] ^= 1
             return states
 
@@ -442,6 +443,38 @@ class TestKernelChunking:
                     solo = simulate_path(p, 30, mix_seed(17, r))
                     assert np.array_equal(y[r], solo.y)
                     assert np.array_equal(xi[r], solo.xi)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 256])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (1, 2), (1, 31), (2, 9)])
+    def test_windows_at_the_start_match_single_paths(self, monkeypatch, chunk, lo, hi):
+        # xi_1 = sigma_xi*eps_1 is made apart from the later steps, in the
+        # row where Y_1 then overwrites it; a window from t <= 1 keeps it.
+        for p in (P, MOVING):
+            spec = BatchSpec(p, 30, 3, 17)
+            (start, y, xi, sums), = self._chunked(monkeypatch, chunk, spec, keep=(lo, hi))
+            assert sums is None
+            for r in range(3):
+                solo = simulate_path(p, 30, mix_seed(17, r))
+                assert np.array_equal(y[r], solo.y[lo:hi])
+                assert np.array_equal(xi[r], solo.xi[max(lo, 1) - 1 : hi - 1])
+
+
+class TestKernelMemory:
+    """A block holds two chunk buffers, the draws and the levels, in which
+    each xi_t is made; the seed states are set as they are computed."""
+
+    @pytest.mark.parametrize("keep", [None, (200, 205)])
+    def test_block_peak_below_three_chunk_buffers(self, keep):
+        list(_run_blocks(BatchSpec(P, 10, 5, 1)))  # allocations of a first call
+        spec = BatchSpec(P, 2000, simulation._BLOCK_SIZE, 7)
+        tracemalloc.start()
+        try:
+            for _ in _run_blocks(spec, keep=keep):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * simulation._BLOCK_SIZE * simulation._CHUNK * 8
 
 
 class TestCrossSectionalLaw:
