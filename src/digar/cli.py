@@ -282,7 +282,7 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
         res, seed = _estimate_csv(ns.infile, params), None
     else:
         _seed_banner(ns.seed)
-        res, seed = _walk_estimate(params, ns.T, ns.seed), ns.seed
+        res, seed = _walk_estimate(params, _walk(params, ns.T, ns.seed)), ns.seed
     tree = asdict(res)
     if ns.format == "json":
         import json

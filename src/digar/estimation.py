@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
-from .model import ModelParams
-from .simulation import SamplePath, _add_sums, _path_pieces, _PathSums, _walk
+from .model import ModelParams, _check_variances, _variance_walk
+from .simulation import SamplePath, _add_sums, _checked_steps, _path_pieces
 
 __all__ = [
     "EstimateResult",
@@ -83,24 +83,37 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
 
 def _estimate(params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> EstimateResult:
     # infeasible_estimate of the path whose (Y, xi) pieces these are, in
-    # time order, with SamplePath's refusals; no T-long array is held.
-    sums = _PathSums(params)
-    for piece in pieces:
-        sums.add(*piece)
-    return _result(params, sums.close(), sums.nx)
+    # time order, summed by _walk_estimate from the Y_t that _checked_steps
+    # hands out and V_{t-1} from a walk begun at step t = 2.  SamplePath's
+    # refusals come first, then V_1..V_T's; no T-long array is held.
+    next_v = _variance_walk(params)
+
+    def chunks() -> Iterator[tuple[np.ndarray, None, np.ndarray]]:
+        T = 0
+        for ys in _checked_steps(params, pieces):
+            yield ys, None, next_v(ys.size - (T == 0))  # V_{t-1} of the steps t >= 2
+            T += ys.size
+        _check_variances(params, T)
+
+    return _walk_estimate(params, chunks())
 
 
-def _walk_estimate(params: ModelParams, T: int, seed: int) -> EstimateResult:
-    # infeasible_estimate of simulate_path(params, T, seed), summed chunk by
-    # chunk from the Y_t and V_{t-1} that _walk hands out, as _run_blocks
-    # sums its rows: the walk's own checks are the only ones.
+def _walk_estimate(
+    params: ModelParams, chunks: Iterable[tuple[Sequence[float], object, np.ndarray]]
+) -> EstimateResult:
+    # The single-path summer: infeasible_estimate of the path whose chunks
+    # these are, in _walk's (ys, xs, v) form, summed chunk by chunk from Y_t
+    # and V_{t-1} as _run_blocks sums its rows.  `estimate -T` passes _walk's
+    # own chunks, so the walk's checks are its only ones.
     acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
     level = 0.0  # Y_0, then the last Y_t of the chunk before
-    for ys, _, v in _walk(params, T, seed):
-        y = np.array([level, *ys])[len(ys) - v.size :, None]  # Y_{t-1} of the steps t >= 2, then Y_t
+    T = 0
+    for ys, _, v in chunks:
+        y = np.concatenate(([level], ys))[len(ys) - v.size :, None]  # Y_{t-1} of the steps t >= 2, then Y_t
         if v.size:
             _add_sums(acc, y[:-1], y[1:], v[:, None], np.empty((v.size, 1)))
         level = ys[-1]
+        T += len(ys)
     return _result(params, acc, T)
 
 

@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 # Time steps per chunk of the single-path route: simulate_path, the CSV
-# writers, _PathSums and _check_variances take the path or V_t this many
-# steps at a time.  `simulate -T 1000000` formats at the same speed with
+# writers, the path checker and _check_variances take the path or V_t this
+# many steps at a time.  `simulate -T 1000000` formats at the same speed with
 # chunks of 2,048 to 65,536 steps; its peak RSS is 44.6 MiB at 4,096,
 # 46.4 MiB at 8,192 and 72.9 MiB at 65,536.
 _PATH_CHUNK = 4_096

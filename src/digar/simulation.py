@@ -16,22 +16,23 @@ time steps (_CHUNK for the batch, model._PATH_CHUNK for the single path),
 which yields the same variates as one T-length draw, and walk each chunk
 before drawing the next.  Both kernels have model._check_variances, a
 walk in constant memory, refuse V_1..V_T before their first chunk, and
-_PathSums when it closes; every route takes V_t chunk by chunk from a
-fresh model._variance_walk, so none holds a T-long V.  The single-path
-kernel, _walk, hands out its path and V_{t-1} a chunk at a time:
-simulate_path stores the chunks, and `digar simulate` formats and
-`digar estimate -T` sums each one, so they hold one chunk, not the path.
-_PathSums runs SamplePath's checks and adds the estimator's sums over a
-path from elsewhere, fed in pieces: infeasible_estimate feeds it a
-stored path, and `digar estimate --in` each chunk it parses from the
-file, so it holds a few chunks and nothing T-long.
+the estimate of a path from elsewhere after the path's checks; every
+route takes V_t chunk by chunk from a fresh model._variance_walk, so none
+holds a T-long V.  The single-path kernel, _walk, hands out its path and
+V_{t-1} a chunk at a time: simulate_path stores the chunks, and `digar
+simulate` formats and `digar estimate -T` sums each one, so they hold one
+chunk, not the path.  _checked_steps only checks: it runs SamplePath's
+checks on a path fed in pieces and hands out its levels, walking no V_t.
+infeasible_estimate feeds it a stored path, and `digar estimate --in` each
+chunk it parses from the file, so it holds a few chunks and nothing T-long.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order and
 batch rows are bit-identical to the corresponding single-path calls.  The
 estimator's sums have one reduction, _add_sums, which adds them in time
 order: the batch kernel calls it once per chunk of a block, and
-`estimate -T` and _PathSums once per chunk or piece of a path, with
-one-column views, so a batch row's sums and its path's agree bit for bit.
+estimation's single-path summer, which every single-path estimate goes
+through, once per chunk of a path, with one-column views, so a batch
+row's sums and its path's agree bit for bit.
 
 A batch block holds two chunk buffers of _CHUNK steps by its rows: the
 draws, which then serve as scratch for the sums, and the levels, in
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -109,10 +110,8 @@ class SamplePath:
     def __post_init__(self) -> None:
         y, xi = np.array(self.y, dtype=float), np.array(self.xi, dtype=float)
         _check_lengths(y.shape, xi.shape)
-        check = _PathSums(self.params, sums=False)
-        for piece in _path_pieces(y, xi):
-            check.add(*piece)
-        check.close()
+        for _ in _checked_steps(self.params, _path_pieces(y, xi)):
+            pass
         if self.seed is not None:
             _check_seed(self.seed)
         y.setflags(write=False)
@@ -131,77 +130,59 @@ def _check_lengths(y_shape: tuple[int, ...], xi_shape: tuple[int, ...]) -> None:
 
 
 def _path_pieces(y: np.ndarray, xi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # Y_0.. and xi_1.. of a stored path in pieces of _PATH_CHUNK, for _PathSums.add.
+    # Y_0.. and xi_1.. of a stored path in pieces of _PATH_CHUNK, for _checked_steps.
     for lo in range(0, y.shape[0], _PATH_CHUNK):
         yield y[lo : lo + _PATH_CHUNK], xi[lo : lo + _PATH_CHUNK]
 
 
-class _PathSums:
-    # SamplePath's checks on a path fed in pieces, and with sums=True the
-    # estimator's sums over t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and
-    # Y_{t-1}^2/V_{t-1}, each added in time order by _add_sums.
-    # add(y, xi) takes the next Y values (Y_0 first) and the next xi values
-    # (xi_1 first); a piece may hold more of one than of the other.  As in
-    # _run_blocks, V_{t-1} comes piece by piece from a model._variance_walk
-    # begun at step t = 2, so no T-long array is held.  close() raises the
-    # first refusal in SamplePath's order (lengths, finiteness, y_0 = 0,
-    # the recursion against an atol from the extremes of all Y), then, with
-    # sums, _check_variances' for V_1..V_T, and returns the three sums
-    # (None without sums).  Once a refusal is certain the rest is only counted.
-    def __init__(self, params: ModelParams, sums: bool = True) -> None:
-        self.params = params
-        self.ny = self.nx = 0
-        self.finite = True
-        self.y0 = 0.0
-        self.scale = 1.0  # max(1, |Y|) over the Y seen
-        self.worst = 0.0  # largest |y[t] - (phi*y[t-1] + xi[t])| seen
-        self.ys = self.xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
-        self.next_v = _variance_walk(params) if sums else None
-        self.skip = 1  # step t = 1 adds no terms
-        self.acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
-
-    def add(self, y: np.ndarray, xi: np.ndarray) -> None:
-        if self.ny == 0 and y.size:
-            self.y0 = float(y[0])
-        self.ny += y.size
-        self.nx += xi.size
-        self.finite = self.finite and bool(np.all(np.isfinite(y)) and np.all(np.isfinite(xi)))
-        if not self.finite:
-            return
+def _checked_steps(
+    params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[np.ndarray]:
+    # SamplePath's checks on a path fed as (Y, xi) pieces in time order: the
+    # next Y values (Y_0 first) and the next xi values (xi_1 first), where a
+    # piece may hold more of one than of the other.  Yields the Y_t of the
+    # steps t it has seen whole, with Y_{t-1}, Y_t and xi_t, in time order.
+    # Once the pieces end it raises the first refusal in SamplePath's order:
+    # lengths, finiteness, y_0 = 0, the recursion against an atol from the
+    # extremes of all Y.  Once a refusal is certain the rest is only counted.
+    ny = nx = 0
+    finite = True
+    y0 = 0.0
+    scale = 1.0  # max(1, |Y|) over the Y seen
+    worst = 0.0  # largest |y[t] - (phi*y[t-1] + xi[t])| seen
+    ys = xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
+    for y, xi in pieces:
+        if ny == 0 and y.size:
+            y0 = float(y[0])
+        ny += y.size
+        nx += xi.size
+        finite = finite and bool(np.all(np.isfinite(y)) and np.all(np.isfinite(xi)))
+        if not finite:
+            continue
         if y.size:
-            self.scale = max(self.scale, -float(y.min()), float(y.max()))
-        ys = np.concatenate((self.ys, y))
-        xs = np.concatenate((self.xs, xi))
+            scale = max(scale, -float(y.min()), float(y.max()))
+        ys = np.concatenate((ys, y))
+        xs = np.concatenate((xs, xi))
         k = max(0, min(ys.size - 1, xs.size))  # steps that have Y_{t-1}, Y_t and xi_t
         if k:
-            lag, lead = ys[:k], ys[1 : k + 1]
             # A path may still be refused after its residuals overflow, so
             # numpy's floating-point warnings stay off here.
             with np.errstate(all="ignore"):
-                resid = self.params.phi * lag  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
+                resid = params.phi * ys[:k]  # |y[t] - (phi*y[t-1] + xi[t])|, in one buffer
                 resid += xs[:k]
-                np.subtract(lead, resid, out=resid)
-                self.worst = max(self.worst, float(np.max(np.abs(resid, out=resid))))
-            j0, self.skip = self.skip, 0
-            if self.next_v is not None and k > j0:
-                v_lag = self.next_v(k - j0)[:, None]  # V_{t-1} of steps t = 2.. of these
-                _add_sums(self.acc, lag[j0:, None], lead[j0:, None], v_lag, np.empty((k - j0, 1)))
-        self.ys, self.xs = ys[k:], xs[k:]
-
-    def close(self) -> np.ndarray | None:
-        _check_lengths((self.ny,), (self.nx,))
-        if not self.finite:
-            raise NonFiniteError("path contains non-finite values")
-        if self.y0 != 0.0:
-            raise OutOfRangeError(f"y[0] must be exactly 0, got {self.y0!r}")
-        if self.worst > 1e-12 * self.scale:
-            raise OutOfRangeError(
-                f"path violates y[t] = phi*y[t-1] + xi[t] (max residual {self.worst:.3e})"
-            )
-        if self.next_v is None:
-            return None
-        _check_variances(self.params, self.nx)
-        return self.acc
+                np.subtract(ys[1 : k + 1], resid, out=resid)
+                worst = max(worst, float(np.max(np.abs(resid, out=resid))))
+            yield ys[1 : k + 1]
+        ys, xs = ys[k:], xs[k:]
+    _check_lengths((ny,), (nx,))
+    if not finite:
+        raise NonFiniteError("path contains non-finite values")
+    if y0 != 0.0:
+        raise OutOfRangeError(f"y[0] must be exactly 0, got {y0!r}")
+    if worst > 1e-12 * scale:
+        raise OutOfRangeError(
+            f"path violates y[t] = phi*y[t-1] + xi[t] (max residual {worst:.3e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -600,9 +600,9 @@ class TestSinglePathRoute:
     @pytest.mark.parametrize("params", [P, ModelParams(0.95, 0.9, 2.0)], ids=["P", "slow_V"])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
     def test_estimate_in_equals_estimate_T(self, capsys, tmp_path, monkeypatch, params, chunk):
-        # estimate -T sums the walk's own chunks and estimate --in the
-        # file's pieces through _PathSums; the two reductions agree bit for
-        # bit, also at T = 2, a single term.  At (0.95, 0.9) V_t is still
+        # One summer adds estimate -T's sums over the walk's own chunks and
+        # estimate --in's over the file's checked pieces; the two agree bit
+        # for bit, also at T = 2, a single term.  At (0.95, 0.9) V_t is still
         # moving at T = 50, so its pieces come from the recursion, not the
         # fixed-point fill.
         flags = ["--phi", str(params.phi), "--rho", str(params.rho), "--sigma", str(params.sigma_xi)]
@@ -623,8 +623,9 @@ class TestSinglePathRoute:
 
     def test_estimate_T_walks_V_twice_and_checks_it_once(self, capsys, monkeypatch):
         # One walk checks V_1..V_T and one gives the path and its sums
-        # V_{t-1}; no _PathSums walks and checks V_t again.  At (0.999999,
-        # 0.9) no V_t repeats within T, so each walk runs to its end.
+        # V_{t-1}; no path checker runs, and nothing walks or checks V_t
+        # again.  At (0.999999, 0.9) no V_t repeats within T, so each walk
+        # runs to its end.
         T = 20_000
         drawn, checked = [], []
         walk, check = model._variance_walk, simulation._check_variances
@@ -645,7 +646,7 @@ class TestSinglePathRoute:
         monkeypatch.setattr(model, "_variance_walk", counted_walk)
         monkeypatch.setattr(simulation, "_variance_walk", counted_walk)
         monkeypatch.setattr(simulation, "_check_variances", counted_check)
-        monkeypatch.setattr(estimation, "_PathSums", mock.Mock(side_effect=AssertionError("built a _PathSums")))
+        monkeypatch.setattr(estimation, "_checked_steps", mock.Mock(side_effect=AssertionError("checked a path")))
         code, out, _ = run_cli(capsys, "estimate", "-T", str(T), "--phi", "0.999999", "--rho", "0.9")
         assert code == 0 and out.startswith("phi_hat,")
         assert T <= sum(drawn) <= 2 * T

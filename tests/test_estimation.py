@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from digar import (
     BatchSpec,
     DegenerateDenominatorError,
+    DigarError,
     EstimateResult,
     ModelParams,
     NonFiniteError,
@@ -20,7 +22,7 @@ from digar import (
     variance_sequence,
 )
 from digar.experiments import _collect_estimates
-from digar import cli, simulation
+from digar import cli, estimation, simulation
 from digar.simulation import _run_blocks
 from conftest import boundary_params_strategy, seeds_strategy
 from oracles import MartingaleDiagnostics, one_shot_sums, z_series
@@ -126,16 +128,20 @@ class TestInfeasibleEstimate:
     @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
     def test_sums_equal_one_shot_reduction(self, monkeypatch, tmp_path, params, chunk):
         # infeasible_estimate and estimate --in add the terms chunk by
-        # chunk; the sums equal those of one (T-1, 3) reduction bit for
-        # bit, whatever the chunk and read lengths.
+        # chunk; the (3, 1) sums their summer hands to _result equal those
+        # of one (T-1, 3) reduction bit for bit, whatever the chunk and
+        # read lengths.
         path = simulate_path(params, 50, 3)
         want = one_shot_sums(path)
         hat, corr = want[1] / want[0], params.rho * params.sigma_xi * want[2] / want[0]
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
-        sums = simulation._PathSums(params)
-        for piece in simulation._path_pieces(path.y, path.xi):
-            sums.add(*piece)
-        assert sums.close().tobytes() == want.tobytes()
+        sums, result = [], estimation._result
+
+        def captured(params, acc, n):
+            sums.append(acc.tobytes())
+            return result(params, acc, n)
+
+        monkeypatch.setattr(estimation, "_result", captured)
         res = infeasible_estimate(path)
         assert (res.phi_hat, res.correction, res.sample_size) == (hat, corr, 50)
         path_file = tmp_path / "path.csv"
@@ -143,6 +149,57 @@ class TestInfeasibleEstimate:
         for read_chars in (1, 7, 40):
             monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
             assert cli._estimate_csv(str(path_file), params) == res
+        assert sums == [want.tobytes()] * 4
+
+    @given(
+        boundary_params_strategy(),
+        st.integers(2, 300),
+        seeds_strategy(),
+        st.sampled_from([1, 7, 4096]),
+    )
+    def test_single_path_routes_agree(self, params, T, seed, chunk):
+        # estimate -T's summer over the walk, infeasible_estimate of the
+        # simulated path and of a SamplePath rebuilt from its arrays give
+        # the same estimate, or the same refusal, across the domain.
+        def outcome(estimate, *args):
+            try:
+                return estimate(*args)
+            except DigarError as exc:
+                return type(exc), str(exc)
+
+        with mock.patch.object(simulation, "_PATH_CHUNK", chunk):
+            path = simulate_path(params, T, seed)
+            got = {
+                outcome(estimation._walk_estimate, params, simulation._walk(params, T, seed)),
+                outcome(infeasible_estimate, path),
+                outcome(infeasible_estimate, SamplePath(params, path.y.copy(), path.xi.copy(), None)),
+            }
+        assert len(got) == 1
+
+    @pytest.mark.parametrize(
+        "sigma, error, message",
+        [
+            (1e200, NonFiniteError, "variance sequence contains non-finite entries"),
+            (1e-200, OutOfRangeError, "every V_t must be positive"),
+        ],
+    )
+    def test_variance_refusal_follows_the_path_checks(self, tmp_path, sigma, error, message):
+        # The recursion holds exactly at any sigma_xi, so the path is
+        # accepted; V_2 overflows at sigma_xi 1e200 and underflows to 0 at
+        # 1e-200, which the estimate refuses after the path's own checks.
+        params = ModelParams(P.phi, P.rho, sigma)
+        path = SamplePath(params, HAND.y, HAND.xi, None)
+        with pytest.raises(error, match=message):
+            infeasible_estimate(path)
+        path_file = tmp_path / "path.csv"
+        rows = ["t,y,xi", "0,0,", "1,1,1", "2,2,1.5", "3,1,0"]  # HAND's rows
+        path_file.write_text("\n".join(rows) + "\n")
+        with pytest.raises(error, match=message):
+            cli._estimate_csv(str(path_file), params)
+        rows[3] = "2,2,1.25"  # xi_2 no longer makes Y_2
+        path_file.write_text("\n".join(rows) + "\n")
+        with pytest.raises(OutOfRangeError, match="path violates"):
+            cli._estimate_csv(str(path_file), params)
 
     def test_result_invariants_enforced(self):
         with pytest.raises(OutOfRangeError):
