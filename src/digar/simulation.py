@@ -38,15 +38,13 @@ A batch block holds two chunk buffers of _CHUNK steps by its rows: the
 draws, which then serve as scratch for the sums, and the levels, in
 which each step makes xi_t and then Y_t over it.
 
-Row r's stream is PCG64(mix_seed(master_seed, r)).  The batch kernel
-computes the starting states of a block's rows in one numpy pass
-(_pcg64_states) instead of constructing each through numpy's
-SeedSequence, which costs about 20 us per row, and sets each row's
-stream as its state is computed, with no list of them held.  A guard
-compares each block's first row with numpy's own constructor; on a
-mismatch the batch seeds row by row through normal_stream from there on,
-so a numpy that seeds differently cannot change the bytes silently.
-simulate_path always seeds through normal_stream.
+Row r's stream is normal_stream(mix_seed(master_seed, r)): a PCG64 whose
+128-bit state and increment are four SplitMix64 outputs of the row's
+seed (_pcg64_states), so no stream depends on how numpy seeds PCG64 from
+an integer.  The batch kernel makes a block's states in one numpy pass
+and sets each row's stream as its state is made, with no list of them
+held; simulate_path gets the same state through normal_stream, so a
+batch row equals its single path by construction.
 """
 
 from __future__ import annotations
@@ -73,17 +71,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_HASH_INIT_A = 0x43B0D7E5
-_HASH_MULT_A = 0x931E8875
-_HASH_INIT_B = 0x8B51F9DD
-_HASH_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
 # Rows per block in batch generation.  Every operation of the kernel is
 # elementwise across rows, so the block size never affects the bytes.
 _BLOCK_SIZE = 500
@@ -97,7 +84,7 @@ _CHUNK = 256
 class SamplePath:
     """One simulated trajectory: levels Y_0..Y_T and innovations xi_1..xi_T.
 
-    seed is the PCG64 seed that produced the path, or None for paths
+    seed is the seed of the stream that produced the path, or None for paths
     loaded from external data.  The path keeps read-only copies of the
     arrays it is given, so later writes to them do not reach it.
     """
@@ -227,14 +214,24 @@ def mix_seed(master_seed: int, r: int) -> int:
 
 
 def normal_stream(seed: int) -> np.random.Generator:
-    """Fresh deterministic stream of standard normals for one path."""
+    """Fresh deterministic stream of standard normals for one path.
+
+    Its PCG64 starts at state mix_seed(seed, 0)*2^64 + mix_seed(seed, 1)
+    with increment (mix_seed(seed, 2)*2^64 + mix_seed(seed, 3)) | 1, as
+    every batch row with this seed does.
+    """
     _check_seed(seed)
-    return np.random.Generator(np.random.PCG64(seed))
+    bits = np.random.PCG64()  # a holder: its state is set next
+    bits.state = next(_pcg64_states(np.array([seed], dtype=np.uint64)))
+    return np.random.Generator(bits)
 
 
-def _mix_seeds(master_seed: int, start: int, n: int) -> np.ndarray:
-    # mix_seed(master_seed, r) for r = start .. start+n-1, in uint64
-    # arithmetic, which wraps modulo 2^64 as the masks in mix_seed do.
+def _mix_seeds(master_seed: int | np.ndarray, start: int, n: int) -> np.ndarray:
+    # mix_seed(master_seed, r) for r = start .. start+n-1 along the last
+    # axis, in uint64 arithmetic, which wraps modulo 2^64 as the masks in
+    # mix_seed do.  master_seed is an int or a uint64 array that broadcasts
+    # against the n indices; every operation is on arrays, since numpy
+    # warns on overflow in uint64 scalar arithmetic.
     u = np.uint64
     z = np.arange(start + 1, start + n + 1, dtype=u) * u(_GOLDEN) + u(master_seed)
     z = (z ^ (z >> u(30))) * u(_MIX_A)
@@ -242,52 +239,13 @@ def _mix_seeds(master_seed: int, start: int, n: int) -> np.ndarray:
     return z ^ (z >> u(31))
 
 
-def _hasher(init: int, mult: int):
-    # SeedSequence's hash step, v -> (v ^ h)*h' ^ ((v ^ h)*h' >> 16) with
-    # h' = h*mult, on uint32 arrays; h walks a data-independent sequence.
-    u32 = np.uint32
-    h = init
-
-    def step(v: np.ndarray) -> np.ndarray:
-        nonlocal h
-        v = v ^ u32(h)
-        h = (h * mult) & _MASK32
-        v = v * u32(h)
-        return v ^ (v >> u32(16))
-
-    return step
-
-
 def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
-    # The state dict of np.random.PCG64(seed) for each uint64 seed, in
-    # order, each yielded as it is computed, so no list of them is held.
-    # numpy seeds PCG64 through SeedSequence(seed).generate_state(4, uint64);
-    # that hash is uint32 arithmetic with constants that do not depend on
-    # the data, so it runs here across all seeds at once.  A 64-bit seed is
-    # at most two entropy words, and the missing pool words hash as 0.
-    u32 = np.uint32
-    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-    pool = [
-        hashmix((seeds & np.uint64(_MASK32)).astype(u32)),
-        hashmix((seeds >> np.uint64(32)).astype(u32)),
-    ]
-    zero = np.zeros_like(pool[0])
-    pool += [hashmix(zero), hashmix(zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                m = pool[dst] * u32(_MIX_MULT_L) - hashmix(pool[src]) * u32(_MIX_MULT_R)
-                pool[dst] = m ^ (m >> u32(16))
-    output = _hasher(_HASH_INIT_B, _HASH_MULT_B)
-    words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # uint64 word j is uint32 words 2j (low half) and 2j+1.  PCG64 takes
-    # words 0-1 as the initial state and words 2-3 as the stream, then
-    # steps its LCG twice: from 0, and again after adding the state.
-    s0, s1, s2, s3 = (words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4))
-    for a, b, c, d in zip(s0.tolist(), s1.tolist(), s2.tolist(), s3.tolist()):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    # The PCG64 state dict of the stream of each uint64 seed s, in order,
+    # each yielded as it is made, so no list of them is held: the state is
+    # mix_seed(s, 0)*2^64 + mix_seed(s, 1) and the increment, which PCG64
+    # needs odd, (mix_seed(s, 2)*2^64 + mix_seed(s, 3)) | 1.
+    for a, b, c, d in _mix_seeds(seeds[:, None], 0, 4).tolist():
+        yield {"bit_generator": "PCG64", "state": {"state": a << 64 | b, "inc": c << 64 | d | 1},
                "has_uint32": 0, "uinteger": 0}
 
 
@@ -426,26 +384,15 @@ def _run_blocks(
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
-    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
+    gens = [np.random.Generator(np.random.PCG64()) for _ in range(width)]  # holders, set per block
     bits = [g.bit_generator for g in gens]
-    bulk = True
     mul = np.multiply
     add = np.add
     for start in range(0, spec.replications, _BLOCK_SIZE):
         n = min(_BLOCK_SIZE, spec.replications - start)
-        # The block's first row checks the bulk states against numpy's own
-        # constructor; after a mismatch every block seeds row by row.
-        if bulk:
-            states = iter(_pcg64_states(_mix_seeds(spec.master_seed, start, n)))
-            first = next(states)
-            bulk = first == normal_stream(mix_seed(spec.master_seed, start)).bit_generator.state
-        if bulk:
-            bits[0].state = first
-            for state, bit in zip(states, bits[1:n]):
-                bit.state = state
-            streams = gens[:n]
-        else:
-            streams = [normal_stream(mix_seed(spec.master_seed, r)) for r in range(start, start + n)]
+        for state, bit in zip(_pcg64_states(_mix_seeds(spec.master_seed, start, n)), bits):
+            bit.state = state
+        streams = gens[:n]
         raw = raw_buf[: n * c]
         eps = raw.reshape(n, c)
         y = y_buf[: (c + 1) * n].reshape(c + 1, n)

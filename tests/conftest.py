@@ -14,16 +14,6 @@ settings.register_profile("suite", max_examples=50, deadline=None, derandomize=T
 settings.load_profile("suite")
 
 
-def params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
-    """Valid parameter triples away from the open boundaries."""
-    return st.builds(
-        ModelParams,
-        st.floats(-0.95, 0.95),
-        st.floats(-0.95, 0.95),
-        st.floats(min_sigma, max_sigma),
-    )
-
-
 def boundary_params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
     """Valid parameter triples up to |phi|, |rho| <= 1 - 1e-6, for the
     properties that must hold across the whole admissible domain."""

@@ -23,7 +23,7 @@ from digar import (
     vbar_limit,
 )
 from digar.dependence import _ROUNDING
-from conftest import boundary_params_strategy, params_strategy
+from conftest import boundary_params_strategy
 from oracles import decay_bound_scan, decimal_decay_bound, decimal_limits
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -48,7 +48,7 @@ class TestTauOneStep:
         with pytest.raises(OutOfRangeError):
             tau_lag_k(P, 0, 1)
 
-    @given(params_strategy(), st.integers(1, 63))
+    @given(boundary_params_strategy(), st.integers(1, 63))
     def test_strictly_inside_unit_interval(self, p, t):
         assert abs(tau_lag_k(p, t, 1)) < 1.0
 
@@ -74,7 +74,7 @@ class TestTauLagK:
         with pytest.raises(OutOfRangeError, match="k must be >= 1"):
             tau_lag_k(P, 1, 0)
 
-    @given(params_strategy(), st.integers(1, 40), st.integers(1, 8))
+    @given(boundary_params_strategy(), st.integers(1, 40), st.integers(1, 8))
     def test_bounded_by_decay_bound_power(self, p, t, k):
         bound = mixing_decay_bound(p)
         assert abs(tau_lag_k(p, t, k)) <= bound**k + 1e-15
@@ -96,11 +96,11 @@ class TestTauBarAndBias:
         assert ols_bias(ModelParams(0.5, -0.4, 1.0)) < 0
         assert ols_bias(ModelParams(-0.5, 0.4, 2.0)) > 0
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_tau_bar_decomposition_exact(self, p):
         assert tau_bar(p) == p.phi + ols_bias(p)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_tau_bar_inside_unit_interval(self, p):
         assert abs(tau_bar(p)) < 1.0
 
@@ -125,14 +125,14 @@ class TestDeltaLimit:
         with pytest.raises(OutOfRangeError):
             delta_limit(P, 0)
 
-    @given(params_strategy(), st.integers(1, 10))
+    @given(boundary_params_strategy(), st.integers(1, 10))
     def test_geometric_decay_ratio(self, p, k):
         assume(abs(p.rho) > 0.01)
         d_k = delta_limit(p, k)
         assume(abs(d_k) > 1e-300)
         assert delta_limit(p, k + 1) / d_k == pytest.approx(tau_bar(p), rel=1e-12)
 
-    @given(params_strategy(), st.integers(1, 10))
+    @given(boundary_params_strategy(), st.integers(1, 10))
     def test_magnitude_below_one(self, p, k):
         assert abs(delta_limit(p, k)) < 1.0
 
@@ -151,7 +151,7 @@ class TestEtaBarAndSigmaBar:
     def test_reference_point(self):
         assert eta_bar(P) == pytest.approx(0.6953451638599925, rel=1e-12)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_eta_bar_squared_complements_tau_bar_squared(self, p):
         # eta_bar^2 = 1 - tau_bar^2 follows from the quadratic identity
         # satisfied by vbar; a strong consistency check across functions.
@@ -210,7 +210,7 @@ class TestMixingDecayBound:
         # the scan at t=1 dominates the limit here
         assert mixing_decay_bound(pm) == pytest.approx(0.20519567041703085, rel=1e-12)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_below_one(self, p):
         assert mixing_decay_bound(p) < 1.0
 

@@ -15,7 +15,7 @@ from digar import (
     vbar_limit,
 )
 from digar.model import _variance_walk
-from conftest import fresh_python, params_strategy
+from conftest import boundary_params_strategy, fresh_python
 from oracles import variance_sum_form, variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -160,13 +160,13 @@ class TestVarianceSequence:
         with pytest.raises(OutOfRangeError, match="every V_t must be positive"):
             variance_sequence(ModelParams(0.5, 0.3, 1e-200), 3)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_all_entries_positive_and_finite(self, p):
         vs = variance_sequence(p, 64)
         assert np.all(vs > 0)
         assert np.all(np.isfinite(vs))
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_geometric_convergence_with_ratio_below_abs_phi(self, p):
         # |g'(v)| = |phi|*|phi*v + rho*sigma|/g(v) < |phi| uniformly, so the
         # gap to the limit must contract at least that fast at every step.
@@ -190,7 +190,7 @@ class TestVarianceSequence:
         T = 200_000
         assert np.array_equal(variance_sequence(p, T), _plain_recursion(p, T))
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_fixed_point_exit_matches_plain_loop_generic(self, p):
         assert np.array_equal(variance_sequence(p, 3000), _plain_recursion(p, 3000))
 
@@ -231,7 +231,7 @@ class TestVarianceSumForm:
     def test_agrees_with_recursion_at_t50(self):
         assert variance_sum_form(P, 50) == pytest.approx(variance_sequence(P, 50)[-1], rel=1e-12)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_sum_and_recursion_routes_agree(self, p):
         T = 64
         by_sum = variance_sum_sequence(p, T)
@@ -257,7 +257,7 @@ class TestVbarLimit:
         # oracle: fixed-point iteration of the one-step recursion
         assert vbar_limit(P) == pytest.approx(1.3718930554164623, rel=1e-12)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_fixed_point_of_one_step_map(self, p):
         vb = vbar_limit(p)
         g = math.sqrt(
@@ -265,13 +265,13 @@ class TestVbarLimit:
         )
         assert abs(g - vb) <= 1e-12
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_quadratic_identity(self, p):
         vb = vbar_limit(p)
         resid = (1.0 - p.phi**2) * vb**2 - 2.0 * p.rho * p.phi * p.sigma_xi * vb - p.sigma_xi**2
         assert abs(resid) <= 1e-12 * max(1.0, vb**2)
 
-    @given(params_strategy())
+    @given(boundary_params_strategy())
     def test_sign_law_against_classical_sd(self, p):
         vb = vbar_limit(p)
         s = stationary_sd(p)

@@ -109,19 +109,30 @@ class TestNormalStream:
 
 
 class TestBulkSeeding:
-    """The batch kernel computes each block's PCG64 states itself; they
-    must be the states numpy's own constructor starts from."""
+    """A row's stream is a PCG64 whose state and increment are four
+    SplitMix64 outputs of its seed.  normal_stream makes it for one seed,
+    and the batch kernel makes a block's states in bulk; both must give
+    the documented state."""
 
     EDGE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
 
-    def test_edge_seeds_match_numpy(self):
-        states = list(_pcg64_states(np.array(self.EDGE_SEEDS, dtype=np.uint64)))
-        assert states == [np.random.PCG64(s).state for s in self.EDGE_SEEDS]
+    @staticmethod
+    def documented_state(seed):
+        # The contract in Python ints, the oracle for the uint64 arithmetic.
+        state = mix_seed(seed, 0) << 64 | mix_seed(seed, 1)
+        inc = (mix_seed(seed, 2) << 64 | mix_seed(seed, 3)) | 1
+        return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
 
-    def test_random_seeds_match_numpy(self):
+    def test_edge_seeds_follow_the_contract(self):
+        for seed in self.EDGE_SEEDS:
+            assert normal_stream(seed).bit_generator.state == self.documented_state(seed)
+
+    def test_random_seeds_follow_the_contract(self):
         seeds = np.random.default_rng(20170411).integers(0, 1 << 64, 10_000, dtype=np.uint64)
-        states = list(_pcg64_states(seeds))
-        assert states == [np.random.PCG64(s).state for s in seeds.tolist()]
+        expected = [self.documented_state(s) for s in seeds.tolist()]
+        assert [normal_stream(s).bit_generator.state for s in seeds.tolist()] == expected
+        assert list(_pcg64_states(seeds)) == expected
 
     @pytest.mark.parametrize("master", [0, 12345, (1 << 64) - 1])
     @pytest.mark.parametrize("start, n", [(0, 1), (0, 500), (1000, 203)])
@@ -129,42 +140,14 @@ class TestBulkSeeding:
         seeds = _mix_seeds(master, start, n).tolist()
         assert seeds == [mix_seed(master, r) for r in range(start, start + n)]
 
-    @pytest.fixture
-    def stream_seeds(self, monkeypatch):
-        # The seeds the batch kernel passes to normal_stream, in call order.
-        seeds = []
-
-        def counted(seed):
-            seeds.append(seed)
-            return normal_stream(seed)
-
-        monkeypatch.setattr(simulation, "normal_stream", counted)
-        return seeds
-
-    def test_guard_builds_one_stream_per_block(self, stream_seeds):
-        list(_path_blocks(BatchSpec(P, 10, 1203, 5150)))
-        assert stream_seeds == [mix_seed(5150, r) for r in (0, 500, 1000)]
-
-    def test_mismatch_falls_back_to_numpy_seeding(self, monkeypatch, stream_seeds):
-        spec = BatchSpec(P, 10, 1203, 5150)
-        expected = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
-        stream_seeds.clear()
-
-        def wrong(seeds):
-            states = list(_pcg64_states(seeds))
-            states[0]["state"]["state"] ^= 1
-            return states
-
-        monkeypatch.setattr(simulation, "_pcg64_states", wrong)
-        fallback = list(_path_blocks(spec))
-        # one guard stream, then every row seeded by numpy's constructor
-        assert stream_seeds == [mix_seed(5150, 0)] + [mix_seed(5150, r) for r in range(1203)]
-        for (y, xi), (_, yf, xf) in zip(expected, fallback, strict=True):
-            assert np.array_equal(y, yf)
-            assert np.array_equal(xi, xf)
+    @pytest.mark.parametrize("master", [0, 12345, (1 << 64) - 1])
+    def test_batch_builds_no_stream_through_normal_stream(self, monkeypatch, master):
+        calls = []
+        monkeypatch.setattr(simulation, "normal_stream", calls.append)
+        list(_path_blocks(BatchSpec(P, 10, 1203, master)))
+        assert calls == []
 
     def test_every_row_matches_its_single_path(self):
-        # The guard checks one row per block; this checks them all.
         spec = BatchSpec(P, 10, 1203, 5150)
         for start, y, xi in _path_blocks(spec):
             for i in range(y.shape[0]):
