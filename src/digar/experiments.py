@@ -19,7 +19,7 @@ import numpy as np
 from .dependence import delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
-from .simulation import BatchSpec, _run_blocks
+from .simulation import BatchSpec, _run_batch, _shared_empty
 
 __all__ = [
     "Moments",
@@ -174,13 +174,15 @@ def _summary(
 def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     # Plain and corrected slopes of every replication, from the sums the
     # batch kernel accumulates, through the same step as infeasible_estimate.
-    hats = np.empty(spec.replications)
-    tildes = np.empty(spec.replications)
+    hats, tildes = _shared_empty(2, spec.replications)
     coef = spec.params.rho * spec.params.sigma_xi
-    for start, _, _, sums in _run_blocks(spec):
+
+    def write(start: int, _y: None, _xi: None, sums: np.ndarray) -> None:
         h, corr = _slopes(coef, *sums)
         hats[start : start + h.size] = h
         tildes[start : start + h.size] = h - corr
+
+    _run_batch(spec, write)
     return hats, tildes
 
 
@@ -254,11 +256,13 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     if spec.replications < 30:
         raise OutOfRangeError(f"need R >= 30, got {spec.replications}")
     n_cols = k_max + 1
-    ys = np.empty((spec.replications, n_cols))
-    xs = np.empty((spec.replications, n_cols))
-    for start, y, xi, _ in _run_blocks(spec, keep=(t_obs, t_obs + n_cols)):
+    ys, xs = _shared_empty(2, spec.replications, n_cols)
+
+    def write(start: int, y: np.ndarray, xi: np.ndarray, _sums: None) -> None:
         ys[start : start + y.shape[0]] = y
         xs[start : start + xi.shape[0]] = xi
+
+    _run_batch(spec, write, keep=(t_obs, t_obs + n_cols))
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []

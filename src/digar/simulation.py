@@ -11,47 +11,49 @@ Markov property, so simulating it is exact, not approximate.
 
 Reproducibility contract: standard normals come from numpy's PCG64 bit
 generator through Generator.standard_normal (the ziggurat method); each
-path consumes exactly T variates.  Both kernels draw them in chunks of
-time steps (_CHUNK for the batch, model._PATH_CHUNK for the single path),
-which yields the same variates as one T-length draw, and walk each chunk
-before drawing the next.  Both kernels have model._check_variances, a
-walk in constant memory, refuse V_1..V_T before their first chunk, and
-the estimate of a path from elsewhere after the path's checks; every
-route takes V_t chunk by chunk from a fresh model._variance_walk, so none
-holds a T-long V.  The single-path kernel, _walk, hands out its path and
-V_{t-1} a chunk at a time: simulate_path stores the chunks, and `digar
-simulate` formats and `digar estimate -T` sums each one, so they hold one
-chunk, not the path.  _checked_steps only checks: it runs SamplePath's
-checks on a path fed in pieces and hands out its levels, walking no V_t.
-infeasible_estimate feeds it a stored path, and `digar estimate --in` each
-chunk it parses from the file, so it holds a few chunks and nothing T-long.
+path consumes exactly T variates, drawn in chunks of time steps (_CHUNK
+for the batch, model._PATH_CHUNK for the single path), which yields the
+same variates as one T-length draw, and each chunk is walked before the
+next.  Both routes refuse V_1..V_T with model._check_variances, a walk in
+constant memory, before their first chunk, and take V_t chunk by chunk
+from a fresh model._variance_walk, so none holds a T-long V.  The
+single-path kernel, _walk, hands out its path and V_{t-1} a chunk at a
+time: simulate_path stores the chunks, and `digar simulate` formats and
+`digar estimate -T` sums each one.  _checked_steps only checks: it runs
+SamplePath's checks on a path fed in pieces (a stored one, or the chunks
+`digar estimate --in` parses) and hands out its levels, walking no V_t.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order and
 batch rows are bit-identical to the corresponding single-path calls.  The
 estimator's sums have one reduction, _add_sums, which adds them in time
-order: the batch kernel calls it once per chunk of a block, and
-estimation's single-path summer, which every single-path estimate goes
-through, once per chunk of a path, with one-column views, so a batch
-row's sums and its path's agree bit for bit.
-
-A batch block holds two chunk buffers of _CHUNK steps by its rows: the
-draws, which then serve as scratch for the sums, and the levels, in
-which each step makes xi_t and then Y_t over it.
+order, once per chunk of a block or, with one-column views, of a path, so
+a batch row's sums and its path's agree bit for bit.
 
 Row r's stream is normal_stream(mix_seed(master_seed, r)): a PCG64 whose
 128-bit state and increment are four SplitMix64 outputs of the row's
-seed (_pcg64_states), so no stream depends on how numpy seeds PCG64 from
-an integer.  The batch kernel makes a block's states in one numpy pass
-and sets each row's stream as its state is made, with no list of them
-held; simulate_path gets the same state through normal_stream, so a
-batch row equals its single path by construction.
+seed (_pcg64_states), not numpy's integer seeding; each PCG64 is built
+from a fixed SeedSequence(0), so none draws OS entropy, before its state
+is set.  A batch block holds two chunk buffers of _CHUNK steps by its
+rows, the draws (then scratch for the sums) and the levels, in which each
+step makes xi_t and then Y_t over it, and sets its rows' states as they
+are made in one numpy pass.
+
+A batch runs in W processes: the CPUs in os.sched_getaffinity(0), at most
+one per block, but 1 where os.fork or sched_getaffinity is missing or the
+process runs more than one thread, which is never forked.  W - 1 forked
+workers walk the later of W contiguous ranges of blocks, the process
+itself the first, and every block writes its rows into arrays on an
+anonymous shared mapping, so nothing is pickled and the bytes do not
+depend on W.  V_1..V_T is checked before any fork, a refusal is the first
+in block order, and every worker is reaped before the batch ends.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -221,7 +223,7 @@ def normal_stream(seed: int) -> np.random.Generator:
     every batch row with this seed does.
     """
     _check_seed(seed)
-    bits = np.random.PCG64()  # a holder: its state is set next
+    bits = np.random.PCG64(0)  # a holder, seeded without OS entropy: its state is set next
     bits.state = next(_pcg64_states(np.array([seed], dtype=np.uint64)))
     return np.random.Generator(bits)
 
@@ -347,15 +349,15 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
 
 
 def _run_blocks(
-    spec: BatchSpec, keep: tuple[int, int] | None = None
+    spec: BatchSpec, keep: tuple[int, int] | None = None, blocks: range | None = None
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    # Yield (start_index, ys, xs, sums) per block of replications, in
-    # replication order, _BLOCK_SIZE rows per block.  Each block is walked
+    # Yield (start_index, ys, xs, sums) per block of replications, over the
+    # block numbers in blocks (all by default), in order, _BLOCK_SIZE rows
+    # per block, once the caller has checked V_1..V_T.  Each block is walked
     # time-major: time in chunks of _CHUNK steps with the rows contiguous at
     # each step, each row's normals drawn chunk by chunk from its own stream
-    # and V_{t-1} chunk by chunk from the block's own walk of V_t, after
-    # V_1..V_T is checked.  Every operation is elementwise, so each row's
-    # arithmetic is that of simulate_path.
+    # and V_{t-1} chunk by chunk from the block's own walk of V_t.  Every
+    # operation is elementwise, so each row's arithmetic is simulate_path's.
     #
     # keep=(lo, hi) yields Y_t for lo <= t < hi and xi_t for
     # max(lo, 1) <= t < hi, one row per path, and the walk stops at the last
@@ -369,7 +371,6 @@ def _run_blocks(
     # addition commutes.
     params = spec.params
     T = spec.path_length
-    _check_variances(params, T)
     rs = params.rho * params.sigma_xi
     cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # as in _walk
     phi = params.phi
@@ -384,11 +385,14 @@ def _run_blocks(
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
-    gens = [np.random.Generator(np.random.PCG64()) for _ in range(width)]  # holders, set per block
+    seq = np.random.SeedSequence(0)  # seeds the holders without OS entropy; their states are set per block
+    gens = [np.random.Generator(np.random.PCG64(seq)) for _ in range(width)]
     bits = [g.bit_generator for g in gens]
     mul = np.multiply
     add = np.add
-    for start in range(0, spec.replications, _BLOCK_SIZE):
+    if blocks is None:
+        blocks = range(-(-spec.replications // _BLOCK_SIZE))
+    for start in range(blocks.start * _BLOCK_SIZE, blocks.stop * _BLOCK_SIZE, _BLOCK_SIZE):
         n = min(_BLOCK_SIZE, spec.replications - start)
         for state, bit in zip(_pcg64_states(_mix_seeds(spec.master_seed, start, n)), bits):
             bit.state = state
@@ -443,3 +447,64 @@ def _run_blocks(
                     ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
             y[0] = y[m]
         yield start, ys, xs, acc
+
+
+def _shared_empty(*shape: int) -> np.ndarray:
+    # An uninitialised float array on an anonymous shared mapping, which forked workers write to.
+    import mmap  # as signal below, loaded by the batch route alone
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+def _worker_count(blocks: int) -> int:
+    # W of the module docstring for a batch of this many blocks.
+    try:
+        with open("/proc/self/status", "rb") as status:
+            threads = int(status.read().split(b"Threads:")[1].split()[0])
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError, IndexError, ValueError):
+        return 1
+    return min(cpus, blocks) if threads == 1 and hasattr(os, "fork") else 1
+
+
+def _run_batch(spec: BatchSpec, write: Callable[..., None], keep: tuple[int, int] | None = None) -> None:
+    # Calls write(*block) on every block of _run_blocks(spec, keep) in the
+    # process that makes it, so write keeps rows in _shared_empty arrays.
+    # Once every worker is reaped (killed first if this process raised), it
+    # walks again, in order, the range of each worker that failed, so a
+    # refusal there is raised here, first in block order, as it was made.
+    _check_variances(spec.params, spec.path_length)
+    n = -(-spec.replications // _BLOCK_SIZE)
+    w = _worker_count(n)
+    cuts = [n * i // w for i in range(w + 1)]
+    parent, workers = os.getpid(), []  # workers: (pid, its range of blocks)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            if (pid := os.fork()) == 0:
+                _work(spec, write, keep, range(lo, hi), parent)
+            workers.append((pid, range(lo, hi)))
+        for block in _run_blocks(spec, keep, range(cuts[1])):
+            write(*block)
+    except BaseException:
+        import signal
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [blocks for pid, blocks in workers if os.waitpid(pid, 0)[1]]
+    for blocks in failed:
+        for block in _run_blocks(spec, keep, blocks):
+            write(*block)
+
+
+def _work(spec: BatchSpec, write: Callable[..., None], keep: tuple | None, blocks: range, parent: int) -> None:
+    # A forked worker of _run_batch: it walks its blocks, stopping at the
+    # next once its parent is gone, and leaves by os._exit, flushing no
+    # inherited stdio, with status 1 where a block raised.
+    try:
+        for block in _run_blocks(spec, keep, blocks):
+            write(*block)
+            if os.getppid() != parent:
+                break
+        os._exit(0)
+    finally:
+        os._exit(1)

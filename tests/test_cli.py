@@ -814,6 +814,47 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS[argv]
 
 
+# Runs digar.cli's main on sys.argv[2:], pinned to one CPU when sys.argv[1]
+# is "pinned", and prints after its output the number of workers it forked.
+_COUNTED_RUN = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from digar.cli import main
+fork, forks = os.fork, []
+def counted():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork = counted
+status = main(sys.argv[2:])
+print(len(forks))
+sys.exit(status)
+"""
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _CPUS < 2, reason="needs two CPUs to pin to one")
+class TestWorkerCountBytes:
+    """A CLI process runs one thread, so it forks a worker per CPU it may
+    use, up to one per block; the bytes must not depend on how many."""
+
+    @pytest.mark.parametrize(
+        "argv, blocks",
+        [
+            (("experiment", "consistency", "-T", "300", "-R", "1203"), 3),
+            (("experiment", "clt", "-T", "5000", "-R", "1000"), 2),
+            (("experiment", "acf", "-T", "204", "-R", "1203"), 3),
+        ],
+    )
+    def test_pinned_and_unpinned_bytes_equal(self, argv, blocks):
+        pinned, forks_pinned = fresh_python("-c", _COUNTED_RUN, "pinned", *argv)[:-1].rsplit(b"\n", 1)
+        free, forks_free = fresh_python("-c", _COUNTED_RUN, "free", *argv)[:-1].rsplit(b"\n", 1)
+        assert (int(forks_pinned), int(forks_free)) == (0, min(_CPUS, blocks) - 1)
+        assert pinned == free
+
+
 def _threads_after(statement, **env):
     # The thread count and environment of a fresh interpreter after statement.
     threads = "int(open('/proc/self/status').read().split('Threads:')[1].split()[0])"

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -12,6 +14,7 @@ from digar import (
     DEFAULT_PHI_GRID,
     DEFAULT_RHO_GRID,
     BatchSpec,
+    DegenerateDenominatorError,
     ExperimentSummary,
     ModelParams,
     Moments,
@@ -34,6 +37,7 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
+from digar import experiments, simulation
 from digar.experiments import _collect_estimates
 from digar.simulation import _run_blocks
 from conftest import boundary_params_strategy, seeds_strategy
@@ -187,6 +191,114 @@ class TestConsistencyExperiment:
             run_consistency_experiment(BatchSpec(P, 100, 99, 7))
         with pytest.raises(OutOfRangeError):
             run_consistency_experiment(BatchSpec(P, 99, 100, 7))
+
+
+def _no_child_left():
+    # Every child of this process has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The test process runs BLAS threads, so its batches stay in-process unless
+# a test sets the worker count; forking it then is safe, since the workers
+# call no BLAS, but Python 3.12 warns about it.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestForkedWorkers:
+    @staticmethod
+    def _workers(monkeypatch, w):
+        monkeypatch.setattr(simulation, "_worker_count", lambda blocks: min(w, blocks))
+
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        # 1203 rows are three blocks, the last one short.
+        spec = BatchSpec(P, 300, 1203, 99)
+        runs = []
+        for w in (1, 2, 3):
+            self._workers(monkeypatch, w)
+            hats, tildes = _collect_estimates(spec)
+            runs.append((hats.tobytes(), tildes.tobytes(), empirical_acf_experiment(spec, 200, 6)))
+        _no_child_left()
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "w, R, refusing, first",
+        [
+            # blocks 0 | 1, 2: only the last block refuses
+            (2, 1100, {2}, 2),
+            # the first block, in this process, refuses too and wins
+            (2, 1100, {0, 2}, 0),
+            # blocks 0 | 1 | 2: the lower of two refusing ranges wins
+            (3, 1250, {1, 2}, 1),
+        ],
+    )
+    def test_first_refusal_in_block_order_wins(self, monkeypatch, w, R, refusing, first):
+        # A block is told by its first row's sum of squares, which does not
+        # depend on the process that makes the block.
+        spec = BatchSpec(P, 50, R, 5)
+        firsts = {float(sums[0, 0]): b for b, (_, _, _, sums) in enumerate(_run_blocks(spec))}
+        slopes = experiments._slopes
+
+        def refuse(coef, den, *sums):
+            block = firsts[float(den[0])]
+            if block in refusing:
+                raise DegenerateDenominatorError(f"block {block} refused in process {os.getpid()}")
+            return slopes(coef, den, *sums)
+
+        self._workers(monkeypatch, w)
+        monkeypatch.setattr(experiments, "_slopes", refuse)
+        with pytest.raises(DegenerateDenominatorError, match=f"^block {first} refused in process {os.getpid()}$"):
+            _collect_estimates(spec)
+        _no_child_left()
+
+    def test_variance_refusal_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(NonFiniteError, match="variance sequence contains non-finite entries"):
+            _collect_estimates(BatchSpec(ModelParams(0.5, 0.3, 1e200), 200, 1100, 5))
+
+    def test_orphaned_worker_stops_at_its_next_block(self):
+        # A worker told that its parent is some other process writes the
+        # block it has made and stops before the next.
+        spec = BatchSpec(P, 50, 1100, 5)
+        rows = simulation._shared_empty(spec.replications)
+        rows.fill(np.nan)
+
+        def write(start, _y, _xi, sums):
+            rows[start : start + sums.shape[1]] = sums[0]
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                simulation._work(spec, write, None, range(3), -1)
+            finally:
+                os._exit(99)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert not np.isnan(rows[:500]).any()
+        assert np.isnan(rows[500:]).all()
+
+    def test_failed_worker_range_is_walked_again(self, monkeypatch):
+        # A worker that dies without a refusal leaves no hole in the rows.
+        spec = BatchSpec(P, 50, 1100, 5)
+        serial = _collect_estimates(spec)
+        monkeypatch.setattr(simulation, "_work", lambda *args: os._exit(9))
+        self._workers(monkeypatch, 2)
+        forked = _collect_estimates(spec)
+        _no_child_left()
+        assert np.array_equal(serial, forked)
+
+    def test_live_threads_keep_the_batch_in_process(self, monkeypatch):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert simulation._worker_count(8) == 1
+        finally:
+            release.set()
+            thread.join()
+        monkeypatch.delattr(os, "fork")
+        assert simulation._worker_count(8) == 1
 
 
 class TestCltExperiment:
