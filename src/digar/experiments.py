@@ -19,7 +19,7 @@ import numpy as np
 from .dependence import delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
-from .simulation import BatchSpec, _run_batch, _shared_empty
+from .simulation import BatchSpec, _run_batch
 
 __all__ = [
     "Moments",
@@ -174,16 +174,8 @@ def _summary(
 def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     # Plain and corrected slopes of every replication, from the sums the
     # batch kernel accumulates, through the same step as infeasible_estimate.
-    hats, tildes = _shared_empty(2, spec.replications)
-    coef = spec.params.rho * spec.params.sigma_xi
-
-    def write(start: int, _y: None, _xi: None, sums: np.ndarray) -> None:
-        h, corr = _slopes(coef, *sums)
-        hats[start : start + h.size] = h
-        tildes[start : start + h.size] = h - corr
-
-    _run_batch(spec, write)
-    return hats, tildes
+    hat, corr = _slopes(spec.params.rho * spec.params.sigma_xi, *_run_batch(spec))
+    return hat, hat - corr
 
 
 def run_consistency_experiment(spec: BatchSpec) -> tuple[ExperimentSummary, ExperimentSummary]:
@@ -255,14 +247,7 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
         )
     if spec.replications < 30:
         raise OutOfRangeError(f"need R >= 30, got {spec.replications}")
-    n_cols = k_max + 1
-    ys, xs = _shared_empty(2, spec.replications, n_cols)
-
-    def write(start: int, y: np.ndarray, xi: np.ndarray, _sums: None) -> None:
-        ys[start : start + y.shape[0]] = y
-        xs[start : start + xi.shape[0]] = xi
-
-    _run_batch(spec, write, keep=(t_obs, t_obs + n_cols))
+    ys, xs = _run_batch(spec, keep=(t_obs, t_obs + k_max + 1))
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []

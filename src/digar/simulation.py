@@ -42,10 +42,12 @@ A batch runs in W processes: the CPUs in os.sched_getaffinity(0), at most
 one per block, but 1 where os.fork or sched_getaffinity is missing or the
 process runs more than one thread, which is never forked.  W - 1 forked
 workers walk the later of W contiguous ranges of blocks, the process
-itself the first, and every block writes its rows into arrays on an
-anonymous shared mapping, so nothing is pickled and the bytes do not
-depend on W.  V_1..V_T is checked before any fork, a refusal is the first
-in block order, and every worker is reaped before the batch ends.
+itself the first, and every block writes its rows straight into the
+batch's arrays on an anonymous shared mapping, which the batch returns,
+so nothing is pickled and the bytes do not depend on W.  V_1..V_T is
+checked before any fork, the range of a worker that failed is walked
+again, and every worker is reaped before the batch ends; the slopes are
+refused once, in the calling process, from the returned sums.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -349,38 +351,35 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
 
 
 def _run_blocks(
-    spec: BatchSpec, keep: tuple[int, int] | None = None, blocks: range | None = None
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    # Yield (start_index, ys, xs, sums) per block of replications, over the
-    # block numbers in blocks (all by default), in order, _BLOCK_SIZE rows
-    # per block, once the caller has checked V_1..V_T.  Each block is walked
-    # time-major: time in chunks of _CHUNK steps with the rows contiguous at
-    # each step, each row's normals drawn chunk by chunk from its own stream
-    # and V_{t-1} chunk by chunk from the block's own walk of V_t.  Every
-    # operation is elementwise, so each row's arithmetic is simulate_path's.
+    spec: BatchSpec, out: np.ndarray, keep: tuple[int, int] | None = None, blocks: range | None = None
+) -> Iterator[int]:
+    # Write each block of replications, over the block numbers in blocks
+    # (all by default), in order, _BLOCK_SIZE rows per block, into its own
+    # rows of out, and yield its start index once it is written, once the
+    # caller has checked V_1..V_T.  Each block is walked time-major: time in
+    # chunks of _CHUNK steps with the rows contiguous at each step, each
+    # row's normals drawn chunk by chunk from its own stream and V_{t-1}
+    # chunk by chunk from the block's own walk of V_t.  Every operation is
+    # elementwise, so each row's arithmetic is simulate_path's.
     #
-    # keep=(lo, hi) yields Y_t for lo <= t < hi and xi_t for
-    # max(lo, 1) <= t < hi, one row per path, and the walk stops at the last
-    # kept step.  Without keep it yields the (3, n) sums over t = 2..T of
-    # Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each accumulated in time
-    # order, as np.cumsum adds.  The yielded arrays are fresh per block.
-    # The two chunk buffers, the draws and the levels, are allocated once,
-    # and a shorter last block uses prefixes of them.  Each step makes xi_t
-    # in the row of Y_t, copies it out only at a kept step, then makes Y_t
-    # over it: the same two roundings as simulate_path, since IEEE
-    # addition commutes.
+    # keep=(lo, hi), 1 <= lo < hi, writes Y_t and xi_t for lo <= t < hi into
+    # out[0] and out[1], (R, hi-lo) each, and the walk stops at the last
+    # kept step.  Without keep it writes into out, (3, R), the sums over
+    # t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each
+    # accumulated in time order, as np.cumsum adds.  The two chunk buffers,
+    # the draws and the levels, are allocated once, and a shorter last
+    # block uses prefixes of them.  Each step makes xi_t in the row of Y_t,
+    # copies it out only at a kept step, then makes Y_t over it: the same
+    # two roundings as simulate_path, since IEEE addition commutes.
     params = spec.params
     T = spec.path_length
     rs = params.rho * params.sigma_xi
     cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # as in _walk
     phi = params.phi
     sig = params.sigma_xi
-    last = T
-    if keep is not None:
-        lo, hi = keep
-        xlo = max(lo, 1)
-        last = min(T, hi - 1)
-    c = min(_CHUNK, max(last, 1))  # keep=(0, 1), Y_0 alone, walks no step
+    lo, hi = keep or (T + 1, T + 1)  # without keep, no step is kept
+    last = min(T, hi - 1)
+    c = min(_CHUNK, last)
     width = min(_BLOCK_SIZE, spec.replications)
     raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
@@ -404,23 +403,18 @@ def _run_blocks(
         y[0] = 0.0
         eps_rows = list(eps)
         y_rows = list(y)
-        ys = xs = acc = None
+        rows = out[:, start : start + n]  # the sums, or the window's Y_t and xi_t
+        if keep is None:
+            rows[...] = -0.0  # -0.0 + x == x for every x, as cumsum starts
         next_v = _variance_walk(params)
-        if keep is not None:
-            ys = np.zeros((n, hi - lo))
-            xs = np.empty((n, hi - xlo))
-        else:
-            acc = np.full((3, n), -0.0)  # -0.0 + x == x for every x, as cumsum starts
         for t0 in range(1, last + 1, c):
             m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; y[j+1] is step t0+j
-            rows = eps_rows if m == c else [row[:m] for row in eps_rows]
-            for row, stream in zip(rows, streams):
+            draws = eps_rows if m == c else [row[:m] for row in eps_rows]
+            for row, stream in zip(draws, streams):
                 stream.standard_normal(out=row)
             mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # cond_sd*eps_t, made into xi_t below
-            outs = [None] * m  # xs's column for xi_t at the kept steps
-            if xs is not None:
-                for t in range(max(xlo, t0), t0 + m):
-                    outs[t - t0] = xs[:, t - xlo]
+            # out's column for xi_t at the kept steps
+            outs = [rows[1, :, t - lo] if lo <= t < hi else None for t in range(t0, t0 + m)]
             j0 = 0
             if t0 == 1:
                 mul(eps[:, 0], sig, out=y[1])  # xi_1 = sigma_xi*eps_1
@@ -431,22 +425,21 @@ def _run_blocks(
                 j0 = 1
             v = next_v(m - j0)  # V_{t-1} of steps t = t0+j0 .. t0+m-1
             slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
-            for lag, lead, s, out in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], slope, outs[j0:]):
+            for lag, lead, s, col in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], slope, outs[j0:]):
                 mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
                 add(tmp, lead, lead)
-                if out is not None:
-                    out[...] = lead
+                if col is not None:
+                    col[...] = lead
                 mul(lag, phi, tmp)  # Y_t = phi*Y_{t-1} + xi_t
                 add(tmp, lead, lead)
-            if acc is not None and m > j0:  # the sums start at t = 2
+            if keep is None and m > j0:  # the sums start at t = 2
                 terms = raw[: (m - j0) * n].reshape(m - j0, n)
-                _add_sums(acc, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
-            if ys is not None:
-                a, b = max(lo, t0), min(hi, t0 + m)
-                if a < b:
-                    ys[:, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
+                _add_sums(rows, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
+            a, b = max(lo, t0), min(hi, t0 + m)  # the kept steps of the chunk
+            if a < b:
+                rows[0, :, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
             y[0] = y[m]
-        yield start, ys, xs, acc
+        yield start
 
 
 def _shared_empty(*shape: int) -> np.ndarray:
@@ -466,24 +459,26 @@ def _worker_count(blocks: int) -> int:
     return min(cpus, blocks) if threads == 1 and hasattr(os, "fork") else 1
 
 
-def _run_batch(spec: BatchSpec, write: Callable[..., None], keep: tuple[int, int] | None = None) -> None:
-    # Calls write(*block) on every block of _run_blocks(spec, keep) in the
-    # process that makes it, so write keeps rows in _shared_empty arrays.
-    # Once every worker is reaped (killed first if this process raised), it
-    # walks again, in order, the range of each worker that failed, so a
-    # refusal there is raised here, first in block order, as it was made.
+def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
+    # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
+    # (2, R, hi-lo) window of Y_t and xi_t, in a _shared_empty out that
+    # every process writes its blocks into by _run_blocks.  Once every
+    # worker is reaped (killed first if this process raised), it walks
+    # again, in order, the range of each worker that failed.
     _check_variances(spec.params, spec.path_length)
-    n = -(-spec.replications // _BLOCK_SIZE)
+    R = spec.replications
+    out = _shared_empty(3, R) if keep is None else _shared_empty(2, R, keep[1] - keep[0])
+    n = -(-R // _BLOCK_SIZE)
     w = _worker_count(n)
     cuts = [n * i // w for i in range(w + 1)]
     parent, workers = os.getpid(), []  # workers: (pid, its range of blocks)
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             if (pid := os.fork()) == 0:
-                _work(spec, write, keep, range(lo, hi), parent)
+                _work(spec, out, keep, range(lo, hi), parent)
             workers.append((pid, range(lo, hi)))
-        for block in _run_blocks(spec, keep, range(cuts[1])):
-            write(*block)
+        for _ in _run_blocks(spec, out, keep, range(cuts[1])):
+            pass
     except BaseException:
         import signal
         for pid, _ in workers:
@@ -492,17 +487,17 @@ def _run_batch(spec: BatchSpec, write: Callable[..., None], keep: tuple[int, int
     finally:
         failed = [blocks for pid, blocks in workers if os.waitpid(pid, 0)[1]]
     for blocks in failed:
-        for block in _run_blocks(spec, keep, blocks):
-            write(*block)
+        for _ in _run_blocks(spec, out, keep, blocks):
+            pass
+    return out
 
 
-def _work(spec: BatchSpec, write: Callable[..., None], keep: tuple | None, blocks: range, parent: int) -> None:
-    # A forked worker of _run_batch: it walks its blocks, stopping at the
-    # next once its parent is gone, and leaves by os._exit, flushing no
-    # inherited stdio, with status 1 where a block raised.
+def _work(spec: BatchSpec, out: np.ndarray, keep: tuple | None, blocks: range, parent: int) -> None:
+    # A forked worker of _run_batch: it writes its blocks into out, stopping
+    # at the next once its parent is gone, and leaves by os._exit, flushing
+    # no inherited stdio, with status 1 where a block raised.
     try:
-        for block in _run_blocks(spec, keep, blocks):
-            write(*block)
+        for _ in _run_blocks(spec, out, keep, blocks):
             if os.getppid() != parent:
                 break
         os._exit(0)

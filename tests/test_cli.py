@@ -726,19 +726,6 @@ class TestExperimentCli:
             capsys.readouterr()
             assert a.read_bytes() == b.read_bytes(), R
 
-    def test_worker_count_invariance(self, capsys, tmp_path, monkeypatch):
-        # DIGAR_THREADS is no longer read; a value left in the environment
-        # must not change the output.
-        argv = ["experiment", "consistency", "-T", "100", "-R", "600", "--seed", "7"]
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        assert parse_and_dispatch(argv + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("DIGAR_THREADS", "4")
-        assert parse_and_dispatch(argv + ["--out", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
-
 
 # sha256 of the JSON each experiment prints.  Recorded again when each
 # row's PCG64 state and increment came straight from four SplitMix64

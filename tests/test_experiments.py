@@ -37,9 +37,9 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
-from digar import experiments, simulation
+from digar import simulation
 from digar.experiments import _collect_estimates
-from digar.simulation import _run_blocks
+from digar.simulation import _run_batch
 from conftest import boundary_params_strategy, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -219,33 +219,13 @@ class TestForkedWorkers:
         _no_child_left()
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize(
-        "w, R, refusing, first",
-        [
-            # blocks 0 | 1, 2: only the last block refuses
-            (2, 1100, {2}, 2),
-            # the first block, in this process, refuses too and wins
-            (2, 1100, {0, 2}, 0),
-            # blocks 0 | 1 | 2: the lower of two refusing ranges wins
-            (3, 1250, {1, 2}, 1),
-        ],
-    )
-    def test_first_refusal_in_block_order_wins(self, monkeypatch, w, R, refusing, first):
-        # A block is told by its first row's sum of squares, which does not
-        # depend on the process that makes the block.
-        spec = BatchSpec(P, 50, R, 5)
-        firsts = {float(sums[0, 0]): b for b, (_, _, _, sums) in enumerate(_run_blocks(spec))}
-        slopes = experiments._slopes
-
-        def refuse(coef, den, *sums):
-            block = firsts[float(den[0])]
-            if block in refusing:
-                raise DegenerateDenominatorError(f"block {block} refused in process {os.getpid()}")
-            return slopes(coef, den, *sums)
-
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_refusal_is_raised_here_at_any_worker_count(self, monkeypatch, w):
+        # Every one of the three blocks' rows has a subnormal sum of squares;
+        # the workers only write sums, and the slopes are refused once, here.
         self._workers(monkeypatch, w)
-        monkeypatch.setattr(experiments, "_slopes", refuse)
-        with pytest.raises(DegenerateDenominatorError, match=f"^block {first} refused in process {os.getpid()}$"):
+        spec = BatchSpec(ModelParams(0.5, 0.3, 1e-160), 200, 1200, 5)
+        with pytest.raises(DegenerateDenominatorError, match="is subnormal"):
             _collect_estimates(spec)
         _no_child_left()
 
@@ -262,21 +242,17 @@ class TestForkedWorkers:
         # A worker told that its parent is some other process writes the
         # block it has made and stops before the next.
         spec = BatchSpec(P, 50, 1100, 5)
-        rows = simulation._shared_empty(spec.replications)
-        rows.fill(np.nan)
-
-        def write(start, _y, _xi, sums):
-            rows[start : start + sums.shape[1]] = sums[0]
-
+        out = simulation._shared_empty(3, spec.replications)
+        out.fill(np.nan)
         pid = os.fork()
         if pid == 0:
             try:
-                simulation._work(spec, write, None, range(3), -1)
+                simulation._work(spec, out, None, range(3), -1)
             finally:
                 os._exit(99)
         assert os.waitpid(pid, 0)[1] == 0
-        assert not np.isnan(rows[:500]).any()
-        assert np.isnan(rows[500:]).all()
+        assert not np.isnan(out[:, :500]).any()
+        assert np.isnan(out[:, 500:]).all()
 
     def test_failed_worker_range_is_walked_again(self, monkeypatch):
         # A worker that dies without a refusal leaves no hole in the rows.
@@ -386,7 +362,7 @@ class TestAcfExperiment:
 
     @given(
         boundary_params_strategy(),
-        st.integers(0, 40),
+        st.integers(1, 40),
         st.integers(1, 5),
         st.integers(0, 3),
         st.integers(1, 3),
@@ -396,11 +372,11 @@ class TestAcfExperiment:
         # The window the experiment asks the batch kernel for, Y_t and xi_t
         # at t_obs <= t <= t_obs + k_max, holds each row's single path.
         T = max(2, t_obs + k_max + extra)
-        ((_, ys, xs, _),) = _run_blocks(BatchSpec(p, T, R, seed), keep=(t_obs, t_obs + k_max + 1))
+        ys, xs = _run_batch(BatchSpec(p, T, R, seed), keep=(t_obs, t_obs + k_max + 1))
         for r in range(R):
             solo = simulate_path(p, T, mix_seed(seed, r))
             assert np.array_equal(ys[r], solo.y[t_obs : t_obs + k_max + 1])
-            assert np.array_equal(xs[r], solo.xi[max(t_obs, 1) - 1 : t_obs + k_max])
+            assert np.array_equal(xs[r], solo.xi[t_obs - 1 : t_obs + k_max])
 
 
 class TestCurves:

@@ -20,7 +20,7 @@ from digar import (
     vbar_limit,
 )
 from digar import simulation
-from digar.simulation import _mix_seeds, _pcg64_states, _run_blocks
+from digar.simulation import _mix_seeds, _pcg64_states, _run_batch, _run_blocks
 from conftest import boundary_params_strategy, peak_rss, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -32,9 +32,12 @@ _M = (1 << 64) - 1
 
 
 def _path_blocks(spec):
-    # (start, y_block, xi_block) per block, every column kept.
-    for start, y, xi, _ in _run_blocks(spec, keep=(0, spec.path_length + 1)):
-        yield start, y, xi
+    # (start, Y_1..Y_T, xi_1..xi_T) per block, as views of the block's rows
+    # in the batch's window of every step.
+    ys, xs = out = np.empty((2, spec.replications, spec.path_length))
+    for start in _run_blocks(spec, out, keep=(1, spec.path_length + 1)):
+        n = min(simulation._BLOCK_SIZE, spec.replications - start)
+        yield start, ys[start : start + n], xs[start : start + n]
 
 
 def _splitmix64_outputs(state: int, n: int) -> list[int]:
@@ -152,7 +155,7 @@ class TestBulkSeeding:
         for start, y, xi in _path_blocks(spec):
             for i in range(y.shape[0]):
                 solo = simulate_path(P, 10, mix_seed(5150, start + i))
-                assert np.array_equal(y[i], solo.y)
+                assert np.array_equal(y[i], solo.y[1:])
                 assert np.array_equal(xi[i], solo.xi)
 
 
@@ -211,7 +214,7 @@ class TestSimulatePath:
             spec = BatchSpec(p, 50, 1, 3)
             (_, y, xi), = _path_blocks(spec)
             solo = simulate_path(p, 50, mix_seed(3, 0))
-            assert y[0].tobytes() == solo.y.tobytes() and xi[0].tobytes() == solo.xi.tobytes()
+            assert y[0].tobytes() == solo.y[1:].tobytes() and xi[0].tobytes() == solo.xi.tobytes()
 
     def test_memory_is_a_few_words_per_step(self):
         # y and xi are a word (8 bytes) per step each; normals, slopes and
@@ -335,15 +338,15 @@ class TestBatch:
         (start, y, xi), = _path_blocks(BatchSpec(P, 50, 1, 999))
         solo = simulate_path(P, 50, mix_seed(999, 0))
         assert start == 0
-        assert y.shape == (1, 51)
-        assert np.array_equal(y[0], solo.y)
+        assert y.shape == (1, 50)
+        assert np.array_equal(y[0], solo.y[1:])
         assert np.array_equal(xi[0], solo.xi)
 
     def test_rows_match_single_paths_bitwise(self):
         (_, y, xi), = _path_blocks(BatchSpec(P, 50, 5, 999))
         for r in (0, 3, 4):
             solo = simulate_path(P, 50, mix_seed(999, r))
-            assert np.array_equal(y[r], solo.y)
+            assert np.array_equal(y[r], solo.y[1:])
             assert np.array_equal(xi[r], solo.xi)
 
     def test_batch_deterministic(self):
@@ -357,19 +360,6 @@ class TestBatch:
                 assert np.array_equal(ya, yb)
                 assert np.array_equal(xa, xb)
 
-    def test_worker_count_does_not_change_bytes(self, monkeypatch):
-        # DIGAR_THREADS is no longer read; a value left in the environment
-        # must not change the rows.
-        spec = BatchSpec(P, 10, 1300, 5150)
-        monkeypatch.delenv("DIGAR_THREADS", raising=False)
-        serial = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
-        monkeypatch.setenv("DIGAR_THREADS", "3")
-        threaded = [(y.copy(), xi.copy()) for _, y, xi in _path_blocks(spec)]
-        assert len(serial) == len(threaded)
-        for (ys, xs), (yt, xt) in zip(serial, threaded):
-            assert np.array_equal(ys, yt)
-            assert np.array_equal(xs, xt)
-
     def test_block_size_does_not_change_rows(self, monkeypatch):
         spec = BatchSpec(P, 10, 1300, 5150)
         big = np.concatenate([y for _, y, _ in _path_blocks(spec)])
@@ -382,77 +372,75 @@ class TestBatch:
         starts = [s for s, _, _ in _path_blocks(spec)]
         assert starts == [0, 500, 1000]
 
+    @pytest.mark.parametrize("keep", [None, (3, 8)])
+    def test_a_block_writes_only_its_own_rows(self, keep):
+        # Forked workers write disjoint block ranges into one shared out.
+        spec = BatchSpec(P, 10, 1203, 5150)
+        out = np.full((3, 1203) if keep is None else (2, 1203, 5), np.nan)
+        assert list(_run_blocks(spec, out, keep, blocks=range(1, 2))) == [500]
+        assert not np.isnan(out[:, 500:1000]).any()
+        assert np.isnan(out[:, :500]).all() and np.isnan(out[:, 1000:]).all()
+        assert np.array_equal(out[:, 500:1000], _run_batch(spec, keep)[:, 500:1000])
+
 
 class TestKernelChunking:
     """The batch kernel walks time in chunks; the chunk length is not
-    allowed to change a single bit of what it returns."""
+    allowed to change a single bit of what it writes."""
 
     @staticmethod
-    def _assert_same(a, b):
-        # Each block's arrays are freshly allocated, so both runs can be held.
-        assert len(a) == len(b)
-        for xa, xb in zip(a, b):
-            assert xa[0] == xb[0]
-            for ea, eb in zip(xa[1:], xb[1:]):
-                assert (ea is None and eb is None) or np.array_equal(ea, eb)
-
-    @staticmethod
-    def _chunked(monkeypatch, chunk, spec, **kw):
+    def _chunked(monkeypatch, chunk, spec, keep=None):
         monkeypatch.setattr(simulation, "_CHUNK", chunk)
-        return list(_run_blocks(spec, **kw))
+        return _run_batch(spec, keep)
 
     def test_fused_sums_do_not_depend_on_chunk_length(self, monkeypatch):
         for p in (P, MOVING):
             spec = BatchSpec(p, 600, 1001, 4242)
-            self._assert_same(
-                self._chunked(monkeypatch, 7, spec),
-                self._chunked(monkeypatch, 256, spec),
-            )
+            short = self._chunked(monkeypatch, 7, spec)
+            assert np.array_equal(short, self._chunked(monkeypatch, 256, spec))
 
     def test_acf_window_does_not_depend_on_chunk_length(self, monkeypatch):
         for p in (P, MOVING):
             spec = BatchSpec(p, 600, 1001, 4242)
             short = self._chunked(monkeypatch, 7, spec, keep=(200, 205))
-            self._assert_same(short, self._chunked(monkeypatch, 256, spec, keep=(200, 205)))
-            assert short[0][1].shape == short[0][2].shape == (500, 5)
+            assert short.shape == (2, 1001, 5)
+            assert np.array_equal(short, self._chunked(monkeypatch, 256, spec, keep=(200, 205)))
 
     def test_full_window_matches_single_paths_for_any_chunk(self, monkeypatch):
         for p in (P, MOVING):
             spec = BatchSpec(p, 30, 3, 17)
             for chunk in (1, 7, 256):
-                (start, y, xi, sums), = self._chunked(monkeypatch, chunk, spec, keep=(0, 31))
-                assert sums is None
+                y, xi = self._chunked(monkeypatch, chunk, spec, keep=(1, 31))
                 for r in range(3):
                     solo = simulate_path(p, 30, mix_seed(17, r))
-                    assert np.array_equal(y[r], solo.y)
+                    assert np.array_equal(y[r], solo.y[1:])
                     assert np.array_equal(xi[r], solo.xi)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 256])
-    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (1, 2), (1, 31), (2, 9)])
+    @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 31), (2, 9)])
     def test_windows_at_the_start_match_single_paths(self, monkeypatch, chunk, lo, hi):
         # xi_1 = sigma_xi*eps_1 is made apart from the later steps, in the
-        # row where Y_1 then overwrites it; a window from t <= 1 keeps it.
+        # row where Y_1 then overwrites it; a window from t = 1 keeps it.
         for p in (P, MOVING):
             spec = BatchSpec(p, 30, 3, 17)
-            (start, y, xi, sums), = self._chunked(monkeypatch, chunk, spec, keep=(lo, hi))
-            assert sums is None
+            y, xi = self._chunked(monkeypatch, chunk, spec, keep=(lo, hi))
             for r in range(3):
                 solo = simulate_path(p, 30, mix_seed(17, r))
                 assert np.array_equal(y[r], solo.y[lo:hi])
-                assert np.array_equal(xi[r], solo.xi[max(lo, 1) - 1 : hi - 1])
+                assert np.array_equal(xi[r], solo.xi[lo - 1 : hi - 1])
 
 
 class TestKernelMemory:
     """A block holds two chunk buffers, the draws and the levels, in which
-    each xi_t is made; the seed states are set as they are computed."""
+    each xi_t is made, and writes its rows into the caller's out; the seed
+    states are set as they are computed."""
 
     @pytest.mark.parametrize("keep", [None, (200, 205)])
     def test_block_peak_below_three_chunk_buffers(self, keep):
-        list(_run_blocks(BatchSpec(P, 10, 5, 1)))  # allocations of a first call
         spec = BatchSpec(P, 2000, simulation._BLOCK_SIZE, 7)
+        out = _run_batch(spec, keep)  # also makes the allocations of a first call
         tracemalloc.start()
         try:
-            for _ in _run_blocks(spec, keep=keep):
+            for _ in _run_blocks(spec, out, keep):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -467,8 +455,8 @@ class TestCrossSectionalLaw:
         spec = BatchSpec(P, 500, 2000, 2024)
         y_mid, y_end = [], []
         for _, y, _ in _path_blocks(spec):
-            y_mid.append(y[:, 200])
-            y_end.append(y[:, 500])
+            y_mid.append(y[:, 199])  # Y_200
+            y_end.append(y[:, 499])  # Y_500
         y_mid = np.concatenate(y_mid)
         y_end = np.concatenate(y_end)
         R = spec.replications
@@ -487,8 +475,8 @@ class TestCrossSectionalLaw:
         spec = BatchSpec(P, 40, 4000, 778)
         lag, innov = [], []
         for _, y, xi in _path_blocks(spec):
-            lag.append(y[:, 39])
-            innov.append(xi[:, 39])
+            lag.append(y[:, 38])  # Y_39
+            innov.append(xi[:, 39])  # xi_40
         lag = np.concatenate(lag)
         innov = np.concatenate(innov)
         n = len(lag)
