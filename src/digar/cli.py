@@ -17,6 +17,16 @@ GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy is already loaded:
 the commands' only BLAS call is a 2 x R np.corrcoef, and idle OpenBLAS
 workers spin about 0.1 s of CPU per process.  The variable is removed
 again, so child processes inherit nothing.
+
+simulate (csv), variance-path and estimate --in stream their rows chunk
+by chunk, and a process with one thread spreads the chunks over W
+processes, as a batch spreads its blocks (simulation._chunk_map): each
+process walks the path or V_t, or reads the file after its header, by
+itself; it formats, or parses in simulate's plain form, only its own
+chunks; and this process writes every chunk in order.  A worker opens the
+file again, so only a regular file is shared out.  At the first piece
+of a file that is not plain the workers are killed, and the rest is read
+here alone, so the csv row loop words every refusal as before.
 """
 
 from __future__ import annotations
@@ -25,8 +35,10 @@ import argparse
 import io
 import os
 import re
+import stat
 import sys
 import warnings
+from contextlib import closing
 from dataclasses import asdict
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -67,7 +79,7 @@ def _load_arrays() -> None:
             del os.environ["OPENBLAS_NUM_THREADS"]
     from .estimation import _estimate, _walk_estimate
     from .experiments import empirical_acf_experiment, run_clt_experiment, run_consistency_experiment
-    from .simulation import BatchSpec, _walk, simulate_path
+    from .simulation import BatchSpec, _chunk_map, _walk, simulate_path
 
     del pin  # the other locals are the names to bind
     for name, value in locals().items():
@@ -125,7 +137,8 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
     _load_arrays()
     next_v = _check_variances(params, ns.T)  # refuses before the first byte
-    _write_text(ns.out, _variance_csv(next_v, ns.T))
+    with closing(_variance_csv(next_v, ns.T)) as pieces:
+        _write_text(ns.out, pieces)
     return 0
 
 
@@ -140,22 +153,35 @@ def _rows(t: int, columns: tuple[list[float], ...]) -> str:
     return (("%d" + ",%.17g" * len(columns) + "\n") * n) % tuple(cells)
 
 
+def _ascii_rows(piece: tuple[int, list[float], ...]) -> bytes:
+    # _rows of a piece (t, column, ...), as ASCII bytes.
+    return _rows(piece[0], piece[1:]).encode("ascii")
+
+
 def _variance_csv(next_v: Callable[[int], np.ndarray], T: int) -> Iterator[str]:
     # The CSV of V_1..V_T, one piece per _PATH_CHUNK entries of a fresh
-    # variance walk, so V_t is never held whole.
+    # variance walk, so V_t is never held whole; every process of
+    # _chunk_map walks V_t and formats its own pieces.
     yield "t,v\n"
-    for t in range(1, T + 1, _PATH_CHUNK):
-        yield _rows(t, (next_v(min(_PATH_CHUNK, T + 1 - t)).tolist(),))
+    pieces = ((t, next_v(min(_PATH_CHUNK, T + 1 - t)).tolist()) for t in range(1, T + 1, _PATH_CHUNK))
+    for _, raw in _chunk_map(pieces, _ascii_rows, -(-T // _PATH_CHUNK)):
+        yield raw.decode("ascii")
 
 
-def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]]) -> Iterator[str]:
-    # The CSV of the path whose Y_t and xi_t chunks come from
-    # simulation._walk, one piece per chunk, so a long path is never held.
+def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]], T: int) -> Iterator[str]:
+    # The CSV of the T-step path whose Y_t and xi_t chunks come from
+    # simulation._walk, one piece per chunk, so a long path is never held;
+    # every process of _chunk_map walks the path and formats its own chunks.
     yield "t,y,xi\n0,0,\n"
-    t = 1
-    for ys, xs, _ in chunks:
-        yield _rows(t, (ys, xs))
-        t += len(ys)
+
+    def pieces() -> Iterator[tuple[int, list[float], list[float]]]:
+        t = 1
+        for ys, xs, _ in chunks:
+            yield t, ys, xs
+            t += len(ys)
+
+    for _, raw in _chunk_map(pieces(), _ascii_rows, -(-T // _PATH_CHUNK)):
+        yield raw.decode("ascii")
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
@@ -168,7 +194,8 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
         tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
         _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
     else:
-        _write_text(ns.out, _path_csv(_walk(params, ns.T, ns.seed)))
+        with closing(_path_csv(_walk(params, ns.T, ns.seed), ns.T)) as pieces:
+            _write_text(ns.out, pieces)
     return 0
 
 
@@ -232,6 +259,45 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
     return cells if np.array_equal(cells[:, 0], np.arange(t, t + n)) else None
 
 
+def _plain_piece(piece: tuple[str, int]) -> bytes:
+    # The y values, then the xi values, of a piece (text, t) of _texts, as
+    # float64 bytes, if its rows are plain (_plain_rows), a piece at t = 0
+    # first holding the t = 0 row as simulate writes it; else b"".
+    text, t = piece
+    y0: list[float] = []
+    if t == 0 and text.startswith("0,0,\n"):
+        y0, text, t = [0.0], text[5:], 1
+    cells = _plain_rows(text, t) if t > 0 and text else None
+    return b"" if cells is None else np.concatenate((y0, cells[:, 1], cells[:, 2])).tobytes()
+
+
+def _plain_values(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # The y and xi values of a piece from _plain_piece's bytes.
+    values = np.frombuffer(raw)
+    n = values.size - values.size // 2  # y values: one more than xi's at t = 0
+    return values[:n], values[n:]
+
+
+def _texts(fh: io.TextIOBase) -> Iterator[tuple[str, int]]:
+    # The rest of fh in pieces of _READ_CHARS characters and the rest of
+    # their last line, each with the t its first line has if every line
+    # before it, after the header, is a row.
+    t = 0
+    while text := fh.read(_READ_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()  # end the piece with its last line
+        yield text, t
+        t += text.count("\n")
+
+
+def _reread(infile: str) -> Iterator[tuple[str, int]]:
+    # _texts of infile opened afresh, after its header.
+    import csv
+    with open(infile, newline="", encoding="utf-8") as fh:
+        next(csv.reader(fh), None)
+        yield from _texts(fh)
+
+
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
     # The estimate of the path in a CSV file, read and summed chunk by
     # chunk; the file's path is never held whole.
@@ -244,31 +310,43 @@ def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
             raise OutOfRangeError(f"empty path file: {infile}")
         if [h.strip() for h in header] != ["t", "y", "xi"]:
             raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        return _estimate(params, _csv_pieces(infile, fh))
+        with closing(_csv_pieces(infile, fh)) as pieces:
+            return _estimate(params, pieces)
 
 
 def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # The y and xi values of the rows after the header, in chunks of whole
-    # lines.  A chunk in simulate's plain form is parsed by numpy in one
-    # call (_plain_rows); any other chunk goes through _csv_rows, so only
-    # the row loop refuses a file.
+    # The y and xi values of the rows after the header, a piece of _texts
+    # at a time.  While the pieces are in simulate's plain form, numpy
+    # parses each in one call (_plain_piece), spread over the processes of
+    # _chunk_map; workers open the file afresh, so only a regular file is
+    # shared out.  From the first other piece on, this process reads on
+    # alone, and any piece that is not plain goes through _csv_rows, so
+    # only the row loop refuses a file.
     import csv
-    t, lineno = 0, 2  # the next row's t and record number
-    while text := fh.read(_READ_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()  # end the chunk with its last line
+    texts = _texts(fh)
+    st = os.fstat(fh.fileno())
+    n = -(-st.st_size // _READ_CHARS) if stat.S_ISREG(st.st_mode) else 1
+    with closing(_chunk_map(texts, _plain_piece, n, lambda: _reread(infile))) as plain:
+        for (text, t), raw in plain:
+            if not raw:
+                break
+            yield _plain_values(raw)
+        else:
+            return
+    lineno = t + 2  # the record number of row t, as every line before it was one row
+    for text, _ in chain([(text, t)], texts):
+        if raw := _plain_piece((text, t)):
+            y, xi = _plain_values(raw)
+            yield y, xi
+            t += y.size
+            lineno += y.size
+            continue
         if t == 0 and text.startswith("0,0,\n"):  # the t = 0 row as simulate writes it
             yield np.zeros(1), np.empty(0)
-            text = text[5:]
-            t, lineno = 1, lineno + 1
-        cells = _plain_rows(text, t) if t > 0 and text else None
-        if cells is not None:
-            yield cells[:, 1], cells[:, 2]
-            t += len(cells)
-            lineno += len(cells)
-        elif text:
+            text, t, lineno = text[5:], 1, lineno + 1
+        if text:
             lines = io.StringIO(text, newline="").readlines()
-            # A quoted field may carry a record past the chunk; the
+            # A quoted field may carry a record past the piece; the
             # reader then takes the lines it needs from the file.
             rows = csv.reader(chain(lines, fh))
             y, xi, lineno = _csv_rows(infile, rows, lineno, t, len(lines))

@@ -38,24 +38,32 @@ rows, the draws (then scratch for the sums) and the levels, in which each
 step makes xi_t and then Y_t over it, and sets its rows' states as they
 are made in one numpy pass.
 
-A batch runs in W processes: the CPUs in os.sched_getaffinity(0), at most
-one per block, but 1 where os.fork or sched_getaffinity is missing or the
-process runs more than one thread, which is never forked.  W - 1 forked
-workers walk the later of W contiguous ranges of blocks, the process
-itself the first, and every block writes its rows straight into the
-batch's arrays on an anonymous shared mapping, which the batch returns,
-so nothing is pickled and the bytes do not depend on W.  V_1..V_T is
-checked before any fork, the range of a worker that failed is walked
-again, and every worker is reaped before the batch ends; the slopes are
-refused once, in the calling process, from the returned sums.
+Work in pieces runs in W processes (_forked): the CPUs in
+os.sched_getaffinity(0), at most one per piece, but 1 where os.fork or
+sched_getaffinity is missing or the process runs more than one thread,
+which is never forked.  Each of the W - 1 forked workers tells its parent
+on its own pipe what it has done, leaves by os._exit and stops once its
+parent is gone; every worker is reaped before the work ends, killed first
+where the parent raised, and the parent does the part of a worker that
+failed.  So the bytes do not depend on W.  A batch's pieces are its
+blocks: the workers walk the later of W contiguous ranges of them, the
+process itself the first, and every block writes its rows straight into
+the batch's arrays on an anonymous shared mapping, which the batch
+returns, so nothing is pickled.  V_1..V_T is checked before any fork, and
+the slopes are refused once, in the calling process, from the returned
+sums.  The CLI's single-path commands spread the chunks of a path, a
+variance walk or a path file by _chunk_map: every process walks or reads
+the same chunks, process j does the costly step (formatting or parsing)
+of chunks k = j mod W, and the parent takes the results in order.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -444,12 +452,12 @@ def _run_blocks(
 
 def _shared_empty(*shape: int) -> np.ndarray:
     # An uninitialised float array on an anonymous shared mapping, which forked workers write to.
-    import mmap  # as signal below, loaded by the batch route alone
+    import mmap  # loaded by the batch route alone
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _worker_count(blocks: int) -> int:
-    # W of the module docstring for a batch of this many blocks.
+    # W of the module docstring for work in this many pieces.
     try:
         with open("/proc/self/status", "rb") as status:
             threads = int(status.read().split(b"Threads:")[1].split()[0])
@@ -459,47 +467,112 @@ def _worker_count(blocks: int) -> int:
     return min(cpus, blocks) if threads == 1 and hasattr(os, "fork") else 1
 
 
-def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
-    # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
-    # (2, R, hi-lo) window of Y_t and xi_t, in a _shared_empty out that
-    # every process writes its blocks into by _run_blocks.  Once every
-    # worker is reaped (killed first if this process raised), it walks
-    # again, in order, the range of each worker that failed.
-    _check_variances(spec.params, spec.path_length)
-    R = spec.replications
-    out = _shared_empty(3, R) if keep is None else _shared_empty(2, R, keep[1] - keep[0])
-    n = -(-R // _BLOCK_SIZE)
+@contextmanager
+def _forked(n: int, job: Callable[[int, int, int], Iterable]) -> Iterator[tuple[int, list[BinaryIO]]]:
+    # The one worker policy, for work in n >= 1 pieces: W = _worker_count(n)
+    # processes, this one and forked workers j = 1 .. W-1, each of which
+    # walks job(j, W, fd) by _work, fd the write end of its own pipe.
+    # Yields W and the read ends of the workers' pipes, in order; a worker
+    # that failed shows as its pipe ending early.  Once the body ends the
+    # read ends are closed, so a worker that would still write ends, and
+    # every worker is reaped, killed first where the body raised (or, in a
+    # generator, was closed).
     w = _worker_count(n)
-    cuts = [n * i // w for i in range(w + 1)]
-    parent, workers = os.getpid(), []  # workers: (pid, its range of blocks)
+    parent, pids, pipes = os.getpid(), [], []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+        for j in range(1, w):
+            r, fd = os.pipe()
             if (pid := os.fork()) == 0:
-                _work(spec, out, keep, range(lo, hi), parent)
-            workers.append((pid, range(lo, hi)))
-        for _ in _run_blocks(spec, out, keep, range(cuts[1])):
-            pass
+                _work(job(j, w, fd), parent, (r, *(pipe.fileno() for pipe in pipes)))
+            os.close(fd)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
+        yield w, pipes
     except BaseException:
-        import signal
-        for pid, _ in workers:
+        import signal  # loaded only where a worker is killed
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        failed = [blocks for pid, blocks in workers if os.waitpid(pid, 0)[1]]
-    for blocks in failed:
-        for _ in _run_blocks(spec, out, keep, blocks):
-            pass
-    return out
+        for pipe in pipes:  # first, so that a worker blocked on its pipe ends
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-def _work(spec: BatchSpec, out: np.ndarray, keep: tuple | None, blocks: range, parent: int) -> None:
-    # A forked worker of _run_batch: it writes its blocks into out, stopping
+def _work(steps: Iterable, parent: int, close: Iterable[int] = ()) -> None:
+    # A forked worker: it closes the fds in close, the read ends of pipes,
+    # so its own pipe breaks once its parent is gone, walks steps, stopping
     # at the next once its parent is gone, and leaves by os._exit, flushing
-    # no inherited stdio, with status 1 where a block raised.
+    # no inherited stdio, with status 1 where anything raised.
     try:
-        for _ in _run_blocks(spec, out, keep, blocks):
+        for fd in close:
+            os.close(fd)
+        for _ in steps:
             if os.getppid() != parent:
                 break
         os._exit(0)
     finally:
         os._exit(1)
+
+
+def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
+    # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
+    # (2, R, hi-lo) window of Y_t and xi_t, in a _shared_empty out that
+    # every process writes its range of blocks into by _run_blocks, process
+    # j of W the j-th of W contiguous ranges.  A worker says on its pipe
+    # that its range is written; once every worker is reaped, the range of
+    # each that did not is walked again here, in order.
+    _check_variances(spec.params, spec.path_length)
+    R = spec.replications
+    out = _shared_empty(3, R) if keep is None else _shared_empty(2, R, keep[1] - keep[0])
+    n = -(-R // _BLOCK_SIZE)
+
+    def blocks(j: int, w: int) -> range:
+        return range(n * j // w, n * (j + 1) // w)
+
+    def job(j: int, w: int, fd: int) -> Iterator[int]:
+        yield from _run_blocks(spec, out, keep, blocks(j, w))
+        os.write(fd, b"\1")
+
+    with _forked(n, job) as (w, pipes):
+        for _ in _run_blocks(spec, out, keep, blocks(0, w)):
+            pass
+        failed = [j for j, pipe in enumerate(pipes, 1) if not pipe.read(1)]
+    for j in failed:
+        for _ in _run_blocks(spec, out, keep, blocks(j, w)):
+            pass
+    return out
+
+
+def _chunk_map(
+    items: Iterable, work: Callable[[object], bytes], n: int, reopen: Callable[[], Iterable] | None = None
+) -> Iterator[tuple[object, bytes]]:
+    # (item, work(item)) for each of the n items in order, the work of item
+    # k done by process k mod W of _forked: this one for k = 0 mod W, and
+    # otherwise a worker, which walks its own copy of items, or reopen()
+    # where the items are read from a file whose offset the processes would
+    # share, and sends its results down its pipe, each after its length.
+    # This process does the items of a worker whose pipe ended early.
+    def job(j: int, w: int, fd: int) -> Iterator[None]:
+        with open(fd, "wb") as pipe:
+            for k, item in enumerate(reopen() if reopen else items):
+                if k % w == j:
+                    raw = work(item)
+                    pipe.write(len(raw).to_bytes(8, "little"))
+                    pipe.write(raw)
+                    pipe.flush()
+                yield
+
+    def receive(pipe: BinaryIO) -> bytes | None:
+        head = pipe.read(8)
+        if len(head) == 8:
+            raw = pipe.read(size := int.from_bytes(head, "little"))
+            if len(raw) == size:
+                return raw
+        return None
+
+    with _forked(n, job) as (w, pipes):
+        for k, item in enumerate(items):
+            raw = receive(pipes[k % w - 1]) if k % w else None
+            yield item, work(item) if raw is None else raw

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from digar import ModelParams
@@ -37,6 +38,12 @@ def fresh_python(*args: str, env: dict[str, str] | None = None) -> bytes:
     child["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child.update(env or {})
     return subprocess.run([sys.executable, *args], env=child, capture_output=True, check=True).stdout
+
+
+def no_child_left() -> None:
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def peak_rss(*args: str) -> int:

@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +33,7 @@ from digar import (
 )
 from digar import cli, estimation, model, simulation
 from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
-from conftest import fresh_python, peak_rss
+from conftest import fresh_python, no_child_left, peak_rss
 from oracles import read_path_csv
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -535,7 +539,7 @@ class TestReadPathCsv:
         # The chunked reader and its running checks and sums end as the
         # whole-file row loop, SamplePath and infeasible_estimate end: the
         # same estimate, or the same refusal.
-        text = "".join(cli._path_csv(simulation._walk(P, 12, 4)))
+        text = "".join(cli._path_csv(simulation._walk(P, 12, 4), 12))
         for op, pos, ch in edits:
             pos %= len(text) + 1
             text = text[:pos] + ("" if op == "delete" else ch) + text[pos + (op != "insert") :]
@@ -825,7 +829,14 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _CPUS < 2, reason="needs two CPUs to pin to one")
 class TestWorkerCountBytes:
     """A CLI process runs one thread, so it forks a worker per CPU it may
-    use, up to one per block; the bytes must not depend on how many."""
+    use, up to one per block or chunk; the bytes must not depend on how
+    many."""
+
+    @pytest.fixture(scope="class")
+    def path_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("path") / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", "20000", "--out", str(path)]) == 0
+        return path
 
     @pytest.mark.parametrize(
         "argv, blocks",
@@ -833,13 +844,183 @@ class TestWorkerCountBytes:
             (("experiment", "consistency", "-T", "300", "-R", "1203"), 3),
             (("experiment", "clt", "-T", "5000", "-R", "1000"), 2),
             (("experiment", "acf", "-T", "204", "-R", "1203"), 3),
+            # One chunk of the walk, so no worker; then five.
+            (("simulate", "-T", "1000"), 1),
+            (("simulate", "-T", "20000"), 5),
+            # That path's file, in pieces of cli._READ_CHARS characters.
+            (("estimate", "--in", "PATH"), "pieces"),
         ],
     )
-    def test_pinned_and_unpinned_bytes_equal(self, argv, blocks):
+    def test_pinned_and_unpinned_bytes_equal(self, path_file, argv, blocks):
+        if blocks == "pieces":
+            blocks = -(-path_file.stat().st_size // cli._READ_CHARS)
+        argv = [str(path_file) if a == "PATH" else a for a in argv]
         pinned, forks_pinned = fresh_python("-c", _COUNTED_RUN, "pinned", *argv)[:-1].rsplit(b"\n", 1)
         free, forks_free = fresh_python("-c", _COUNTED_RUN, "free", *argv)[:-1].rsplit(b"\n", 1)
         assert (int(forks_pinned), int(forks_free)) == (0, min(_CPUS, blocks) - 1)
         assert pinned == free
+
+
+def _edited_rows(path, edits):
+    # Rewrites path with each row t in edits replaced by edits[t](row).
+    rows = path.read_text().splitlines(keepends=True)
+    for t, edit in edits.items():
+        rows[t + 1] = edit(rows[t + 1])
+    path.write_text("".join(rows))
+
+
+def _exponent_form(row):
+    # Row "t,y,xi" with a space before y and y written as digits and an
+    # E- exponent, a form only the row loop reads; the value is unchanged.
+    t, y, xi = row.split(",")
+    sign, digits = ("-", y[1:]) if y.startswith("-") else ("", y)
+    whole, _, frac = digits.partition(".")
+    return f"{t}, {sign}{whole}{frac}E-{len(frac)},{xi}"
+
+
+# The test process runs BLAS threads, so its commands stay in-process
+# unless a test sets the worker count; forking it then is safe, since the
+# workers call no BLAS, but Python 3.12 warns about it.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestSinglePathWorkers:
+    """simulate, variance-path and estimate --in spread their chunks over W
+    processes: output, stderr and exit status must not depend on W, and
+    every worker is reaped before the command returns."""
+
+    T = "20000"  # five chunks of the walk
+
+    @staticmethod
+    def _runs(capsys, monkeypatch, *argv):
+        # (exit status, stdout, stderr) of argv at W = 1, 2 and 3, each
+        # checked to leave no child.
+        capsys.readouterr()
+        runs = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(simulation, "_worker_count", lambda n, w=w: min(w, n))
+            runs.append(run_cli(capsys, *argv))
+            no_child_left()
+        return runs
+
+    @pytest.fixture
+    def path_file(self, tmp_path, monkeypatch):
+        # simulate's file of a 20,000-step path, read in some 200 pieces.
+        path = tmp_path / "path.csv"
+        assert parse_and_dispatch(["simulate", "-T", self.T, "--out", str(path)]) == 0
+        monkeypatch.setattr(cli, "_READ_CHARS", 4096)
+        return path
+
+    def test_simulate_bytes(self, capsys, tmp_path, monkeypatch):
+        files = []
+        for w, run in enumerate(self._runs(capsys, monkeypatch, "simulate", "-T", self.T), 1):
+            assert run[0] == 0 and run[1].count("t,y,xi") == 1
+            out = tmp_path / f"w{w}.csv"
+            monkeypatch.setattr(simulation, "_worker_count", lambda n, w=w: min(w, n))
+            assert run_cli(capsys, "simulate", "-T", self.T, "--out", str(out)) == (0, "", run[2])
+            no_child_left()
+            files.append(out.read_text())
+            assert files[-1] == run[1]
+        assert len(set(files)) == 1
+
+    def test_variance_path_bytes(self, capsys, monkeypatch):
+        runs = self._runs(capsys, monkeypatch, "variance-path", "-T", self.T)
+        assert runs[0][0] == 0 and runs[0][1].count("\n") == 20001
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_estimate_in_bytes(self, capsys, monkeypatch, path_file):
+        runs = self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_estimate_in_bytes_through_the_row_loop(self, capsys, monkeypatch, path_file):
+        # A row in a middle piece that only the row loop reads: the
+        # workers stop there and this process reads on alone.
+        _, plain, _ = run_cli(capsys, "estimate", "--in", str(path_file))
+        _edited_rows(path_file, {9000: _exponent_form})
+        assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [(0, plain, "")] * 3
+
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (lambda row: "x" + row[row.index(","):], "{}:152: expected t = 150, got 'x'"),
+            (lambda row: row.replace(",", ",abc", 1), "{}:152: could not convert string to float: 'abc"),
+        ],
+        ids=["bad_t", "unparsable_y"],
+    )
+    def test_refusal_in_a_worker_piece(self, capsys, monkeypatch, path_file, edit, err):
+        # Row 150 lies in the second piece, a worker's at W = 2 and 3.
+        _edited_rows(path_file, {150: edit})
+        runs = self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file))
+        assert runs[0][:2] == (3, "") and runs[0][2].startswith("error: " + err.format(path_file))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_killed_worker_leaves_the_same_bytes(self, capsys, monkeypatch, path_file, command):
+        # Each worker kills itself at its second chunk; this process does
+        # the chunks the worker did not send.
+        parent, name = os.getpid(), "_ascii_rows" if command == "simulate" else "_plain_piece"
+        work, calls = getattr(cli, name), []
+
+        def dying(piece):
+            calls.append(piece)
+            if os.getpid() != parent and len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return work(piece)
+
+        argv = ("simulate", "-T", self.T) if command == "simulate" else ("estimate", "--in", str(path_file))
+        capsys.readouterr()
+        want = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, name, dying)
+        assert self._runs(capsys, monkeypatch, *argv) == [want] * 3
+
+    def test_file_grown_after_the_parent_read_it(self, capsys, monkeypatch, path_file):
+        # Workers that read pieces past the parent's last one, as of a file
+        # appended to meanwhile, fill their pipes with results nobody asks
+        # for; the command still ends, with the parent's reading.
+        capsys.readouterr()
+        want = run_cli(capsys, "estimate", "--in", str(path_file))
+        extra = "".join(f"{t},0.5,0.5\n" for t in range(10**9, 10**9 + 10_000))  # 160 kB of results
+        reread = cli._reread
+        monkeypatch.setattr(cli, "_reread", lambda infile: chain(reread(infile), [(extra, 10**9)] * 6))
+        assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_4(self, capsys, monkeypatch):
+        for code, out, err in self._runs(capsys, monkeypatch, "simulate", "-T", self.T, "--out", "/dev/full"):
+            assert (code, out) == (4, "") and err.endswith("io error: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout_exits_4(self):
+        # simulate | head -c 100, at W = 1, 2 and 3, each in a process of its own.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for w in ("1", "2", "3"):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _CLOSED_STDOUT_RUN, w], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            )
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == 4, err
+            assert err == "seed = 12345\nio error: [Errno 32] Broken pipe\n"
+
+
+# Runs `digar simulate -T 300000` to stdout with sys.argv[1] processes,
+# says on stderr if a child is left, and exits with its status without
+# flushing stdout again.
+_CLOSED_STDOUT_RUN = """
+import os, sys
+from digar import cli
+cli._load_arrays()
+from digar import simulation
+simulation._worker_count = lambda n: min(int(sys.argv[1]), n)
+status = cli.main(["simulate", "-T", "300000"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.stderr.flush()
+os._exit(status)
+"""
 
 
 def _threads_after(statement, **env):

@@ -40,7 +40,7 @@ from digar import (
 from digar import simulation
 from digar.experiments import _collect_estimates
 from digar.simulation import _run_batch
-from conftest import boundary_params_strategy, seeds_strategy
+from conftest import boundary_params_strategy, no_child_left, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -193,12 +193,6 @@ class TestConsistencyExperiment:
             run_consistency_experiment(BatchSpec(P, 99, 100, 7))
 
 
-def _no_child_left():
-    # Every child of this process has been reaped.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # The test process runs BLAS threads, so its batches stay in-process unless
 # a test sets the worker count; forking it then is safe, since the workers
 # call no BLAS, but Python 3.12 warns about it.
@@ -216,7 +210,7 @@ class TestForkedWorkers:
             self._workers(monkeypatch, w)
             hats, tildes = _collect_estimates(spec)
             runs.append((hats.tobytes(), tildes.tobytes(), empirical_acf_experiment(spec, 200, 6)))
-        _no_child_left()
+        no_child_left()
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -227,7 +221,7 @@ class TestForkedWorkers:
         spec = BatchSpec(ModelParams(0.5, 0.3, 1e-160), 200, 1200, 5)
         with pytest.raises(DegenerateDenominatorError, match="is subnormal"):
             _collect_estimates(spec)
-        _no_child_left()
+        no_child_left()
 
     def test_variance_refusal_forks_nothing(self, monkeypatch):
         def fork():
@@ -247,7 +241,7 @@ class TestForkedWorkers:
         pid = os.fork()
         if pid == 0:
             try:
-                simulation._work(spec, out, None, range(3), -1)
+                simulation._work(simulation._run_blocks(spec, out, None, range(3)), -1)
             finally:
                 os._exit(99)
         assert os.waitpid(pid, 0)[1] == 0
@@ -261,7 +255,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(simulation, "_work", lambda *args: os._exit(9))
         self._workers(monkeypatch, 2)
         forked = _collect_estimates(spec)
-        _no_child_left()
+        no_child_left()
         assert np.array_equal(serial, forked)
 
     def test_live_threads_keep_the_batch_in_process(self, monkeypatch):
