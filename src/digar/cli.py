@@ -231,8 +231,8 @@ def _csv_rows(
     return y, xi, lineno
 
 
-def _plain_rows(text: str, t: int) -> np.ndarray | None:
-    # The rows of text, lines that each end in "\n", as an (n, 3) array,
+def _plain_rows(text: str, t: int, n: int) -> np.ndarray | None:
+    # The n rows of text, lines that each end in "\n", as an (n, 3) array,
     # if every line is "t,y,xi" as simulate writes it: t written as the
     # decimal digits of the row's number (t, t+1, ...), with no leading
     # zero, and y and xi numbers numpy parses from the characters
@@ -245,7 +245,6 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
     raw = text.encode("ascii")
     if not re.fullmatch(rb"(?:[1-9][0-9]*,[-+.0-9e]+,[-+.0-9e]+\n)+", raw):
         return None
-    n = raw.count(b"\n")
     with warnings.catch_warnings():
         # numpy before 2.0 warns and returns what it read on unparsable text.
         warnings.simplefilter("error", DeprecationWarning)
@@ -259,15 +258,15 @@ def _plain_rows(text: str, t: int) -> np.ndarray | None:
     return cells if np.array_equal(cells[:, 0], np.arange(t, t + n)) else None
 
 
-def _plain_piece(piece: tuple[str, int]) -> bytes:
-    # The y values, then the xi values, of a piece (text, t) of _texts, as
+def _plain_piece(piece: tuple[str, int, int]) -> bytes:
+    # The y values, then the xi values, of a piece (text, t, n) of _texts, as
     # float64 bytes, if its rows are plain (_plain_rows), a piece at t = 0
     # first holding the t = 0 row as simulate writes it; else b"".
-    text, t = piece
+    text, t, n = piece
     y0: list[float] = []
     if t == 0 and text.startswith("0,0,\n"):
-        y0, text, t = [0.0], text[5:], 1
-    cells = _plain_rows(text, t) if t > 0 and text else None
+        y0, text, t, n = [0.0], text[5:], 1, n - 1
+    cells = _plain_rows(text, t, n) if t > 0 and text else None
     return b"" if cells is None else np.concatenate((y0, cells[:, 1], cells[:, 2])).tobytes()
 
 
@@ -278,19 +277,19 @@ def _plain_values(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     return values[:n], values[n:]
 
 
-def _texts(fh: io.TextIOBase) -> Iterator[tuple[str, int]]:
+def _texts(fh: io.TextIOBase) -> Iterator[tuple[str, int, int]]:
     # The rest of fh in pieces of _READ_CHARS characters and the rest of
     # their last line, each with the t its first line has if every line
-    # before it, after the header, is a row.
+    # before it, after the header, is a row, and its number of lines.
     t = 0
     while text := fh.read(_READ_CHARS):
         if not text.endswith("\n"):
             text += fh.readline()  # end the piece with its last line
-        yield text, t
-        t += text.count("\n")
+        yield text, t, (n := text.count("\n"))
+        t += n
 
 
-def _reread(infile: str) -> Iterator[tuple[str, int]]:
+def _reread(infile: str) -> Iterator[tuple[str, int, int]]:
     # _texts of infile opened afresh, after its header.
     import csv
     with open(infile, newline="", encoding="utf-8") as fh:
@@ -327,15 +326,15 @@ def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np
     st = os.fstat(fh.fileno())
     n = -(-st.st_size // _READ_CHARS) if stat.S_ISREG(st.st_mode) else 1
     with closing(_chunk_map(texts, _plain_piece, n, lambda: _reread(infile))) as plain:
-        for (text, t), raw in plain:
+        for (text, t, count), raw in plain:
             if not raw:
                 break
             yield _plain_values(raw)
         else:
             return
     lineno = t + 2  # the record number of row t, as every line before it was one row
-    for text, _ in chain([(text, t)], texts):
-        if raw := _plain_piece((text, t)):
+    for text, _, count in chain([(text, t, count)], texts):
+        if raw := _plain_piece((text, t, count)):
             y, xi = _plain_values(raw)
             yield y, xi
             t += y.size

@@ -103,7 +103,7 @@ def _walk_estimate(
 ) -> EstimateResult:
     # The single-path summer: infeasible_estimate of the path whose chunks
     # these are, in _walk's (ys, xs, v) form, summed chunk by chunk from Y_t
-    # and V_{t-1} as _run_blocks sums its rows.  `estimate -T` passes _walk's
+    # and V_{t-1} as _block_writer sums its rows.  `estimate -T` passes _walk's
     # own chunks, so the walk's checks are its only ones.
     acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
     level = 0.0  # Y_0, then the last Y_t of the chunk before

@@ -38,30 +38,27 @@ rows, the draws (then scratch for the sums) and the levels, in which each
 step makes xi_t and then Y_t over it, and sets its rows' states as they
 are made in one numpy pass.
 
-Work in pieces runs in W processes (_forked): the CPUs in
-os.sched_getaffinity(0), at most one per piece, but 1 where os.fork or
-sched_getaffinity is missing or the process runs more than one thread,
-which is never forked.  Each of the W - 1 forked workers tells its parent
-on its own pipe what it has done, leaves by os._exit and stops once its
-parent is gone; every worker is reaped before the work ends, killed first
-where the parent raised, and the parent does the part of a worker that
-failed.  So the bytes do not depend on W.  A batch's pieces are its
-blocks: the workers walk the later of W contiguous ranges of them, the
-process itself the first, and every block writes its rows straight into
+Work in n pieces goes through one worker protocol, _chunk_map, in W
+processes: the CPUs in os.sched_getaffinity(0), at most n, but 1 where
+os.fork or sched_getaffinity is missing or the process runs more than one
+thread, which is never forked.  Piece k is done by process k mod W, this
+one or one of W - 1 forked workers, each of which sends its results on its
+own pipe, leaves by os._exit and stops once its parent is gone.  The
+calling process does every piece whose result never arrived and reaps
+every worker, killed first where it raised, so the bytes do not depend on
+W.  A batch's pieces are its blocks, each writing its rows straight into
 the batch's arrays on an anonymous shared mapping, which the batch
 returns, so nothing is pickled.  V_1..V_T is checked before any fork, and
 the slopes are refused once, in the calling process, from the returned
-sums.  The CLI's single-path commands spread the chunks of a path, a
-variance walk or a path file by _chunk_map: every process walks or reads
-the same chunks, process j does the costly step (formatting or parsing)
-of chunks k = j mod W, and the parent takes the results in order.
+sums.  The CLI's single-path commands share out the chunks of a path, a
+variance walk or a path file: every process walks or reads them all and
+does the costly step (formatting or parsing) of its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -358,12 +355,11 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
     return chunks()
 
 
-def _run_blocks(
-    spec: BatchSpec, out: np.ndarray, keep: tuple[int, int] | None = None, blocks: range | None = None
-) -> Iterator[int]:
-    # Write each block of replications, over the block numbers in blocks
-    # (all by default), in order, _BLOCK_SIZE rows per block, into its own
-    # rows of out, and yield its start index once it is written, once the
+def _block_writer(
+    spec: BatchSpec, out: np.ndarray, keep: tuple[int, int] | None = None
+) -> Callable[[int], bytes]:
+    # write(block), which writes that block of replications, _BLOCK_SIZE
+    # rows per block, into its own rows of out and returns b"\1", once the
     # caller has checked V_1..V_T.  Each block is walked time-major: time in
     # chunks of _CHUNK steps with the rows contiguous at each step, each
     # row's normals drawn chunk by chunk from its own stream and V_{t-1}
@@ -397,9 +393,9 @@ def _run_blocks(
     bits = [g.bit_generator for g in gens]
     mul = np.multiply
     add = np.add
-    if blocks is None:
-        blocks = range(-(-spec.replications // _BLOCK_SIZE))
-    for start in range(blocks.start * _BLOCK_SIZE, blocks.stop * _BLOCK_SIZE, _BLOCK_SIZE):
+
+    def write(block: int) -> bytes:
+        start = block * _BLOCK_SIZE
         n = min(_BLOCK_SIZE, spec.replications - start)
         for state, bit in zip(_pcg64_states(_mix_seeds(spec.master_seed, start, n)), bits):
             bit.state = state
@@ -447,7 +443,9 @@ def _run_blocks(
             if a < b:
                 rows[0, :, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
             y[0] = y[m]
-        yield start
+        return b"\1"
+
+    return write
 
 
 def _shared_empty(*shape: int) -> np.ndarray:
@@ -465,39 +463,6 @@ def _worker_count(blocks: int) -> int:
     except (AttributeError, OSError, IndexError, ValueError):
         return 1
     return min(cpus, blocks) if threads == 1 and hasattr(os, "fork") else 1
-
-
-@contextmanager
-def _forked(n: int, job: Callable[[int, int, int], Iterable]) -> Iterator[tuple[int, list[BinaryIO]]]:
-    # The one worker policy, for work in n >= 1 pieces: W = _worker_count(n)
-    # processes, this one and forked workers j = 1 .. W-1, each of which
-    # walks job(j, W, fd) by _work, fd the write end of its own pipe.
-    # Yields W and the read ends of the workers' pipes, in order; a worker
-    # that failed shows as its pipe ending early.  Once the body ends the
-    # read ends are closed, so a worker that would still write ends, and
-    # every worker is reaped, killed first where the body raised (or, in a
-    # generator, was closed).
-    w = _worker_count(n)
-    parent, pids, pipes = os.getpid(), [], []
-    try:
-        for j in range(1, w):
-            r, fd = os.pipe()
-            if (pid := os.fork()) == 0:
-                _work(job(j, w, fd), parent, (r, *(pipe.fileno() for pipe in pipes)))
-            os.close(fd)
-            pids.append(pid)
-            pipes.append(open(r, "rb"))
-        yield w, pipes
-    except BaseException:
-        import signal  # loaded only where a worker is killed
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:  # first, so that a worker blocked on its pipe ends
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _work(steps: Iterable, parent: int, close: Iterable[int] = ()) -> None:
@@ -519,29 +484,13 @@ def _work(steps: Iterable, parent: int, close: Iterable[int] = ()) -> None:
 def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
     # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
     # (2, R, hi-lo) window of Y_t and xi_t, in a _shared_empty out that
-    # every process writes its range of blocks into by _run_blocks, process
-    # j of W the j-th of W contiguous ranges.  A worker says on its pipe
-    # that its range is written; once every worker is reaped, the range of
-    # each that did not is walked again here, in order.
+    # every process of _chunk_map writes its blocks into by _block_writer.
     _check_variances(spec.params, spec.path_length)
     R = spec.replications
     out = _shared_empty(3, R) if keep is None else _shared_empty(2, R, keep[1] - keep[0])
     n = -(-R // _BLOCK_SIZE)
-
-    def blocks(j: int, w: int) -> range:
-        return range(n * j // w, n * (j + 1) // w)
-
-    def job(j: int, w: int, fd: int) -> Iterator[int]:
-        yield from _run_blocks(spec, out, keep, blocks(j, w))
-        os.write(fd, b"\1")
-
-    with _forked(n, job) as (w, pipes):
-        for _ in _run_blocks(spec, out, keep, blocks(0, w)):
-            pass
-        failed = [j for j, pipe in enumerate(pipes, 1) if not pipe.read(1)]
-    for j in failed:
-        for _ in _run_blocks(spec, out, keep, blocks(j, w)):
-            pass
+    for _ in _chunk_map(range(n), _block_writer(spec, out, keep), n):
+        pass
     return out
 
 
@@ -549,12 +498,16 @@ def _chunk_map(
     items: Iterable, work: Callable[[object], bytes], n: int, reopen: Callable[[], Iterable] | None = None
 ) -> Iterator[tuple[object, bytes]]:
     # (item, work(item)) for each of the n items in order, the work of item
-    # k done by process k mod W of _forked: this one for k = 0 mod W, and
-    # otherwise a worker, which walks its own copy of items, or reopen()
-    # where the items are read from a file whose offset the processes would
-    # share, and sends its results down its pipe, each after its length.
-    # This process does the items of a worker whose pipe ended early.
-    def job(j: int, w: int, fd: int) -> Iterator[None]:
+    # k done by process k mod W: this one, or forked worker j = k mod W,
+    # which walks its own copy of items (or reopen(), where they are read
+    # from a file whose offset the processes would share) by _work and sends
+    # each result down its pipe after its length.  This process does the
+    # items whose result did not arrive.  Once the map ends the read ends
+    # close, so a worker that would still write ends, and every worker is
+    # reaped, killed first where the map raised or was closed.
+    w = _worker_count(n)
+
+    def send(j: int, fd: int) -> Iterator[None]:
         with open(fd, "wb") as pipe:
             for k, item in enumerate(reopen() if reopen else items):
                 if k % w == j:
@@ -565,14 +518,29 @@ def _chunk_map(
                 yield
 
     def receive(pipe: BinaryIO) -> bytes | None:
-        head = pipe.read(8)
-        if len(head) == 8:
-            raw = pipe.read(size := int.from_bytes(head, "little"))
-            if len(raw) == size:
-                return raw
-        return None
+        head = pipe.read(8)  # short or empty once the worker's pipe has ended
+        raw = pipe.read(size := int.from_bytes(head, "little"))
+        return raw if len(head) == 8 and len(raw) == size else None
 
-    with _forked(n, job) as (w, pipes):
+    parent, pids, pipes = os.getpid(), [], []
+    try:
+        for j in range(1, w):
+            r, fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(send(j, fd), parent, (r, *(pipe.fileno() for pipe in pipes)))
+            os.close(fd)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
         for k, item in enumerate(items):
             raw = receive(pipes[k % w - 1]) if k % w else None
             yield item, work(item) if raw is None else raw
+    except BaseException:
+        import signal  # loaded only where a worker is killed
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:  # first, so that a worker blocked on its pipe ends
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)

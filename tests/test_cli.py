@@ -980,7 +980,7 @@ class TestSinglePathWorkers:
         want = run_cli(capsys, "estimate", "--in", str(path_file))
         extra = "".join(f"{t},0.5,0.5\n" for t in range(10**9, 10**9 + 10_000))  # 160 kB of results
         reread = cli._reread
-        monkeypatch.setattr(cli, "_reread", lambda infile: chain(reread(infile), [(extra, 10**9)] * 6))
+        monkeypatch.setattr(cli, "_reread", lambda infile: chain(reread(infile), [(extra, 10**9, 10_000)] * 6))
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

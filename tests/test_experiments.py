@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -241,7 +242,8 @@ class TestForkedWorkers:
         pid = os.fork()
         if pid == 0:
             try:
-                simulation._work(simulation._run_blocks(spec, out, None, range(3)), -1)
+                write = simulation._block_writer(spec, out)
+                simulation._work((write(b) for b in range(3)), -1)
             finally:
                 os._exit(99)
         assert os.waitpid(pid, 0)[1] == 0
@@ -257,6 +259,34 @@ class TestForkedWorkers:
         forked = _collect_estimates(spec)
         no_child_left()
         assert np.array_equal(serial, forked)
+
+    def test_dead_worker_costs_the_parent_only_its_unsent_blocks(self, monkeypatch):
+        # Five blocks at W = 2: the worker does blocks 1 and 3, and kills
+        # itself once it has sent block 1, so this process writes block 3
+        # as well as its own 0, 2 and 4, and no block twice.
+        spec = BatchSpec(P, 50, 2003, 5)
+        self._workers(monkeypatch, 1)
+        serial = _run_batch(spec)
+        parent, written, block_writer = os.getpid(), [], simulation._block_writer
+
+        def dying(*args):
+            write, calls = block_writer(*args), []
+
+            def counted(b):
+                if os.getpid() == parent:
+                    written.append(b)
+                elif calls:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                calls.append(b)
+                return write(b)
+            return counted
+
+        monkeypatch.setattr(simulation, "_block_writer", dying)
+        self._workers(monkeypatch, 2)
+        forked = _run_batch(spec)
+        no_child_left()
+        assert written == [0, 2, 3, 4]
+        assert forked.tobytes() == serial.tobytes()
 
     def test_live_threads_keep_the_batch_in_process(self, monkeypatch):
         release = threading.Event()

@@ -20,7 +20,7 @@ from digar import (
     vbar_limit,
 )
 from digar import simulation
-from digar.simulation import _mix_seeds, _pcg64_states, _run_batch, _run_blocks
+from digar.simulation import _block_writer, _mix_seeds, _pcg64_states, _run_batch
 from conftest import boundary_params_strategy, peak_rss, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -33,11 +33,14 @@ _M = (1 << 64) - 1
 
 def _path_blocks(spec):
     # (start, Y_1..Y_T, xi_1..xi_T) per block, as views of the block's rows
-    # in the batch's window of every step.
+    # in the batch's window of every step, each once the block is written.
     ys, xs = out = np.empty((2, spec.replications, spec.path_length))
-    for start in _run_blocks(spec, out, keep=(1, spec.path_length + 1)):
-        n = min(simulation._BLOCK_SIZE, spec.replications - start)
-        yield start, ys[start : start + n], xs[start : start + n]
+    write = _block_writer(spec, out, keep=(1, spec.path_length + 1))
+    size = simulation._BLOCK_SIZE
+    for block in range(-(-spec.replications // size)):
+        assert write(block) == b"\1"
+        start = block * size
+        yield start, ys[start : start + size], xs[start : start + size]
 
 
 def _splitmix64_outputs(state: int, n: int) -> list[int]:
@@ -368,16 +371,23 @@ class TestBatch:
         assert np.array_equal(small, big)
 
     def test_block_starts_cover_batch_in_order(self):
+        # Block b writes rows 500*b.. and no other, so blocks 0, 1, 2 fill
+        # the batch's rows in order, the last block short.
         spec = BatchSpec(P, 10, 1300, 5150)
-        starts = [s for s, _, _ in _path_blocks(spec)]
-        assert starts == [0, 500, 1000]
+        out = np.full((3, 1300), np.nan)
+        write = _block_writer(spec, out)
+        for block, stop in enumerate((500, 1000, 1300)):
+            write(block)
+            assert not np.isnan(out[:, :stop]).any() and np.isnan(out[:, stop:]).all()
+        assert np.array_equal(out, _run_batch(spec))
+        assert [len(y) for _, y, _ in _path_blocks(spec)] == [500, 500, 300]
 
     @pytest.mark.parametrize("keep", [None, (3, 8)])
     def test_a_block_writes_only_its_own_rows(self, keep):
-        # Forked workers write disjoint block ranges into one shared out.
+        # The processes of a batch write disjoint blocks into one shared out.
         spec = BatchSpec(P, 10, 1203, 5150)
         out = np.full((3, 1203) if keep is None else (2, 1203, 5), np.nan)
-        assert list(_run_blocks(spec, out, keep, blocks=range(1, 2))) == [500]
+        assert _block_writer(spec, out, keep)(1) == b"\1"
         assert not np.isnan(out[:, 500:1000]).any()
         assert np.isnan(out[:, :500]).all() and np.isnan(out[:, 1000:]).all()
         assert np.array_equal(out[:, 500:1000], _run_batch(spec, keep)[:, 500:1000])
@@ -440,8 +450,7 @@ class TestKernelMemory:
         out = _run_batch(spec, keep)  # also makes the allocations of a first call
         tracemalloc.start()
         try:
-            for _ in _run_blocks(spec, out, keep):
-                pass
+            _block_writer(spec, out, keep)(0)  # the writer's buffers and holders count too
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
