@@ -24,9 +24,9 @@ processes, as a batch spreads its blocks (simulation._chunk_map): each
 process walks the path or V_t, or reads the file after its header, by
 itself; it formats, or parses in simulate's plain form, only its own
 chunks; and this process writes every chunk in order.  A worker opens the
-file again, so only a regular file is shared out.  At the first piece
-of a file that is not plain the workers are killed, and the rest is read
-here alone, so the csv row loop words every refusal as before.
+file again, so only a regular file is shared out.  Numpy parses a file
+up to its first piece that is not plain; the workers are then killed,
+and the csv row loop reads the rest here, so it alone words every refusal.
 """
 
 from __future__ import annotations
@@ -199,18 +199,14 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
-def _csv_rows(
-    infile: str, rows: Iterator[list[str]], lineno: int, t: int, last_line: int
-) -> tuple[list[float], list[float], int]:
+def _csv_rows(infile: str, rows: Iterator[list[str]], t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # The row loop: it alone decides which rows a path file may hold and
-    # words every FILE:LINE refusal.  Reads records from rows, a
-    # csv.reader, the first numbered lineno and expected to read t, and
-    # stops after the record that takes the reader to its line last_line
-    # (rows.line_num), or at the end.  Returns their y and xi values and
-    # the next record number.
+    # words every FILE:LINE refusal.  Reads the records of rows, a
+    # csv.reader, to the end, the first numbered t + 2 and expected to be
+    # row t, and yields their y and xi values every _PATH_CHUNK rows.
     y: list[float] = []
     xi: list[float] = []
-    for row in rows:
+    for lineno, row in enumerate(rows, t + 2):
         if row:
             if len(row) != 3:
                 raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
@@ -225,10 +221,10 @@ def _csv_rows(
             except ValueError as exc:
                 raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
             t += 1
-        lineno += 1
-        if rows.line_num >= last_line:
-            break
-    return y, xi, lineno
+            if len(y) == _PATH_CHUNK:
+                yield np.array(y), np.array(xi)
+                y, xi = [], []
+    yield np.array(y), np.array(xi)
 
 
 def _plain_rows(text: str, t: int, n: int) -> np.ndarray | None:
@@ -270,13 +266,6 @@ def _plain_piece(piece: tuple[str, int, int]) -> bytes:
     return b"" if cells is None else np.concatenate((y0, cells[:, 1], cells[:, 2])).tobytes()
 
 
-def _plain_values(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # The y and xi values of a piece from _plain_piece's bytes.
-    values = np.frombuffer(raw)
-    n = values.size - values.size // 2  # y values: one more than xi's at t = 0
-    return values[:n], values[n:]
-
-
 def _texts(fh: io.TextIOBase) -> Iterator[tuple[str, int, int]]:
     # The rest of fh in pieces of _READ_CHARS characters and the rest of
     # their last line, each with the t its first line has if every line
@@ -314,43 +303,27 @@ def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
 
 
 def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # The y and xi values of the rows after the header, a piece of _texts
-    # at a time.  While the pieces are in simulate's plain form, numpy
-    # parses each in one call (_plain_piece), spread over the processes of
+    # The y and xi values of the rows after the header, in two phases.
+    # While the pieces of _texts are in simulate's plain form, numpy parses
+    # each in one call (_plain_piece), spread over the processes of
     # _chunk_map; workers open the file afresh, so only a regular file is
-    # shared out.  From the first other piece on, this process reads on
-    # alone, and any piece that is not plain goes through _csv_rows, so
-    # only the row loop refuses a file.
+    # shared out.  From the first other piece to the end of the file this
+    # process reads alone through _csv_rows, so only the row loop refuses a
+    # file.
     import csv
-    texts = _texts(fh)
     st = os.fstat(fh.fileno())
     n = -(-st.st_size // _READ_CHARS) if stat.S_ISREG(st.st_mode) else 1
-    with closing(_chunk_map(texts, _plain_piece, n, lambda: _reread(infile))) as plain:
-        for (text, t, count), raw in plain:
+    with closing(_chunk_map(_texts(fh), _plain_piece, n, lambda: _reread(infile))) as plain:
+        for (text, t, _), raw in plain:
             if not raw:
                 break
-            yield _plain_values(raw)
+            values = np.frombuffer(raw)
+            ny = values.size - values.size // 2  # y values: one more than xi's at t = 0
+            yield values[:ny], values[ny:]
         else:
             return
-    lineno = t + 2  # the record number of row t, as every line before it was one row
-    for text, _, count in chain([(text, t, count)], texts):
-        if raw := _plain_piece((text, t, count)):
-            y, xi = _plain_values(raw)
-            yield y, xi
-            t += y.size
-            lineno += y.size
-            continue
-        if t == 0 and text.startswith("0,0,\n"):  # the t = 0 row as simulate writes it
-            yield np.zeros(1), np.empty(0)
-            text, t, lineno = text[5:], 1, lineno + 1
-        if text:
-            lines = io.StringIO(text, newline="").readlines()
-            # A quoted field may carry a record past the piece; the
-            # reader then takes the lines it needs from the file.
-            rows = csv.reader(chain(lines, fh))
-            y, xi, lineno = _csv_rows(infile, rows, lineno, t, len(lines))
-            yield np.array(y, dtype=float), np.array(xi, dtype=float)
-            t += len(y)
+    # Every line before the piece was one row, so its first line is row t.
+    yield from _csv_rows(infile, csv.reader(chain(io.StringIO(text, newline="").readlines(), fh)), t)
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:

@@ -139,12 +139,13 @@ def _checked_steps(
     # piece may hold more of one than of the other.  Yields the Y_t of the
     # steps t it has seen whole, with Y_{t-1}, Y_t and xi_t, in time order.
     # Once the pieces end it raises the first refusal in SamplePath's order:
-    # lengths, finiteness, y_0 = 0, the recursion against an atol from the
-    # extremes of all Y.  Once a refusal is certain the rest is only counted.
+    # lengths, finiteness, y_0 = 0, the recursion against a tolerance of
+    # 1e-12 times the largest |Y| and |xi|, so it holds at any scale.  Once
+    # a refusal is certain the rest is only counted.
     ny = nx = 0
     finite = True
     y0 = 0.0
-    scale = 1.0  # max(1, |Y|) over the Y seen
+    scale = 0.0  # the largest |Y| and |xi| seen
     worst = 0.0  # largest |y[t] - (phi*y[t-1] + xi[t])| seen
     ys = xs = np.empty(0)  # Y_{t-1}.. and xi_t.. of steps not yet taken
     for y, xi in pieces:
@@ -155,8 +156,9 @@ def _checked_steps(
         finite = finite and bool(np.all(np.isfinite(y)) and np.all(np.isfinite(xi)))
         if not finite:
             continue
-        if y.size:
-            scale = max(scale, -float(y.min()), float(y.max()))
+        for values in (y, xi):
+            if values.size:
+                scale = max(scale, -float(values.min()), float(values.max()))
         ys = np.concatenate((ys, y))
         xs = np.concatenate((xs, xi))
         k = max(0, min(ys.size - 1, xs.size))  # steps that have Y_{t-1}, Y_t and xi_t

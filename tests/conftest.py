@@ -27,17 +27,17 @@ def boundary_params_strategy(min_sigma: float = 0.05, max_sigma: float = 20.0):
     )
 
 
-def fresh_python(*args: str, env: dict[str, str] | None = None) -> bytes:
+def fresh_python(*args: str, env: dict[str, str] | None = None, stdin: bytes | None = None) -> bytes:
     """stdout of `python *args` in a new interpreter that imports this
     checkout's digar, with none of the BLAS thread variables
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS set but
-    those in env."""
+    those in env, and stdin, if given, fed to it through a pipe."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     child = {k: v for k, v in os.environ.items() if k not in blas}
     child["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child.update(env or {})
-    return subprocess.run([sys.executable, *args], env=child, capture_output=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=child, input=stdin, capture_output=True, check=True).stdout
 
 
 def no_child_left() -> None:

@@ -381,6 +381,29 @@ class TestEstimate:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("e", [-300, 0, 300])
+    @pytest.mark.parametrize(
+        "first, cells",
+        [(2, lambda t, y, xi: (t, y, "0")), (1, lambda t, y, xi: (t, repr(3 * float(y)), xi))],
+        ids=["zero_xi", "tripled_y"],
+    )
+    def test_broken_recursion_refused_at_any_scale(self, capsys, tmp_path, e, first, cells):
+        # At sigma 1e-20 every |Y| is far below 1e-12, so any absolute
+        # floor on the tolerance would let both corrupt copies through.
+        sigma = repr(1e-20 * 2.0**e)
+        path_file = tmp_path / "path.csv"
+        argv = ["--sigma", sigma, "--seed", "7", "-T", "1000"]
+        assert parse_and_dispatch(["simulate", *argv, "--out", str(path_file)]) == 0
+        _, direct, _ = run_cli(capsys, "estimate", *argv)
+        assert run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file)) == (0, direct, "")
+
+        def edit(row):
+            return ",".join(cells(*row.rstrip("\n").split(","))) + "\n"
+
+        _edited_rows(path_file, {t: edit for t in range(first, 1001)})
+        code, out, err = run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file))
+        assert (code, out) == (3, "") and err.startswith("error: path violates y[t] = phi*y[t-1] + xi[t]")
+
 
 def _set_field(line, k, new):
     def edit(rows):
@@ -474,10 +497,10 @@ READER_CONTRACT = {
 
 
 class TestReadPathCsv:
-    """estimate --in parses chunks in simulate's plain form with numpy and
-    sends every other chunk through the csv row loop; either way a file
-    reads as oracles.read_path_csv, the row loop over the whole file,
-    reads it."""
+    """estimate --in parses a file with numpy up to its first chunk that is
+    not in simulate's plain form and with the csv row loop from there to
+    its end; either way a file reads as oracles.read_path_csv, the row loop
+    over the whole file, reads it."""
 
     @pytest.mark.parametrize("read_chars", [1, 7, 40, 1 << 20])
     @pytest.mark.parametrize("case", sorted(READER_CONTRACT))
@@ -583,13 +606,24 @@ class TestReadPathCsv:
         got = run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file))
         assert got == (3, "", err.format(path_file))
 
-    @pytest.mark.parametrize("T", [100_000, 1_000_000])
-    def test_memory_does_not_grow_with_horizon(self, tmp_path, T):
+    @pytest.mark.parametrize(
+        "T, crlf",
+        [
+            pytest.param(100_000, False, id="100000"),
+            pytest.param(1_000_000, False, id="1000000"),
+            pytest.param(100_000, True, id="100000-crlf"),
+            pytest.param(1_000_000, True, id="1000000-crlf"),
+        ],
+    )
+    def test_memory_does_not_grow_with_horizon(self, tmp_path, T, crlf):
         # A few copies of one read chunk and its sums' buffers, 0.44 MiB
         # at either T; reading the path whole and then summing a (T-1, 3)
-        # array of its terms peaked at 46.7 MiB at T = 1e6.
+        # array of its terms peaked at 46.7 MiB at T = 1e6.  A CRLF copy
+        # goes through the row loop from its first row to its last.
         path_file = tmp_path / "path.csv"
         assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
+        if crlf:
+            path_file.write_bytes(path_file.read_bytes().replace(b"\n", b"\r\n"))
         tracemalloc.start()
         try:
             cli._estimate_csv(str(path_file), P)
@@ -937,6 +971,17 @@ class TestSinglePathWorkers:
         _, plain, _ = run_cli(capsys, "estimate", "--in", str(path_file))
         _edited_rows(path_file, {9000: _exponent_form})
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [(0, plain, "")] * 3
+
+    @pytest.mark.parametrize("edits", [{}, {9000: _exponent_form}], ids=["plain", "row_loop_from_t_9000"])
+    def test_piped_file_is_read_here_alone(self, path_file, edits):
+        # A worker cannot open a pipe again, so a fresh process that may
+        # use every CPU forks none and reads the pipe itself; the edited
+        # row moves it to the row loop on a stream it cannot reopen.
+        run = (_COUNTED_RUN, "free", "estimate", "--in")
+        want = fresh_python("-c", *run, str(path_file))[:-1].rsplit(b"\n", 1)[0]
+        _edited_rows(path_file, edits)
+        got = fresh_python("-c", *run, "/dev/stdin", stdin=path_file.read_bytes())
+        assert got[:-1].rsplit(b"\n", 1) == [want, b"0"]
 
     @pytest.mark.parametrize(
         "edit, err",

@@ -284,9 +284,9 @@ class TestSamplePathValidation:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_tolerance_scales_with_the_whole_path(self, monkeypatch, sign, chunk):
-        # The recursion is checked chunk by chunk, but its atol is 1e-12
-        # times the largest |Y| of the whole path, here Y_1 = +-1e6, far
-        # from the residual at the last step.
+        # The recursion is checked chunk by chunk, but its tolerance is
+        # 1e-12 times the largest |Y| and |xi| of the whole path, here
+        # Y_1 = xi_1 = +-1e6, far from the residual at the last step.
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
         y = np.concatenate(([0.0], sign * 1e6 * 0.5 ** np.arange(30.0)))  # exact at phi = 0.5
         xi = np.zeros(30)
@@ -296,6 +296,20 @@ class TestSamplePathValidation:
         y[-1] += 1e-5
         with pytest.raises(OutOfRangeError, match="path violates"):
             SamplePath(P, y, xi, None)
+
+    @pytest.mark.parametrize("e", [-300, 0, 300])
+    def test_broken_recursion_refused_at_any_scale(self, e):
+        # At sigma 1e-20 every |Y| is far below 1e-12, so any absolute
+        # floor on the tolerance would let both corrupt copies through.
+        params = ModelParams(0.5, 0.3, 1e-20 * 2.0**e)
+        path = simulate_path(params, 1000, 7)
+        SamplePath(params, path.y, path.xi, None)
+        zero_xi, tripled_y = path.xi.copy(), path.y.copy()
+        zero_xi[1:] = 0.0
+        tripled_y[1:] *= 3.0
+        for y, xi in ((path.y, zero_xi), (tripled_y, path.xi)):
+            with pytest.raises(OutOfRangeError, match="path violates"):
+                SamplePath(params, y, xi, None)
 
     def test_keeps_copies_of_the_callers_arrays(self):
         y = np.array([0.0, 1.0, 2.0, 1.0])
