@@ -21,12 +21,13 @@ again, so child processes inherit nothing.
 simulate (csv), variance-path and estimate --in stream their rows chunk
 by chunk, and a process with one thread spreads the chunks over W
 processes, as a batch spreads its blocks (simulation._chunk_map): each
-process walks the path or V_t, or reads the file after its header, by
-itself; it formats, or parses in simulate's plain form, only its own
-chunks; and this process writes every chunk in order.  A worker opens the
-file again, so only a regular file is shared out.  Numpy parses a file
-up to its first piece that is not plain; the workers are then killed,
-and the csv row loop reads the rest here, so it alone words every refusal.
+process walks the path or V_t, or opens the file and reads it after its
+header, by itself; it formats, or parses in simulate's plain form, only
+its own chunks; and this process writes every chunk in order.  A pipe
+cannot be opened again, so only a regular file is shared out.  Numpy
+parses a file up to its first piece that is not plain; the workers are
+then killed, and the csv row loop reads this process's remaining pieces,
+so it alone words every refusal of a row.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import warnings
 from contextlib import closing
 from dataclasses import asdict
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .dependence import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, bias_curve, dependence_profile, vbar_curve
 from .errors import DigarError, OutOfRangeError
@@ -137,51 +138,44 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
 def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
     _load_arrays()
     next_v = _check_variances(params, ns.T)  # refuses before the first byte
-    with closing(_variance_csv(next_v, ns.T)) as pieces:
+    chunks = ((next_v(min(_PATH_CHUNK, ns.T + 1 - t)).tolist(),) for t in range(1, ns.T + 1, _PATH_CHUNK))
+    with closing(_csv("t,v\n", chunks, ns.T)) as pieces:
         _write_text(ns.out, pieces)
     return 0
 
 
-def _rows(t: int, columns: tuple[list[float], ...]) -> str:
-    # CSV rows t, t+1, ... whose other cells are the columns' values, each
-    # written as %.17g, formatted with one % template.
+def _ascii_rows(piece: tuple[int, list[float], ...]) -> bytes:
+    # The CSV rows t, t+1, ... of a piece (t, column, ...), as ASCII bytes:
+    # the other cells are the columns' values, each written as %.17g, all
+    # formatted with one % template.
+    t, *columns = piece
     n, k = len(columns[0]), 1 + len(columns)
     cells = [None] * (k * n)  # the cells of each row in turn
     cells[0::k] = range(t, t + n)
     for i, column in enumerate(columns, 1):
         cells[i::k] = column
-    return (("%d" + ",%.17g" * len(columns) + "\n") * n) % tuple(cells)
+    return ((("%d" + ",%.17g" * len(columns) + "\n") * n) % tuple(cells)).encode("ascii")
 
 
-def _ascii_rows(piece: tuple[int, list[float], ...]) -> bytes:
-    # _rows of a piece (t, column, ...), as ASCII bytes.
-    return _rows(piece[0], piece[1:]).encode("ascii")
+def _csv(head: str, chunks: Iterable[tuple[list[float], ...]], T: int) -> Iterator[str]:
+    # head, then the CSV rows t = 1..T of chunks, tuples of equally long
+    # columns, one piece per chunk, t counted from the chunks' lengths.
+    # Every process of _chunk_map makes the chunks, from a fresh walk, and
+    # formats its own (_ascii_rows), so no T-long column is held.
+    def pieces() -> Iterator[tuple[int, list[float], ...]]:
+        t = 1
+        for columns in chunks:
+            yield (t, *columns)
+            t += len(columns[0])
 
-
-def _variance_csv(next_v: Callable[[int], np.ndarray], T: int) -> Iterator[str]:
-    # The CSV of V_1..V_T, one piece per _PATH_CHUNK entries of a fresh
-    # variance walk, so V_t is never held whole; every process of
-    # _chunk_map walks V_t and formats its own pieces.
-    yield "t,v\n"
-    pieces = ((t, next_v(min(_PATH_CHUNK, T + 1 - t)).tolist()) for t in range(1, T + 1, _PATH_CHUNK))
-    for _, raw in _chunk_map(pieces, _ascii_rows, -(-T // _PATH_CHUNK)):
+    yield head
+    for _, raw in _chunk_map(pieces(), _ascii_rows, -(-T // _PATH_CHUNK)):
         yield raw.decode("ascii")
 
 
 def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]], T: int) -> Iterator[str]:
-    # The CSV of the T-step path whose Y_t and xi_t chunks come from
-    # simulation._walk, one piece per chunk, so a long path is never held;
-    # every process of _chunk_map walks the path and formats its own chunks.
-    yield "t,y,xi\n0,0,\n"
-
-    def pieces() -> Iterator[tuple[int, list[float], list[float]]]:
-        t = 1
-        for ys, xs, _ in chunks:
-            yield t, ys, xs
-            t += len(ys)
-
-    for _, raw in _chunk_map(pieces(), _ascii_rows, -(-T // _PATH_CHUNK)):
-        yield raw.decode("ascii")
+    # The CSV of the T-step path whose Y_t and xi_t chunks come from simulation._walk.
+    return _csv("t,y,xi\n0,0,\n", ((ys, xs) for ys, xs, _ in chunks), T)
 
 
 def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
@@ -199,14 +193,17 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
-def _csv_rows(infile: str, rows: Iterator[list[str]], t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _csv_rows(infile: str, texts: Iterable[str], t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # The row loop: it alone decides which rows a path file may hold and
-    # words every FILE:LINE refusal.  Reads the records of rows, a
-    # csv.reader, to the end, the first numbered t + 2 and expected to be
-    # row t, and yields their y and xi values every _PATH_CHUNK rows.
+    # words every FILE:LINE refusal.  Reads the CSV records of texts, pieces
+    # that each end with a line, to the end, the first numbered t + 2 and
+    # expected to be row t, and yields their y and xi values every
+    # _PATH_CHUNK rows.
+    import csv
+    lines = (line for text in texts for line in io.StringIO(text, newline="").readlines())
     y: list[float] = []
     xi: list[float] = []
-    for lineno, row in enumerate(rows, t + 2):
+    for lineno, row in enumerate(csv.reader(lines), t + 2):
         if row:
             if len(row) != 3:
                 raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
@@ -227,70 +224,44 @@ def _csv_rows(infile: str, rows: Iterator[list[str]], t: int) -> Iterator[tuple[
     yield np.array(y), np.array(xi)
 
 
-def _plain_rows(text: str, t: int, n: int) -> np.ndarray | None:
-    # The n rows of text, lines that each end in "\n", as an (n, 3) array,
-    # if every line is "t,y,xi" as simulate writes it: t written as the
-    # decimal digits of the row's number (t, t+1, ...), with no leading
-    # zero, and y and xi numbers numpy parses from the characters
-    # 0-9 + - . e.  csv.reader and float() then read the same values, so
-    # the row loop would take the rows as they are.  None otherwise.
-    # Whitespace is refused because numpy reads a field of only whitespace
-    # as -1.
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
+def _plain_piece(piece: tuple[str, int, int]) -> bytes:
+    # The y values, then the xi values, of a piece (text, t, n) of _texts, as
+    # float64 bytes, if its rows are plain; else b"".  A piece at t = 0
+    # first holds the t = 0 row as simulate writes it.  Its other n rows,
+    # lines that each end in "\n", are plain if every line is "t,y,xi" as
+    # simulate writes it: t written as the decimal digits of the row's
+    # number (t, t+1, ...), with no leading zero, so never 0, and y and xi
+    # numbers numpy parses from the characters 0-9 + - . e.  csv.reader and
+    # float() then read the same values, so the row loop would take the
+    # rows as they are.  Whitespace is refused because numpy reads a field
+    # of only whitespace as -1.
+    text, t, n = piece
+    y0: list[float] = []
+    if t == 0 and text.startswith("0,0,\n"):
+        y0, text, t, n = [0.0], text[5:], 1, n - 1
+    raw = text.encode("ascii") if text.isascii() else b""
     if not re.fullmatch(rb"(?:[1-9][0-9]*,[-+.0-9e]+,[-+.0-9e]+\n)+", raw):
-        return None
+        return b""
     with warnings.catch_warnings():
         # numpy before 2.0 warns and returns what it read on unparsable text.
         warnings.simplefilter("error", DeprecationWarning)
         try:
             cells = np.fromstring(raw[:-1].replace(b"\n", b","), sep=",")
         except (ValueError, DeprecationWarning):
-            return None
-    if cells.size != 3 * n:
-        return None
-    cells = cells.reshape(n, 3)
-    return cells if np.array_equal(cells[:, 0], np.arange(t, t + n)) else None
+            return b""
+    if cells.size != 3 * n or not np.array_equal(cells[0::3], np.arange(t, t + n)):
+        return b""
+    return np.concatenate((y0, cells[1::3], cells[2::3])).tobytes()
 
 
-def _plain_piece(piece: tuple[str, int, int]) -> bytes:
-    # The y values, then the xi values, of a piece (text, t, n) of _texts, as
-    # float64 bytes, if its rows are plain (_plain_rows), a piece at t = 0
-    # first holding the t = 0 row as simulate writes it; else b"".
-    text, t, n = piece
-    y0: list[float] = []
-    if t == 0 and text.startswith("0,0,\n"):
-        y0, text, t, n = [0.0], text[5:], 1, n - 1
-    cells = _plain_rows(text, t, n) if t > 0 and text else None
-    return b"" if cells is None else np.concatenate((y0, cells[:, 1], cells[:, 2])).tobytes()
-
-
-def _texts(fh: io.TextIOBase) -> Iterator[tuple[str, int, int]]:
-    # The rest of fh in pieces of _READ_CHARS characters and the rest of
-    # their last line, each with the t its first line has if every line
-    # before it, after the header, is a row, and its number of lines.
-    t = 0
-    while text := fh.read(_READ_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()  # end the piece with its last line
-        yield text, t, (n := text.count("\n"))
-        t += n
-
-
-def _reread(infile: str) -> Iterator[tuple[str, int, int]]:
-    # _texts of infile opened afresh, after its header.
+def _texts(infile: str) -> Iterator[tuple[str, int, int]]:
+    # The rest of the path file infile after its header, in pieces of
+    # _READ_CHARS characters and the rest of their last line, each with the
+    # t its first line has if every line before it, after the header, is a
+    # row, and its number of lines.  The file opens, and its header is
+    # checked, once the generator is first advanced: in every process of
+    # _chunk_map, each with a file description of its own.
     import csv
-    with open(infile, newline="", encoding="utf-8") as fh:
-        next(csv.reader(fh), None)
-        yield from _texts(fh)
-
-
-def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
-    # The estimate of the path in a CSV file, read and summed chunk by
-    # chunk; the file's path is never held whole.
-    import csv
-    _load_arrays()
     with open(infile, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
@@ -298,32 +269,44 @@ def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
             raise OutOfRangeError(f"empty path file: {infile}")
         if [h.strip() for h in header] != ["t", "y", "xi"]:
             raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        with closing(_csv_pieces(infile, fh)) as pieces:
-            return _estimate(params, pieces)
+        t = 0
+        while text := fh.read(_READ_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # end the piece with its last line
+            yield text, t, (n := text.count("\n"))
+            t += n
 
 
-def _csv_pieces(infile: str, fh: io.TextIOBase) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # The y and xi values of the rows after the header, in two phases.
-    # While the pieces of _texts are in simulate's plain form, numpy parses
-    # each in one call (_plain_piece), spread over the processes of
-    # _chunk_map; workers open the file afresh, so only a regular file is
-    # shared out.  From the first other piece to the end of the file this
-    # process reads alone through _csv_rows, so only the row loop refuses a
-    # file.
-    import csv
-    st = os.fstat(fh.fileno())
+def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
+    # The estimate of the path in a CSV file, read and summed chunk by
+    # chunk; the file's path is never held whole.
+    _load_arrays()
+    with closing(_csv_pieces(infile)) as pieces:
+        return _estimate(params, pieces)
+
+
+def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # The y and xi values of the rows of infile, in two phases.  While the
+    # pieces of _texts are in simulate's plain form, numpy parses each in
+    # one call (_plain_piece), spread over the processes of _chunk_map; each
+    # opens the file itself, so only a regular file is shared out.  From
+    # the first other piece to the end of the file this process reads the
+    # rest of its own pieces alone through _csv_rows, so only the row loop
+    # refuses a row.
+    st = os.stat(infile)
     n = -(-st.st_size // _READ_CHARS) if stat.S_ISREG(st.st_mode) else 1
-    with closing(_chunk_map(_texts(fh), _plain_piece, n, lambda: _reread(infile))) as plain:
-        for (text, t, _), raw in plain:
-            if not raw:
-                break
-            values = np.frombuffer(raw)
-            ny = values.size - values.size // 2  # y values: one more than xi's at t = 0
-            yield values[:ny], values[ny:]
-        else:
-            return
-    # Every line before the piece was one row, so its first line is row t.
-    yield from _csv_rows(infile, csv.reader(chain(io.StringIO(text, newline="").readlines(), fh)), t)
+    with closing(texts := _texts(infile)):
+        with closing(_chunk_map(texts, _plain_piece, n)) as plain:
+            for (text, t, _), raw in plain:
+                if not raw:
+                    break
+                values = np.frombuffer(raw)
+                ny = values.size - values.size // 2  # y values: one more than xi's at t = 0
+                yield values[:ny], values[ny:]
+            else:
+                return
+        # Every line before the piece was one row, so its first line is row t.
+        yield from _csv_rows(infile, chain([text], (later for later, _, _ in texts)), t)
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:

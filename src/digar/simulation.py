@@ -51,8 +51,9 @@ the batch's arrays on an anonymous shared mapping, which the batch
 returns, so nothing is pickled.  V_1..V_T is checked before any fork, and
 the slopes are refused once, in the calling process, from the returned
 sums.  The CLI's single-path commands share out the chunks of a path, a
-variance walk or a path file: every process walks or reads them all and
-does the costly step (formatting or parsing) of its own.
+variance walk or a path file: every process walks them all, or opens the
+file and reads it all, and does the costly step (formatting or parsing)
+of its own.
 """
 
 from __future__ import annotations
@@ -496,22 +497,21 @@ def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarr
     return out
 
 
-def _chunk_map(
-    items: Iterable, work: Callable[[object], bytes], n: int, reopen: Callable[[], Iterable] | None = None
-) -> Iterator[tuple[object, bytes]]:
+def _chunk_map(items: Iterable, work: Callable[[object], bytes], n: int) -> Iterator[tuple[object, bytes]]:
     # (item, work(item)) for each of the n items in order, the work of item
     # k done by process k mod W: this one, or forked worker j = k mod W,
-    # which walks its own copy of items (or reopen(), where they are read
-    # from a file whose offset the processes would share) by _work and sends
-    # each result down its pipe after its length.  This process does the
-    # items whose result did not arrive.  Once the map ends the read ends
-    # close, so a worker that would still write ends, and every worker is
-    # reaped, killed first where the map raised or was closed.
+    # which walks its own copy of items by _work and sends each result down
+    # its pipe after its length.  The workers fork before items is first
+    # advanced, so a generator that opens a file then (cli._texts) reads it
+    # in each process at an offset of its own.  This process does the items
+    # whose result did not arrive.  Once the map ends the read ends close,
+    # so a worker that would still write ends, and every worker is reaped,
+    # killed first where the map raised or was closed.
     w = _worker_count(n)
 
     def send(j: int, fd: int) -> Iterator[None]:
         with open(fd, "wb") as pipe:
-            for k, item in enumerate(reopen() if reopen else items):
+            for k, item in enumerate(items):
                 if k % w == j:
                     raw = work(item)
                     pipe.write(len(raw).to_bytes(8, "little"))

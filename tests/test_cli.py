@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -562,6 +561,7 @@ class TestReadPathCsv:
         # The chunked reader and its running checks and sums end as the
         # whole-file row loop, SamplePath and infeasible_estimate end: the
         # same estimate, or the same refusal.
+        cli._load_arrays()  # _path_csv calls what it binds
         text = "".join(cli._path_csv(simulation._walk(P, 12, 4), 12))
         for op, pos, ch in edits:
             pos %= len(text) + 1
@@ -1024,9 +1024,41 @@ class TestSinglePathWorkers:
         capsys.readouterr()
         want = run_cli(capsys, "estimate", "--in", str(path_file))
         extra = "".join(f"{t},0.5,0.5\n" for t in range(10**9, 10**9 + 10_000))  # 160 kB of results
-        reread = cli._reread
-        monkeypatch.setattr(cli, "_reread", lambda infile: chain(reread(infile), [(extra, 10**9, 10_000)] * 6))
+        parent, texts = os.getpid(), cli._texts
+
+        def grown(infile):
+            # Advanced first after the fork, so only in a worker does the file grow.
+            yield from texts(infile)
+            if os.getpid() != parent:
+                yield from [(extra, 10**9, 10_000)] * 6
+
+        monkeypatch.setattr(cli, "_texts", grown)
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
+
+    @pytest.mark.parametrize(
+        "infile, code, err",
+        [
+            ("bad_header", 3, "error: expected header t,y,xi in {}, got ['t', 'y', 'x']\n"),
+            ("empty", 3, "error: empty path file: {}\n"),
+            ("missing", 4, "io error: [Errno 2] No such file or directory: '{}'\n"),
+            ("directory", 4, "io error: [Errno 21] Is a directory: '{}'\n"),
+        ],
+    )
+    def test_file_refused_after_the_fork(self, capsys, monkeypatch, tmp_path, path_file, infile, code, err):
+        # Every process opens the file and checks its header only after the
+        # fork (a missing path fails os.stat before it); whatever W, one
+        # process words the refusal, once.
+        if infile == "bad_header":
+            path_file.write_text(path_file.read_text().replace("t,y,xi\n", "t,y,x\n", 1))
+            path = path_file
+        else:
+            path = tmp_path / infile
+            if infile == "empty":
+                path.write_text("")
+            elif infile == "directory":
+                path.mkdir()
+        runs = self._runs(capsys, monkeypatch, "estimate", "--in", str(path))
+        assert runs == [(code, "", err.format(path))] * 3
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exits_4(self, capsys, monkeypatch):

@@ -145,6 +145,7 @@ class TestInfeasibleEstimate:
         res = infeasible_estimate(path)
         assert (res.phi_hat, res.correction, res.sample_size) == (hat, corr, 50)
         path_file = tmp_path / "path.csv"
+        cli._load_arrays()  # _path_csv calls what it binds
         path_file.write_text("".join(cli._path_csv(simulation._walk(params, 50, 3), 50)))
         for read_chars in (1, 7, 40):
             monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
