@@ -1,7 +1,8 @@
 """Command-line front-end.
 
-Subcommands: limits, variance-path, simulate, estimate,
-experiment {consistency,clt,acf}, figure {vbar,bias}.  Exit status 0 on
+Subcommands: limits, variance-path, simulate, estimate, experiment
+{consistency,clt,acf}, figure {vbar,bias}.  Each returns its output, and
+main alone writes it to --out or stdout and closes it.  Exit status 0 on
 success, 2 on usage errors, 3 on domain/range errors, 4 on I/O errors,
 always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
@@ -52,7 +53,7 @@ if TYPE_CHECKING:
     import numpy as np
     from .estimation import EstimateResult
 
-__all__ = ["DEFAULT_SEED", "build_parser", "parse_and_dispatch", "main"]
+__all__ = ["DEFAULT_SEED", "build_parser", "main"]
 
 DEFAULT_SEED = 12345
 
@@ -102,14 +103,6 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(out_path: str | None, pieces: Iterable[str]) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.writelines(pieces)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
@@ -121,7 +114,7 @@ def _seed_banner(seed: int) -> None:
     print(f"seed = {seed}", file=sys.stderr)
 
 
-def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
+def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> list[str]:
     prof = dependence_profile(params)
     lines = [
         f"vbar    = {vbar_limit(params):.7g}",
@@ -131,17 +124,14 @@ def _cmd_limits(ns: argparse.Namespace, params: ModelParams) -> int:
         f"eta_bar = {prof.eta_bar:.7g}",
         f"eta_hat = {prof.eta_hat:.7g}",
     ]
-    _write_text(ns.out, ["\n".join(lines) + "\n"])
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> int:
+def _cmd_variance_path(ns: argparse.Namespace, params: ModelParams) -> Iterator[str]:
     _load_arrays()
     next_v = _check_variances(params, ns.T)  # refuses before the first byte
     chunks = ((next_v(min(_PATH_CHUNK, ns.T + 1 - t)).tolist(),) for t in range(1, ns.T + 1, _PATH_CHUNK))
-    with closing(_csv("t,v\n", chunks, ns.T)) as pieces:
-        _write_text(ns.out, pieces)
-    return 0
+    return _csv("t,v\n", chunks, ns.T)
 
 
 def _ascii_rows(piece: tuple[int, list[float], ...]) -> bytes:
@@ -178,7 +168,7 @@ def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]], T: 
     return _csv("t,y,xi\n0,0,\n", ((ys, xs) for ys, xs, _ in chunks), T)
 
 
-def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
+def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> Iterable[str]:
     _load_arrays()
     _seed_banner(ns.seed)
     if ns.format == "json":
@@ -186,11 +176,8 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> int:
         path = simulate_path(params, ns.T, ns.seed)
         y, xi = path.y.tolist(), path.xi.tolist()
         tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
-        _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
-    else:
-        with closing(_path_csv(_walk(params, ns.T, ns.seed), ns.T)) as pieces:
-            _write_text(ns.out, pieces)
-    return 0
+        return [json.dumps(tree, indent=2) + "\n"]
+    return _path_csv(_walk(params, ns.T, ns.seed), ns.T)
 
 
 def _csv_rows(infile: str, texts: Iterable[str], t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -262,19 +249,22 @@ def _texts(infile: str) -> Iterator[tuple[str, int, int]]:
     # checked, once the generator is first advanced: in every process of
     # _chunk_map, each with a file description of its own.
     import csv
-    with open(infile, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise OutOfRangeError(f"empty path file: {infile}")
-        if [h.strip() for h in header] != ["t", "y", "xi"]:
-            raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        t = 0
-        while text := fh.read(_READ_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()  # end the piece with its last line
-            yield text, t, (n := text.count("\n"))
-            t += n
+    try:
+        with open(infile, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise OutOfRangeError(f"empty path file: {infile}")
+            if [h.strip() for h in header] != ["t", "y", "xi"]:
+                raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
+            t = 0
+            while text := fh.read(_READ_CHARS):
+                if not text.endswith("\n"):
+                    text += fh.readline()  # end the piece with its last line
+                yield text, t, (n := text.count("\n"))
+                t += n
+    except UnicodeDecodeError as exc:  # no line number: the decoder counts within a block
+        raise OutOfRangeError(f"{infile} is not UTF-8 text ({exc.reason})")
 
 
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
@@ -309,7 +299,7 @@ def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield from _csv_rows(infile, chain([text], (later for later, _, _ in texts)), t)
 
 
-def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
+def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> list[str]:
     _load_arrays()
     if ns.infile is not None:
         res, seed = _estimate_csv(ns.infile, params), None
@@ -319,14 +309,11 @@ def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> int:
     tree = asdict(res)
     if ns.format == "json":
         import json
-        text = json.dumps({**tree, "seed": seed}, indent=2) + "\n"
-    else:
-        text = ",".join(tree) + "\n" + ",".join(map(_g17, tree.values())) + "\n"
-    _write_text(ns.out, [text])
-    return 0
+        return [json.dumps({**tree, "seed": seed}, indent=2) + "\n"]
+    return [",".join(tree) + "\n" + ",".join(map(_g17, tree.values())) + "\n"]
 
 
-def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
+def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> list[str]:
     import json
     _load_arrays()
     spec = BatchSpec(params, ns.T, ns.R, ns.seed)
@@ -340,16 +327,14 @@ def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> int:
     else:
         table = empirical_acf_experiment(spec, ns.t_obs, ns.k_max)
         tree = {"experiment": "acf", "k_max": ns.k_max, **table.as_tree()}
-    _write_text(ns.out, [json.dumps(tree, indent=2) + "\n"])
-    return 0
+    return [json.dumps(tree, indent=2) + "\n"]
 
 
-def _cmd_figure(ns: argparse.Namespace, params: None) -> int:
+def _cmd_figure(ns: argparse.Namespace, params: None) -> list[str]:
     build = vbar_curve if ns.kind == "vbar" else bias_curve
     rows = build(ns.phi_list, ns.rho_grid, ns.sigma)
     lines = ["phi,rho,value", *(f"{phi!r},{rho!r},{value!r}" for phi, rho, value in rows)]
-    _write_text(ns.out, ["\n".join(lines) + "\n"])
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -447,26 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_dispatch(argv: list[str]) -> int:
-    """Parse argv, run the selected subcommand, return the exit status."""
-    parser = build_parser()
+def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand argv (default sys.argv[1:]) names, write its
+    output to --out or stdout, and return the exit status."""
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
         params = ModelParams(ns.phi, ns.rho, ns.sigma) if hasattr(ns, "phi") else None
-        return ns.handler(ns, params)
+        pieces = ns.handler(ns, params)  # a refusal comes before --out opens
+        try:
+            if ns.out in (None, "-"):
+                sys.stdout.writelines(pieces)
+            else:
+                with open(ns.out, "w", encoding="utf-8") as fh:
+                    fh.writelines(pieces)
+        finally:
+            getattr(pieces, "close", lambda: None)()  # reaps a stream's workers
+        return 0
     except DigarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-
-
-def main(argv: list[str] | None = None) -> int:
-    return parse_and_dispatch(sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
-from digar.cli import parse_and_dispatch
+from digar.cli import main
 from oracles import variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -239,8 +239,8 @@ def test_criterion_7_autocorrelation_limits():
 def test_criterion_8_figure_reproduction(tmp_path, capsys):
     vbar_csv = tmp_path / "vbar.csv"
     bias_csv = tmp_path / "bias.csv"
-    assert parse_and_dispatch(["figure", "vbar", "--out", str(vbar_csv)]) == 0
-    assert parse_and_dispatch(["figure", "bias", "--out", str(bias_csv)]) == 0
+    assert main(["figure", "vbar", "--out", str(vbar_csv)]) == 0
+    assert main(["figure", "bias", "--out", str(bias_csv)]) == 0
     capsys.readouterr()
 
     def load(path):
@@ -292,11 +292,11 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
     for name in ("a", "b", "c"):
         cons = tmp_path / f"cons_{name}.json"
         acf = tmp_path / f"acf_{name}.json"
-        assert parse_and_dispatch(
+        assert main(
             ["experiment", "consistency", "-T", "200", "-R", "600", "--seed", "7",
              "--out", str(cons)]
         ) == 0
-        assert parse_and_dispatch(
+        assert main(
             ["experiment", "acf", "-T", "208", "-R", "600", "--seed", str(MASTER),
              "--t-obs", "200", "--k-max", "3", "--out", str(acf)]
         ) == 0

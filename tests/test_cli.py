@@ -31,7 +31,7 @@ from digar import (
     vbar_limit,
 )
 from digar import cli, estimation, model, simulation
-from digar.cli import DEFAULT_SEED, main, parse_and_dispatch
+from digar.cli import DEFAULT_SEED, main
 from conftest import fresh_python, no_child_left, peak_rss
 from oracles import read_path_csv
 
@@ -39,7 +39,7 @@ P = ModelParams(0.5, 0.3, 1.0)
 
 
 def run_cli(capsys, *argv):
-    code = parse_and_dispatch(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -176,7 +176,7 @@ class TestVariancePath:
         # Holding V_t and every row before writing peaked at 24.9 MiB here.
         tracemalloc.start()
         try:
-            assert parse_and_dispatch(["variance-path", "-T", "200000", "--out", str(tmp_path / "v.csv")]) == 0
+            assert main(["variance-path", "-T", "200000", "--out", str(tmp_path / "v.csv")]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -216,8 +216,8 @@ class TestSimulate:
     def test_deterministic_output(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert parse_and_dispatch(["simulate", "-T", "30", "--out", str(a)]) == 0
-        assert parse_and_dispatch(["simulate", "-T", "30", "--out", str(b)]) == 0
+        assert main(["simulate", "-T", "30", "--out", str(a)]) == 0
+        assert main(["simulate", "-T", "30", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
@@ -279,7 +279,7 @@ class TestEstimate:
 
     def test_estimate_from_file_matches_fresh_run(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(
+        assert main(
             ["simulate", "-T", "200", "--seed", "4", "--out", str(path_file)]
         ) == 0
         capsys.readouterr()
@@ -301,7 +301,7 @@ class TestEstimate:
         # and no row may be lost, repeated or altered.
         T = 65_536 + 5
         path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(
+        assert main(
             ["simulate", "-T", str(T), "--seed", "11", "--out", str(path_file)]
         ) == 0
         capsys.readouterr()
@@ -346,7 +346,7 @@ class TestEstimate:
     def test_wrong_t_column(self, capsys, tmp_path, line, t):
         # row i of a path file must read t = i
         path_file = tmp_path / "path.csv"
-        parse_and_dispatch(["simulate", "-T", "3", "--seed", "4", "--out", str(path_file)])
+        main(["simulate", "-T", "3", "--seed", "4", "--out", str(path_file)])
         capsys.readouterr()
         rows = path_file.read_text().splitlines(keepends=True)
         rows[line - 1] = t + rows[line - 1][1:]
@@ -374,7 +374,7 @@ class TestEstimate:
     def test_wrong_parameters_for_file(self, capsys, tmp_path):
         # the loaded path must satisfy the recursion at the declared phi
         path_file = tmp_path / "path.csv"
-        parse_and_dispatch(["simulate", "-T", "50", "--seed", "4", "--out", str(path_file)])
+        main(["simulate", "-T", "50", "--seed", "4", "--out", str(path_file)])
         capsys.readouterr()
         code, _, err = run_cli(capsys, "estimate", "--in", str(path_file), "--phi", "0.6")
         assert code == 3
@@ -392,7 +392,7 @@ class TestEstimate:
         sigma = repr(1e-20 * 2.0**e)
         path_file = tmp_path / "path.csv"
         argv = ["--sigma", sigma, "--seed", "7", "-T", "1000"]
-        assert parse_and_dispatch(["simulate", *argv, "--out", str(path_file)]) == 0
+        assert main(["simulate", *argv, "--out", str(path_file)]) == 0
         _, direct, _ = run_cli(capsys, "estimate", *argv)
         assert run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file)) == (0, direct, "")
 
@@ -508,7 +508,7 @@ class TestReadPathCsv:
         # inside a quoted field.
         edit, code, out, err = READER_CONTRACT[case]
         good = tmp_path / "good.csv"
-        assert parse_and_dispatch(["simulate", "-T", "4", "--seed", "4", "--out", str(good)]) == 0
+        assert main(["simulate", "-T", "4", "--seed", "4", "--out", str(good)]) == 0
         bad = tmp_path / "bad.csv"
         bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))), newline="")
         monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
@@ -519,7 +519,7 @@ class TestReadPathCsv:
     def test_t_written_with_exponent(self, capsys, tmp_path, monkeypatch, read_chars):
         # "1e2" has as many characters as "100" and reads as 100.0.
         path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", "120", "--seed", "4", "--out", str(path_file)]) == 0
+        assert main(["simulate", "-T", "120", "--seed", "4", "--out", str(path_file)]) == 0
         rows = path_file.read_text().splitlines(keepends=True)
         rows[101] = "1e2" + rows[101][3:]
         path_file.write_text("".join(rows))
@@ -535,7 +535,7 @@ class TestReadPathCsv:
         # loop would be correct but several times slower.
         path_file = tmp_path / "path.csv"
         argv = ["--sigma", sigma, "--seed", "5", "-T", "70000"]
-        assert parse_and_dispatch(["simulate", *argv, "--out", str(path_file)]) == 0
+        assert main(["simulate", *argv, "--out", str(path_file)]) == 0
         _, direct, _ = run_cli(capsys, "estimate", *argv)
 
         def refuse(*args):
@@ -598,7 +598,7 @@ class TestReadPathCsv:
         # path was read whole first.  V_2 underflows to 0 at sigma 1e-200
         # and V_1 overflows at 1e200.
         path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", "4", "--seed", "4", "--out", str(path_file)]) == 0
+        assert main(["simulate", "-T", "4", "--seed", "4", "--out", str(path_file)]) == 0
         rows = path_file.read_text().splitlines(keepends=True)
         path_file.write_text("".join(edit(rows) if edit else rows))
         monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
@@ -621,7 +621,7 @@ class TestReadPathCsv:
         # array of its terms peaked at 46.7 MiB at T = 1e6.  A CRLF copy
         # goes through the row loop from its first row to its last.
         path_file = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
+        assert main(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
         if crlf:
             path_file.write_bytes(path_file.read_bytes().replace(b"\n", b"\r\n"))
         tracemalloc.start()
@@ -649,7 +649,7 @@ class TestSinglePathRoute:
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
         for T in ("2", "50"):
             path_file = tmp_path / f"path{T}.csv"
-            assert parse_and_dispatch(["simulate", *flags, "-T", T, "--out", str(path_file)]) == 0
+            assert main(["simulate", *flags, "-T", T, "--out", str(path_file)]) == 0
             capsys.readouterr()
             for fmt in ("csv", "json"):
                 code, direct, _ = run_cli(capsys, "estimate", *flags, "-T", T, "--format", fmt)
@@ -742,7 +742,7 @@ class TestExperimentCli:
         argv = ["experiment", "acf", "-T", "5000000", "-R", "30", "--out", str(tmp_path / "acf.json")]
         tracemalloc.start()
         try:
-            assert parse_and_dispatch(argv) == 0
+            assert main(argv) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -759,8 +759,8 @@ class TestExperimentCli:
         b = tmp_path / "b.json"
         for R in ("100", "600"):
             argv = ["experiment", "consistency", "-T", "100", "-R", R, "--seed", "7"]
-            assert parse_and_dispatch(argv + ["--out", str(a)]) == 0
-            assert parse_and_dispatch(argv + ["--out", str(b)]) == 0
+            assert main(argv + ["--out", str(a)]) == 0
+            assert main(argv + ["--out", str(b)]) == 0
             capsys.readouterr()
             assert a.read_bytes() == b.read_bytes(), R
 
@@ -833,7 +833,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS))
     def test_output_bytes_unchanged(self, capsys, tmp_path, argv):
         path = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", "3000", "--out", str(path)]) == 0
+        assert main(["simulate", "-T", "3000", "--out", str(path)]) == 0
         code, out, _ = run_cli(capsys, *(str(path) if a == "PATH" else a for a in argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS[argv]
@@ -869,7 +869,7 @@ class TestWorkerCountBytes:
     @pytest.fixture(scope="class")
     def path_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("path") / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", "20000", "--out", str(path)]) == 0
+        assert main(["simulate", "-T", "20000", "--out", str(path)]) == 0
         return path
 
     @pytest.mark.parametrize(
@@ -896,11 +896,17 @@ class TestWorkerCountBytes:
 
 
 def _edited_rows(path, edits):
-    # Rewrites path with each row t in edits replaced by edits[t](row).
+    # Rewrites path with each row t in edits replaced by edits[t](row); a
+    # lone surrogate "\udcXX" in a row is written as the byte 0xXX.
     rows = path.read_text().splitlines(keepends=True)
     for t, edit in edits.items():
         rows[t + 1] = edit(rows[t + 1])
-    path.write_text("".join(rows))
+    path.write_text("".join(rows), encoding="utf-8", errors="surrogateescape")
+
+
+def _not_utf8(row):
+    # Row "t,y,xi" with the byte 0xff, which no UTF-8 text holds, at its end.
+    return row[:-1] + "\udcff\n"
 
 
 def _exponent_form(row):
@@ -939,7 +945,7 @@ class TestSinglePathWorkers:
     def path_file(self, tmp_path, monkeypatch):
         # simulate's file of a 20,000-step path, read in some 200 pieces.
         path = tmp_path / "path.csv"
-        assert parse_and_dispatch(["simulate", "-T", self.T, "--out", str(path)]) == 0
+        assert main(["simulate", "-T", self.T, "--out", str(path)]) == 0
         monkeypatch.setattr(cli, "_READ_CHARS", 4096)
         return path
 
@@ -1036,6 +1042,25 @@ class TestSinglePathWorkers:
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
 
     @pytest.mark.parametrize(
+        "edits",
+        [
+            {1: _not_utf8},
+            {150: _not_utf8},
+            {9000: _not_utf8},
+            {9000: _exponent_form, 15000: _not_utf8},
+        ],
+        ids=["row_1", "row_150", "row_9000", "row_loop_then_row_15000"],
+    )
+    def test_file_not_utf8(self, capsys, monkeypatch, path_file, edits):
+        # A byte that is not UTF-8 is refused in one line at every W, be it
+        # decoded with the header (row 1 and 150 lie in the first block the
+        # decoder reads), in a later piece, or while the row loop reads.
+        # The decoder counts its position within a block, so no line is named.
+        _edited_rows(path_file, edits)
+        runs = self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file))
+        assert runs == [(3, "", f"error: {path_file} is not UTF-8 text (invalid start byte)\n")] * 3
+
+    @pytest.mark.parametrize(
         "infile, code, err",
         [
             ("bad_header", 3, "error: expected header t,y,xi in {}, got ['t', 'y', 'x']\n"),
@@ -1060,9 +1085,15 @@ class TestSinglePathWorkers:
         runs = self._runs(capsys, monkeypatch, "estimate", "--in", str(path))
         assert runs == [(code, "", err.format(path))] * 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "-T", T), ("variance-path", "-T", T), ("limits",)],
+        ids=["simulate", "variance-path", "limits"],
+    )
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_device_exits_4(self, capsys, monkeypatch):
-        for code, out, err in self._runs(capsys, monkeypatch, "simulate", "-T", self.T, "--out", "/dev/full"):
+    def test_full_device_exits_4(self, capsys, monkeypatch, argv):
+        # main writes every command's output, a stream or a list, in one place.
+        for code, out, err in self._runs(capsys, monkeypatch, *argv, "--out", "/dev/full"):
             assert (code, out) == (4, "") and err.endswith("io error: [Errno 28] No space left on device\n")
 
     def test_closed_stdout_exits_4(self):
