@@ -8,16 +8,17 @@ always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
 randomized run is echoed on stderr and embedded in JSON outputs.
 
-`import digar.cli`, limits and figure load no numpy, json or csv: their
-work is float arithmetic, and only the commands that write JSON or read
-a path CSV load json or csv.  variance-path, simulate, estimate and experiment compute
-with arrays, and each starts by loading numpy and the array modules
-(estimation, experiments, simulation) through _load_arrays.  numpy loads
-there with one OpenBLAS thread, unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy is already loaded:
-the commands' only BLAS call is a 2 x R np.corrcoef, and idle OpenBLAS
-workers spin about 0.1 s of CPU per process.  The variable is removed
-again, so child processes inherit nothing.
+`import digar.cli`, limits and figure load no numpy, json, csv or
+dataclasses: their work is float arithmetic on slotted values, and only
+the commands that write JSON or read a path CSV load json or csv.
+variance-path, simulate, estimate and experiment compute with arrays, and
+each starts by loading numpy and the array modules (estimation,
+experiments, simulation) through _load_arrays.  numpy loads there with
+one OpenBLAS thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set or numpy is already loaded: the commands' only BLAS
+call is a 2 x R np.corrcoef, and idle OpenBLAS workers spin about 0.1 s of
+CPU per process.  The variable is removed again, so child processes
+inherit nothing.
 
 simulate (csv), variance-path and estimate --in stream their rows chunk
 by chunk, and a process with one thread spreads the chunks over W
@@ -41,7 +42,6 @@ import stat
 import sys
 import warnings
 from contextlib import closing
-from dataclasses import asdict
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -175,7 +175,7 @@ def _cmd_simulate(ns: argparse.Namespace, params: ModelParams) -> Iterable[str]:
         import json
         path = simulate_path(params, ns.T, ns.seed)
         y, xi = path.y.tolist(), path.xi.tolist()
-        tree = {**asdict(path.params), "seed": path.seed, "y": y, "xi": xi}
+        tree = {**path.params._asdict(), "seed": path.seed, "y": y, "xi": xi}
         return [json.dumps(tree, indent=2) + "\n"]
     return _path_csv(_walk(params, ns.T, ns.seed), ns.T)
 
@@ -300,6 +300,7 @@ def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> list[str]:
+    from dataclasses import asdict
     _load_arrays()
     if ns.infile is not None:
         res, seed = _estimate_csv(ns.infile, params), None

@@ -9,8 +9,8 @@ geometric decay bound eta_hat, and the figure curves: vbar_curve and
 bias_curve, rows (phi, rho, vbar) and (phi, rho, bias) over a (phi, rho)
 grid, which `digar figure` takes as DEFAULT_PHI_GRID by DEFAULT_RHO_GRID
 unless told otherwise.  Only tau_lag_k, through variance_sequence, loads
-numpy.  tau_lag_k, delta_limit and eta_hat are scale-free and run at
-sigma_xi's binary mantissa, for any sigma_xi > 0.
+numpy.  tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat are
+scale-free and run at sigma_xi's binary mantissa, for any sigma_xi > 0.
 
 eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
 f(v) = sqrt(u(v)^2 + s2), u(v) = phi*v + rho*sigma_xi, s2 = sigma_xi^2*(1-rho^2):
@@ -28,11 +28,10 @@ floating-point fixed point V_{t+1} == V_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import OutOfRangeError
-from .model import ModelParams, variance_sequence, vbar_limit
+from .model import ModelParams, _Frozen, variance_sequence, vbar_limit
 
 __all__ = [
     "DependenceProfile",
@@ -64,18 +63,15 @@ def _unit_scale(params: ModelParams) -> ModelParams:
     return ModelParams(params.phi, params.rho, math.frexp(params.sigma_xi)[0])
 
 
-@dataclass(frozen=True)
-class DependenceProfile:
+class DependenceProfile(_Frozen):
     """Bundle of the limiting dependence quantities for one parameter set."""
 
-    params: ModelParams
-    tau_bar: float = field(init=False)  # phi + ols_bias
-    ols_bias: float
-    eta_bar: float
-    eta_hat: float
+    __slots__ = ("params", "tau_bar", "ols_bias", "eta_bar", "eta_hat")  # tau_bar = phi + ols_bias
+    __match_args__ = ("params", "ols_bias", "eta_bar", "eta_hat")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_bar", self.params.phi + self.ols_bias)
+    def __init__(self, params: ModelParams, ols_bias: float, eta_bar: float, eta_hat: float) -> None:
+        for name, value in zip(self.__slots__, (params, params.phi + ols_bias, ols_bias, eta_bar, eta_hat)):
+            object.__setattr__(self, name, value)
         if abs(self.tau_bar) == 1.0:  # the exact 1 - tau_bar^2 is eta_bar^2 > 0
             raise OutOfRangeError(
                 f"|tau_bar| < 1 required, got {self.tau_bar!r}: tau_bar rounds to +-1 in double "
@@ -119,6 +115,7 @@ def tau_lag_k(params: ModelParams, t: int, k: int) -> float:
 
 def ols_bias(params: ModelParams) -> float:
     """Asymptotic bias rho*sigma_xi/vbar of the least-squares slope."""
+    params = _unit_scale(params)
     return params.rho * params.sigma_xi / vbar_limit(params)
 
 
@@ -157,6 +154,7 @@ def eta_bar(params: ModelParams) -> float:
     standard-deviation (not variance) reading.  1 - rho^2 is formed as
     (1 - rho)*(1 + rho), which keeps its digits as |rho| nears 1.
     """
+    params = _unit_scale(params)
     rho = params.rho
     return params.sigma_xi * math.sqrt((1.0 - rho) * (1.0 + rho)) / vbar_limit(params)
 

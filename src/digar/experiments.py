@@ -105,8 +105,7 @@ def _tree(result: ExperimentSummary | AcfTable) -> dict:
     # of rows as lists, as JSON reads them back.
     tree = asdict(result)
     spec = tree["spec"]
-    params = spec.pop("params")
-    tree["spec"] = {**params, **spec}
+    tree["spec"] = {**spec.pop("params")._asdict(), **spec}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in tree.items()}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import NonFiniteError, OutOfRangeError
@@ -35,8 +34,35 @@ __all__ = [
 _PATH_CHUNK = 4_096
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Frozen:
+    # A value whose __slots__ are its fields, each set once by __init__, and
+    # whose __match_args__ are __init__'s arguments: equal, hashed and printed
+    # by its fields, and copied and pickled through __init__'s checks.
+    __slots__ = ()
+
+    def _asdict(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._asdict() == other._asdict() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class ModelParams(_Frozen):
     """Validated parameter triple (phi, rho, sigma_xi).
 
     Construction enforces the constraints below, so every instance in
@@ -60,16 +86,13 @@ class ModelParams:
         If any constraint is violated.
     """
 
-    phi: float
-    rho: float
-    sigma_xi: float
+    __slots__ = __match_args__ = ("phi", "rho", "sigma_xi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, phi: float, rho: float, sigma_xi: float) -> None:
         # numpy's scalars are real too; none exists before numpy is loaded.
         numpy = sys.modules.get("numpy")
         real = (int, float) if numpy is None else (int, float, numpy.floating, numpy.integer)
-        for name in ("phi", "rho", "sigma_xi"):
-            value = getattr(self, name)
+        for name, value in zip(self.__slots__, (phi, rho, sigma_xi)):
             if isinstance(value, bool) or not isinstance(value, real):
                 raise NonFiniteError(f"{name} must be a real number, got {type(value).__name__}")
             value = float(value)
@@ -90,10 +113,13 @@ def stationary_sd(params: ModelParams) -> float:
     This is the rho = 0 value of the variance limit; with dependence it
     serves as the reference level the limit is compared against.  1 - phi^2
     is formed as (1 - phi)*(1 + phi), which keeps its digits as |phi|
-    nears 1.
+    nears 1.  Raises NonFiniteError if it overflows.
     """
     phi = params.phi
-    return params.sigma_xi / math.sqrt((1.0 - phi) * (1.0 + phi))
+    sd = params.sigma_xi / math.sqrt((1.0 - phi) * (1.0 + phi))
+    if math.isinf(sd):
+        raise NonFiniteError(f"S overflows a double at sigma_xi={params.sigma_xi!r}")
+    return sd
 
 
 def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
@@ -196,11 +222,16 @@ def vbar_limit(params: ModelParams) -> float:
     rho*phi < 0 that sum cancels, so there the equal form
     sigma_xi/(sqrt(rho^2*phi^2 + (1-phi)*(1+phi)) - rho*phi) is used, whose
     terms are all positive.  Both forms take 1 - phi^2 as (1-phi)*(1+phi),
-    which keeps its digits as |phi| nears 1.
+    which keeps its digits as |phi| nears 1.  Raises NonFiniteError if vbar
+    overflows.
     """
     phi = params.phi
     rp = params.rho * phi
     d = (1.0 - phi) * (1.0 + phi)  # 1 - phi^2
     if rp < 0.0:
-        return params.sigma_xi / (math.sqrt(rp * rp + d) - rp)
-    return params.sigma_xi * (rp + math.sqrt(params.rho * params.rho * phi * phi + d)) / d
+        vbar = params.sigma_xi / (math.sqrt(rp * rp + d) - rp)
+    else:
+        vbar = params.sigma_xi * (rp + math.sqrt(params.rho * params.rho * phi * phi + d)) / d
+    if math.isinf(vbar):
+        raise NonFiniteError(f"vbar overflows a double at sigma_xi={params.sigma_xi!r}")
+    return vbar

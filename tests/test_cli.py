@@ -130,14 +130,21 @@ class TestLimits:
         assert code == 0
         assert out.endswith("tau_bar = 0.999996\nbias    = 1.999995\neta_bar = 0.002828422\neta_hat = 0.999999\n")
 
-    @pytest.mark.parametrize("sigma", ["1e-300", "1e-170", "1e-100", "1e155", "1e300"])
-    @pytest.mark.parametrize("phi, rho", [("0.9", "-0.9"), ("0.5", "0.3")])
+    @pytest.mark.parametrize("sigma", ["5e-324", "1e-320", "1e-300", "1e-170", "1e-100", "1e155", "1e300"])
+    @pytest.mark.parametrize("phi, rho", [("0.9", "-0.9"), ("0.5", "0.3"), ("0.9", "0.9")])
     def test_scale_free_lines_at_any_sigma(self, capsys, phi, rho, sigma):
-        # tau_bar, bias, eta_bar and eta_hat do not depend on sigma_xi.
+        # tau_bar, bias, eta_bar and eta_hat do not depend on sigma_xi, down
+        # to the subnormal scales where sigma_xi's own arithmetic loses digits.
         _, unit, _ = run_cli(capsys, "limits", "--phi", phi, "--rho", rho)
         code, out, err = run_cli(capsys, "limits", "--phi", phi, "--rho", rho, "--sigma", sigma)
         assert (code, err) == (0, "")
         assert out.splitlines()[2:] == unit.splitlines()[2:]
+
+    def test_overflowing_vbar_refused_by_name(self, capsys):
+        # tau_bar and the rest are in range at this scale; vbar is not.
+        code, out, err = run_cli(capsys, "limits", "--phi", "0.9", "--rho", "0.9", "--sigma", "1e308")
+        assert (code, out) == (3, "")
+        assert err == "error: vbar overflows a double at sigma_xi=1e+308\n"
 
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "limits", "--out", str(tmp_path / "no" / "dir.txt"))
@@ -1261,6 +1268,22 @@ class TestFigure:
             assert float(phi_s) == 0.5
             assert float(rho_s) == rho
             assert float(val_s) == ols_bias(ModelParams(0.5, rho, 2.0))
+
+    def test_bias_at_the_largest_scales(self, capsys):
+        # The bias is scale-free, so it is computed at sigma_xi's binary
+        # mantissa, where rho*sigma_xi/vbar does not overflow.
+        argv = ("figure", "bias", "--phi-list", "0.9,0.5", "--rho-grid", "0.9")
+        code, out, _ = run_cli(capsys, *argv, "--sigma", "1e308")
+        assert code == 0
+        values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        unit = [ols_bias(ModelParams(phi, 0.9, 1.0)) for phi in (0.9, 0.5)]
+        assert values == pytest.approx(unit, rel=4 * sys.float_info.epsilon)
+        assert values == pytest.approx([0.0989, 0.473], rel=1e-3)
+
+    def test_overflowing_vbar_refused_by_name(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "vbar", "--sigma", "1e308")
+        assert (code, out) == (3, "")
+        assert err == "error: vbar overflows a double at sigma_xi=1e+308\n"
 
     def test_bad_float_list(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "vbar", "--phi-list", "0.5,oops")

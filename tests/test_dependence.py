@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -301,7 +301,7 @@ class TestDependenceProfile:
     def test_eta_hat_below_limit_rejected(self):
         prof = dependence_profile(P)
         with pytest.raises(OutOfRangeError, match=r"\|tau_bar\| <= eta_hat < 1 required"):
-            dataclasses.replace(prof, eta_hat=0.5)
+            DependenceProfile(prof.params, prof.ols_bias, prof.eta_bar, 0.5)
 
     def test_rounded_tau_bar_refused_by_name(self):
         for phi, rho in ((0.999999, 0.999999), (-0.999999, -0.999999)):
@@ -322,11 +322,31 @@ class TestDependenceProfile:
 
 
 class TestScaleFree:
-    """tau_lag_k, delta_limit and eta_hat do not depend on sigma_xi's
-    scale; they answer at every sigma_xi > 0 with the same bits."""
+    """tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat do not
+    depend on sigma_xi's scale; they answer at every sigma_xi > 0 with the
+    same bits as at sigma_xi's binary mantissa."""
 
     @given(boundary_params_strategy(), st.integers(-1000, 1000), st.integers(1, 40), st.integers(1, 8))
     def test_same_bits_at_every_power_of_two(self, p, e, t, k):
         scaled = ModelParams(p.phi, p.rho, math.ldexp(p.sigma_xi, e))
-        for f in (lambda q: tau_lag_k(q, t, k), lambda q: delta_limit(q, k), mixing_decay_bound):
+        for f in (
+            lambda q: tau_lag_k(q, t, k),
+            lambda q: delta_limit(q, k),
+            mixing_decay_bound,
+            ols_bias,
+            tau_bar,
+            eta_bar,
+        ):
             assert f(scaled).hex() == f(p).hex()
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-320, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("phi, rho", [(0.5, 0.3), (0.9, 0.9), (0.9, -0.9), (-0.999, 0.999)])
+    def test_same_bits_where_sigma_xi_arithmetic_leaves_range(self, phi, rho, sigma):
+        # sigma_xi subnormal, or vbar and sigma_xi^2 past the largest double.
+        p, unit = ModelParams(phi, rho, sigma), ModelParams(phi, rho, math.frexp(sigma)[0])
+        for f in (ols_bias, tau_bar, eta_bar, mixing_decay_bound, lambda q: delta_limit(q, 3)):
+            assert f(p).hex() == f(unit).hex()
+        profile = dependence_profile(p)
+        assert (profile.tau_bar, profile.ols_bias, profile.eta_bar, profile.eta_hat) == (
+            tau_bar(unit), ols_bias(unit), eta_bar(unit), mixing_decay_bound(unit)
+        )

@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from digar import (
+    DependenceProfile,
     ModelParams,
     NonFiniteError,
     OutOfRangeError,
+    dependence_profile,
     stationary_sd,
     variance_sequence,
     vbar_limit,
@@ -114,6 +119,11 @@ class TestStationarySd:
         assert stationary_sd(ModelParams(-0.5, 0.0, 2.0)) == pytest.approx(
             2.3094010767585034, rel=1e-15
         )
+
+    def test_overflow_refused_by_name(self):
+        assert stationary_sd(ModelParams(0.0, 0.3, sys.float_info.max)) == sys.float_info.max
+        with pytest.raises(NonFiniteError, match=r"^S overflows a double at sigma_xi=1e\+308$"):
+            stationary_sd(ModelParams(0.9, 0.3, 1e308))
 
 
 class TestVarianceSequence:
@@ -286,3 +296,78 @@ class TestVbarLimit:
     def test_variance_sequence_approaches_limit(self):
         p = ModelParams(-0.8, 0.6, 1.3)
         assert variance_sequence(p, 400)[-1] == pytest.approx(vbar_limit(p), rel=1e-12)
+
+    @pytest.mark.parametrize("phi, rho", [(0.9, 0.9), (0.5, -0.1)])
+    def test_overflow_refused_by_name(self, phi, rho):
+        # Both forms: rho*phi >= 0, and rho*phi < 0 with a divisor below 1.
+        with pytest.raises(NonFiniteError, match=r"^vbar overflows a double at sigma_xi=1\.7e\+308$"):
+            vbar_limit(ModelParams(phi, rho, 1.7e308))
+
+
+class TestFrozenValues:
+    """ModelParams and DependenceProfile are immutable values: built by
+    position or keyword, equal and hashed by type and fields, and copied or
+    unpickled only through their checking constructors."""
+
+    PROFILE = dependence_profile(P)
+
+    def test_reprs(self):
+        assert repr(P) == "ModelParams(phi=0.5, rho=0.3, sigma_xi=1.0)"
+        assert repr(self.PROFILE) == (
+            "DependenceProfile(params=ModelParams(phi=0.5, rho=0.3, sigma_xi=1.0), "
+            "tau_bar=0.7186759374687042, ols_bias=0.21867593746870423, "
+            "eta_bar=0.6953451638599922, eta_hat=0.7186759374687042)"
+        )
+
+    def test_built_by_position_or_keyword(self):
+        assert ModelParams(phi=0.5, rho=0.3, sigma_xi=1) == P
+        prof = self.PROFILE
+        again = DependenceProfile(params=P, ols_bias=prof.ols_bias, eta_bar=prof.eta_bar, eta_hat=prof.eta_hat)
+        assert again == DependenceProfile(P, prof.ols_bias, prof.eta_bar, prof.eta_hat) == prof
+
+    def test_equal_and_hashed_by_type_and_fields(self):
+        twin = ModelParams(0.5, 0.3, 1.0)
+        assert twin == P and hash(twin) == hash(P) == hash((0.5, 0.3, 1.0))
+        assert len({P, twin, ModelParams(0.5, 0.3, 2.0)}) == 2
+        assert P != ModelParams(0.5, 0.3, 2.0)
+        assert P != (0.5, 0.3, 1.0)
+        prof = self.PROFILE
+        fields = (P, prof.tau_bar, prof.ols_bias, prof.eta_bar, prof.eta_hat)
+        assert dependence_profile(twin) == prof and hash(prof) == hash(fields)
+        assert dependence_profile(ModelParams(0.5, 0.3, 2.0)) != prof  # same numbers, other params
+
+    @pytest.mark.parametrize("name", ["phi", "rho", "sigma_xi", "other"])
+    def test_params_fields_read_only(self, name):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(P, name, 0.1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(P, name)
+        assert P == ModelParams(0.5, 0.3, 1.0)
+
+    @pytest.mark.parametrize("name", ["params", "tau_bar", "ols_bias", "eta_bar", "eta_hat"])
+    def test_profile_fields_read_only(self, name):
+        before = getattr(self.PROFILE, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(self.PROFILE, name, 0.1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(self.PROFILE, name)
+        assert getattr(self.PROFILE, name) == before
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy]
+        + [lambda x, n=n: pickle.loads(pickle.dumps(x, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_round_trip_equal(self, duplicate):
+        for value in (P, self.PROFILE):
+            again = duplicate(value)
+            assert type(again) is type(value) and again == value and repr(again) == repr(value)
+
+    def test_pickle_refused_on_load(self):
+        class Forged:
+            # pickles as the call ModelParams(2.0, 0.3, 1.0) would
+            def __reduce__(self):
+                return ModelParams, (2.0, 0.3, 1.0)
+
+        with pytest.raises(OutOfRangeError, match=r"\|phi\| < 1 required, got phi=2\.0"):
+            pickle.loads(pickle.dumps(Forged()))

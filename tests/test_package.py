@@ -41,6 +41,18 @@ def test_import_loads_no_numpy_and_leaves_environ():
     assert json.loads(fresh_python("-c", code)) == [False, True]
 
 
+@pytest.mark.parametrize("argv", [["limits"], ["figure", "vbar"]])
+def test_limits_and_figure_start_light(argv):
+    # Their work is float arithmetic, so they load none of these modules
+    # beyond those a bare interpreter already holds (a site may load some).
+    listing = "import sys; print(); print(' '.join(sorted(sys.modules)))"
+    bare = set(fresh_python("-c", listing).split())
+    run = fresh_python("-c", f"from digar.cli import main; main({argv!r}); {listing}")
+    added = set(run.splitlines()[-1].split()) - bare
+    assert added.isdisjoint({b"dataclasses", b"inspect", b"numpy", b"json", b"csv"}), added
+    assert b"digar.cli" in added
+
+
 def test_star_import_and_dir_in_a_fresh_interpreter():
     code = (
         "import json; ns = {}; exec('from digar import *', ns); del ns['__builtins__']; "
