@@ -4,9 +4,9 @@ innovations are linked to the lagged level through a Gaussian copula.
 The package exposes each library module's __all__.  The modules load on
 the first lookup of a name (PEP 562), so `import digar` alone loads no
 numpy.  Nor does `import digar.cli`, or its limits and figure commands,
-which load no json, csv or dataclasses either: numpy loads only when a
-command that computes with arrays starts (variance-path, simulate,
-estimate, experiment), and digar.cli chooses how it starts."""
+which load no json or csv either: numpy loads only when a command that
+computes with arrays starts (variance-path, simulate, estimate,
+experiment), and digar.cli chooses how it starts."""
 
 import importlib
 

@@ -8,9 +8,10 @@ always with a one-line diagnostic on stderr.  Identical argv (seed
 included) produces byte-identical output files; the seed of every
 randomized run is echoed on stderr and embedded in JSON outputs.
 
-`import digar.cli`, limits and figure load no numpy, json, csv or
-dataclasses: their work is float arithmetic on slotted values, and only
-the commands that write JSON or read a path CSV load json or csv.
+`import digar.cli`, limits and figure load no numpy, json or csv: their
+work is float arithmetic on slotted values (model._Frozen, the type of
+every value the package returns), and only the commands that write JSON
+or read a path CSV load json or csv.
 variance-path, simulate, estimate and experiment compute with arrays, and
 each starts by loading numpy and the array modules (estimation,
 experiments, simulation) through _load_arrays.  numpy loads there with
@@ -300,14 +301,13 @@ def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _cmd_estimate(ns: argparse.Namespace, params: ModelParams) -> list[str]:
-    from dataclasses import asdict
     _load_arrays()
-    if ns.infile is not None:
+    if "infile" in ns:  # --in was given
         res, seed = _estimate_csv(ns.infile, params), None
     else:
         _seed_banner(ns.seed)
         res, seed = _walk_estimate(params, _walk(params, ns.T, ns.seed)), ns.seed
-    tree = asdict(res)
+    tree = res._asdict()
     if ns.format == "json":
         import json
         return [json.dumps({**tree, "seed": seed}, indent=2) + "\n"]
@@ -345,7 +345,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--out", default="-", help="output file, - for stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plain and corrected slope estimates from a path file or a fresh simulation",
     )
     _add_param_flags(p)
-    p.add_argument("--in", dest="infile", default=None, help="path CSV to estimate from")
+    p.add_argument("--in", dest="infile", default=argparse.SUPPRESS, help="path CSV to estimate from")
     p.add_argument("-T", type=int, default=5000, help="path length when simulating")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PCG64 seed when simulating")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -444,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         params = ModelParams(ns.phi, ns.rho, ns.sigma) if hasattr(ns, "phi") else None
         pieces = ns.handler(ns, params)  # a refusal comes before --out opens
         try:
-            if ns.out in (None, "-"):
+            if ns.out == "-":
                 sys.stdout.writelines(pieces)
             else:
                 with open(ns.out, "w", encoding="utf-8") as fh:

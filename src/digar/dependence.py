@@ -70,8 +70,7 @@ class DependenceProfile(_Frozen):
     __match_args__ = ("params", "ols_bias", "eta_bar", "eta_hat")
 
     def __init__(self, params: ModelParams, ols_bias: float, eta_bar: float, eta_hat: float) -> None:
-        for name, value in zip(self.__slots__, (params, params.phi + ols_bias, ols_bias, eta_bar, eta_hat)):
-            object.__setattr__(self, name, value)
+        self._set(params, params.phi + ols_bias, ols_bias, eta_bar, eta_hat)
         if abs(self.tau_bar) == 1.0:  # the exact 1 - tau_bar^2 is eta_bar^2 > 0
             raise OutOfRangeError(
                 f"|tau_bar| < 1 required, got {self.tau_bar!r}: tau_bar rounds to +-1 in double "

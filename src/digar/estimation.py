@@ -11,13 +11,12 @@ takes the true parameters from the path.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
-from .model import ModelParams, _check_variances, _variance_walk
+from .model import ModelParams, _check_variances, _Frozen, _variance_walk
 from .simulation import SamplePath, _add_sums, _checked_steps, _path_pieces
 
 __all__ = [
@@ -28,19 +27,16 @@ __all__ = [
 _Sums = float | np.ndarray  # one sum, or one per path
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(_Frozen):
     """Slope estimates from one path: plain, corrected, and the correction."""
 
-    phi_hat: float
-    phi_tilde: float = field(init=False)  # phi_hat - correction
-    correction: float
-    sample_size: int
+    __slots__ = ("phi_hat", "phi_tilde", "correction", "sample_size")  # phi_tilde = phi_hat - correction
+    __match_args__ = ("phi_hat", "correction", "sample_size")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi_tilde", self.phi_hat - self.correction)
-        if self.sample_size < 2:
-            raise OutOfRangeError(f"sample_size must be >= 2, got {self.sample_size}")
+    def __init__(self, phi_hat: float, correction: float, sample_size: int) -> None:
+        self._set(phi_hat, phi_hat - correction, correction, sample_size)
+        if sample_size < 2:
+            raise OutOfRangeError(f"sample_size must be >= 2, got {sample_size}")
 
 
 def _slopes(coef: float, den: _Sums, cross: _Sums, weighted: _Sums) -> tuple[_Sums, _Sums]:

@@ -11,7 +11,6 @@ fixed time index, never along a single path.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .dependence import delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
+from .model import _Frozen
 from .simulation import BatchSpec, _run_batch
 
 __all__ = [
@@ -36,63 +36,47 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(_Frozen):
     """Mean, sample variance, skewness and excess kurtosis of a sample.
 
     Variance uses the unbiased (n-1) denominator; skewness and excess
     kurtosis are the plain method-of-moments ratios.
     """
 
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
+    __slots__ = __match_args__ = ("mean", "variance", "skewness", "excess_kurtosis")
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(_Frozen):
     """Aggregated Monte Carlo statistics for one estimator and target."""
 
-    spec: BatchSpec
-    target: float
-    estimate_mean: float
-    estimate_sd: float
-    mc_standard_error: float = field(init=False)  # estimate_sd/sqrt(R)
-    standardized_moments: Moments
-    ks_distance: float
+    __slots__ = ("spec", "target", "estimate_mean", "estimate_sd", "mc_standard_error",  # estimate_sd/sqrt(R)
+                 "standardized_moments", "ks_distance")
+    __match_args__ = ("spec", "target", "estimate_mean", "estimate_sd", "standardized_moments", "ks_distance")
 
-    def __post_init__(self) -> None:
-        se = self.estimate_sd / math.sqrt(self.spec.replications)
-        object.__setattr__(self, "mc_standard_error", se)
-        if not 0.0 <= self.ks_distance <= 1.0:
-            raise OutOfRangeError(f"ks_distance must lie in [0,1], got {self.ks_distance!r}")
+    def __init__(self, spec: BatchSpec, target: float, estimate_mean: float, estimate_sd: float,
+                 standardized_moments: Moments, ks_distance: float) -> None:
+        se = estimate_sd / math.sqrt(spec.replications)
+        self._set(spec, target, estimate_mean, estimate_sd, se, standardized_moments, ks_distance)
+        if not 0.0 <= ks_distance <= 1.0:
+            raise OutOfRangeError(f"ks_distance must lie in [0,1], got {ks_distance!r}")
 
     def as_tree(self) -> dict:
         """JSON-compatible tree with all spec fields and statistics."""
         return _tree(self)
 
 
-@dataclass(frozen=True)
-class AcfRow:
+class AcfRow(_Frozen):
     """Empirical vs theoretical autocorrelations at one lag k."""
 
-    k: int
-    y_empirical: float
-    y_theory: float
-    y_mc_se: float
-    xi_empirical: float
-    xi_theory: float
-    xi_mc_se: float
+    __slots__ = __match_args__ = (
+        "k", "y_empirical", "y_theory", "y_mc_se", "xi_empirical", "xi_theory", "xi_mc_se",
+    )
 
 
-@dataclass(frozen=True)
-class AcfTable:
+class AcfTable(_Frozen):
     """Cross-sectional autocorrelation comparison at a fixed time t_obs."""
 
-    spec: BatchSpec
-    t_obs: int
-    rows: tuple[AcfRow, ...]
+    __slots__ = __match_args__ = ("spec", "t_obs", "rows")  # rows: a tuple of AcfRow
 
     def as_tree(self) -> dict:
         """JSON-compatible tree with all spec fields and one dict per row."""
@@ -100,13 +84,18 @@ class AcfTable:
 
 
 def _tree(result: ExperimentSummary | AcfTable) -> dict:
-    # The result's fields in declaration order, nested dataclasses as dicts,
-    # with the spec's params inlined ahead of its other fields and tuples
-    # of rows as lists, as JSON reads them back.
-    tree = asdict(result)
+    # The result's fields in slot order, nested values as dicts and tuples
+    # of rows as lists, as JSON reads them back, with the spec's params
+    # inlined ahead of its other fields.
+    def plain(value: object) -> object:
+        if isinstance(value, _Frozen):
+            return {name: plain(field) for name, field in value._asdict().items()}
+        return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+    tree = plain(result)
     spec = tree["spec"]
-    tree["spec"] = {**spec.pop("params")._asdict(), **spec}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in tree.items()}
+    tree["spec"] = {**spec.pop("params"), **spec}
+    return tree
 
 
 def normal_cdf(x: float) -> float:

@@ -37,8 +37,27 @@ _PATH_CHUNK = 4_096
 class _Frozen:
     # A value whose __slots__ are its fields, each set once by __init__, and
     # whose __match_args__ are __init__'s arguments: equal, hashed and printed
-    # by its fields, and copied and pickled through __init__'s checks.
+    # by its fields, and copied and pickled through __init__'s checks.  A
+    # subclass whose fields are its arguments, with no checks, declares only
+    # __slots__ = __match_args__ = (...).
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # Binds args, then kwargs, to __match_args__, each once, as a def
+        # with those parameters and no defaults would.
+        names = self.__match_args__
+        values = {**dict(zip(names, args)), **kwargs}
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {', '.join(names)}, each once, "
+                f"got {len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+            )
+        self._set(*(values[name] for name in names))
+
+    def _set(self, *values: object) -> None:
+        # Sets the fields, in __slots__ order, to values.
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _asdict(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -60,13 +60,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import NonFiniteError, OutOfRangeError
-from .model import _PATH_CHUNK, ModelParams, _check_variances, _variance_walk
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen, _variance_walk
 
 __all__ = [
     "SamplePath",
@@ -90,8 +89,7 @@ _BLOCK_SIZE = 500
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class SamplePath:
+class SamplePath(_Frozen):
     """One simulated trajectory: levels Y_0..Y_T and innovations xi_1..xi_T.
 
     seed is the seed of the stream that produced the path, or None for paths
@@ -99,22 +97,18 @@ class SamplePath:
     arrays it is given, so later writes to them do not reach it.
     """
 
-    params: ModelParams
-    y: np.ndarray
-    xi: np.ndarray
-    seed: int | None
+    __slots__ = __match_args__ = ("params", "y", "xi", "seed")
 
-    def __post_init__(self) -> None:
-        y, xi = np.array(self.y, dtype=float), np.array(self.xi, dtype=float)
+    def __init__(self, params: ModelParams, y: np.ndarray, xi: np.ndarray, seed: int | None) -> None:
+        y, xi = np.array(y, dtype=float), np.array(xi, dtype=float)
         _check_lengths(y.shape, xi.shape)
-        for _ in _checked_steps(self.params, _path_pieces(y, xi)):
+        for _ in _checked_steps(params, _path_pieces(y, xi)):
             pass
-        if self.seed is not None:
-            _check_seed(self.seed)
+        if seed is not None:
+            _check_seed(seed)
         y.setflags(write=False)
         xi.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "xi", xi)
+        self._set(params, y, xi, seed)
 
     @property
     def horizon(self) -> int:
@@ -184,21 +178,18 @@ def _checked_steps(
         )
 
 
-@dataclass(frozen=True)
-class BatchSpec:
+class BatchSpec(_Frozen):
     """Specification of a Monte Carlo batch of independent paths."""
 
-    params: ModelParams
-    path_length: int
-    replications: int
-    master_seed: int
+    __slots__ = __match_args__ = ("params", "path_length", "replications", "master_seed")
 
-    def __post_init__(self) -> None:
-        if self.path_length < 2:
-            raise OutOfRangeError(f"path_length must be >= 2, got {self.path_length}")
-        if self.replications < 1:
-            raise OutOfRangeError(f"replications must be >= 1, got {self.replications}")
-        _check_seed(self.master_seed)
+    def __init__(self, params: ModelParams, path_length: int, replications: int, master_seed: int) -> None:
+        if path_length < 2:
+            raise OutOfRangeError(f"path_length must be >= 2, got {path_length}")
+        if replications < 1:
+            raise OutOfRangeError(f"replications must be >= 1, got {replications}")
+        _check_seed(master_seed)
+        self._set(params, path_length, replications, master_seed)
 
 
 def _check_seed(seed: int) -> None:
@@ -312,8 +303,7 @@ def simulate_path(params: ModelParams, T: int, seed: int) -> SamplePath:
     y.setflags(write=False)
     xi.setflags(write=False)
     path = object.__new__(SamplePath)  # the kernel's own arrays, without SamplePath's check pass
-    for name, value in (("params", params), ("y", y), ("xi", xi), ("seed", seed)):
-        object.__setattr__(path, name, value)
+    path._set(params, y, xi, seed)
     return path
 
 

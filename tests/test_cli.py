@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -62,26 +61,32 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "experiment")
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--help",),
-            ("limits", "--help"),
-            ("variance-path", "--help"),
-            ("simulate", "--help"),
-            ("estimate", "--help"),
-            ("experiment", "--help"),
-            ("experiment", "consistency", "--help"),
-            ("experiment", "clt", "--help"),
-            ("experiment", "acf", "--help"),
-            ("figure", "vbar", "--help"),
-            ("figure", "bias", "--help"),
-        ],
-    )
+    HELP = [
+        ("--help",),
+        ("limits", "--help"),
+        ("variance-path", "--help"),
+        ("simulate", "--help"),
+        ("estimate", "--help"),
+        ("experiment", "--help"),
+        ("experiment", "consistency", "--help"),
+        ("experiment", "clt", "--help"),
+        ("experiment", "acf", "--help"),
+        ("figure", "vbar", "--help"),
+        ("figure", "bias", "--help"),
+    ]
+
+    @pytest.mark.parametrize("argv", HELP)
     def test_help_exits_cleanly(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "usage" in out.lower()
+
+    @pytest.mark.parametrize("argv", HELP)
+    def test_help_shows_each_default_once_and_never_none(self, capsys, argv):
+        # The help formatter appends each option's default to its help text.
+        _, out, _ = run_cli(capsys, *argv)
+        assert "(default: None)" not in out
+        assert all(line.count("(default:") <= 1 for line in out.splitlines())
 
     def test_main_wrapper(self, capsys):
         assert main(["limits"]) == 0
@@ -576,7 +581,7 @@ class TestReadPathCsv:
 
         def outcome(estimate, infile):
             try:
-                return dataclasses.asdict(estimate(infile, P))
+                return estimate(infile, P)._asdict()
             except Exception as exc:
                 return type(exc), str(exc)
 

@@ -10,11 +10,19 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from digar import (
+    AcfRow,
+    AcfTable,
+    BatchSpec,
     DependenceProfile,
+    EstimateResult,
+    ExperimentSummary,
     ModelParams,
+    Moments,
     NonFiniteError,
     OutOfRangeError,
+    SamplePath,
     dependence_profile,
+    simulate_path,
     stationary_sd,
     variance_sequence,
     vbar_limit,
@@ -24,6 +32,60 @@ from conftest import boundary_params_strategy, fresh_python
 from oracles import variance_sum_form, variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)
+
+_ROW = AcfRow(1, 0.7, 0.71, 0.01, 0.1, 0.11, 0.02)
+_PARAMS_REPR = "ModelParams(phi=0.5, rho=0.3, sigma_xi=1.0)"
+
+# The array-side result types: (type, its arguments in __match_args__
+# order, another valid last argument, its repr).
+RESULTS = [
+    (
+        SamplePath, (P, [0.0, 1.0, 1.5], [1.0, 1.0], None), 5,
+        f"SamplePath(params={_PARAMS_REPR}, y=array([0. , 1. , 1.5]), xi=array([1., 1.]), seed=None)",
+    ),
+    (
+        BatchSpec, (P, 100, 300, 7), 8,
+        f"BatchSpec(params={_PARAMS_REPR}, path_length=100, replications=300, master_seed=7)",
+    ),
+    (
+        EstimateResult, (0.8, 0.25, 3), 4,
+        "EstimateResult(phi_hat=0.8, phi_tilde=0.55, correction=0.25, sample_size=3)",
+    ),
+    (
+        Moments, (0.0, 1.0, 0.0, 0.0), 1.0,
+        "Moments(mean=0.0, variance=1.0, skewness=0.0, excess_kurtosis=0.0)",
+    ),
+    (
+        ExperimentSummary, (BatchSpec(P, 100, 300, 7), 0.5, 0.51, 0.5, Moments(0.0, 1.0, 0.0, 0.0), 0.02), 0.03,
+        f"ExperimentSummary(spec=BatchSpec(params={_PARAMS_REPR}, path_length=100, replications=300, "
+        "master_seed=7), target=0.5, estimate_mean=0.51, estimate_sd=0.5, "
+        "mc_standard_error=0.028867513459481284, "
+        "standardized_moments=Moments(mean=0.0, variance=1.0, skewness=0.0, excess_kurtosis=0.0), ks_distance=0.02)",
+    ),
+    (
+        AcfRow, (1, 0.7, 0.71, 0.01, 0.1, 0.11, 0.02), 0.03,
+        "AcfRow(k=1, y_empirical=0.7, y_theory=0.71, y_mc_se=0.01, xi_empirical=0.1, xi_theory=0.11, xi_mc_se=0.02)",
+    ),
+    (
+        AcfTable, (BatchSpec(P, 250, 30, 7), 200, (_ROW,)), (),
+        f"AcfTable(spec=BatchSpec(params={_PARAMS_REPR}, path_length=250, replications=30, master_seed=7), "
+        "t_obs=200, rows=(AcfRow(k=1, y_empirical=0.7, y_theory=0.71, y_mc_se=0.01, xi_empirical=0.1, "
+        "xi_theory=0.11, xi_mc_se=0.02),))",
+    ),
+]
+_IDS = [cls.__name__ for cls, *_ in RESULTS]
+_DUPLICATES = [copy.copy, copy.deepcopy] + [
+    lambda x, n=n: pickle.loads(pickle.dumps(x, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+def _forge(cls, *fields):
+    # A value of cls holding these fields, made without its constructor's
+    # checks, as simulate_path makes its paths.
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, fields):
+        object.__setattr__(value, name, field)
+    return value
 
 # outcomes() builds ModelParams with numpy scalars as sigma_xi, each stored
 # as a float, and with other types as phi, each refused: [type name, value]
@@ -353,11 +415,7 @@ class TestFrozenValues:
             delattr(self.PROFILE, name)
         assert getattr(self.PROFILE, name) == before
 
-    @pytest.mark.parametrize(
-        "duplicate",
-        [copy.copy, copy.deepcopy]
-        + [lambda x, n=n: pickle.loads(pickle.dumps(x, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)],
-    )
+    @pytest.mark.parametrize("duplicate", _DUPLICATES)
     def test_copies_round_trip_equal(self, duplicate):
         for value in (P, self.PROFILE):
             again = duplicate(value)
@@ -371,3 +429,79 @@ class TestFrozenValues:
 
         with pytest.raises(OutOfRangeError, match=r"\|phi\| < 1 required, got phi=2\.0"):
             pickle.loads(pickle.dumps(Forged()))
+
+    @pytest.mark.parametrize("cls, args, _, text", RESULTS, ids=_IDS)
+    def test_result_reprs(self, cls, args, _, text):
+        assert repr(cls(*args)) == text
+
+    def test_simulated_path_as_built(self):
+        # simulate_path skips SamplePath's checks, not its fields.
+        path = simulate_path(P, 3, 4)
+        assert repr(path) == repr(SamplePath(path.params, path.y, path.xi, path.seed))
+        assert not path.y.flags.writeable and not path.xi.flags.writeable
+
+    @pytest.mark.parametrize("cls, args, _, text", RESULTS, ids=_IDS)
+    def test_result_built_by_position_or_keyword(self, cls, args, _, text):
+        names = cls.__match_args__
+        assert len(names) == len(args)
+        assert repr(cls(**dict(zip(names, args)))) == text
+        assert repr(cls(*args[:1], **dict(zip(names[1:], args[1:])))) == text
+
+    @pytest.mark.parametrize("cls, args, _, text", RESULTS, ids=_IDS)
+    def test_result_refuses_missing_or_extra_arguments(self, cls, args, _, text):
+        names = cls.__match_args__
+        for call in (
+            lambda: cls(*args[:-1]),  # missing
+            lambda: cls(**dict(zip(names[1:], args[1:]))),  # missing the first
+            lambda: cls(*args, args[-1]),  # one too many
+            lambda: cls(*args, other=1),  # unknown
+            lambda: cls(*args, **{names[0]: args[0]}),  # twice
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("cls, args, _, text", RESULTS, ids=_IDS)
+    def test_result_fields_read_only(self, cls, args, _, text):
+        value = cls(*args)
+        for name in (*cls.__slots__, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 0.1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("cls, args, last, text", RESULTS[1:], ids=_IDS[1:])
+    def test_result_equal_and_hashed_by_type_and_fields(self, cls, args, last, text):
+        value, twin, other = cls(*args), cls(*args), cls(*args[:-1], last)
+        fields = tuple(getattr(value, name) for name in cls.__slots__)
+        assert value == twin and hash(value) == hash(twin) == hash(fields)
+        assert value != other and len({value, twin, other}) == 2
+        twin_type = type("Twin", (cls,), {"__slots__": ()})
+        assert value != fields and value != twin_type(*args)
+
+    def test_path_equal_by_its_fields_and_unhashable(self):
+        # Its arrays have no truth value and no hash, as numpy has it.
+        path = SamplePath(*RESULTS[0][1])
+        assert path == path and path != P
+        assert path == _forge(SamplePath, path.params, path.y, path.xi, path.seed)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(path)
+
+    @pytest.mark.parametrize("duplicate", _DUPLICATES)
+    @pytest.mark.parametrize("cls, args, _, text", RESULTS, ids=_IDS)
+    def test_result_copies_round_trip_equal(self, cls, args, _, text, duplicate):
+        again = duplicate(cls(*args))
+        assert type(again) is cls and repr(again) == text
+        if cls is SamplePath:
+            assert not again.y.flags.writeable and not again.xi.flags.writeable
+        else:
+            assert again == cls(*args)
+
+    @pytest.mark.parametrize("duplicate", _DUPLICATES)
+    def test_forged_results_refused_on_load(self, duplicate):
+        # Copies and pickles go through the checking constructor.
+        with pytest.raises(OutOfRangeError, match="replications must be >= 1, got 0"):
+            duplicate(_forge(BatchSpec, P, 100, 0, 7))
+        broken = _forge(SamplePath, P, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]), None)
+        with pytest.raises(OutOfRangeError, match=r"path violates y\[t\] = phi\*y\[t-1\] \+ xi\[t\]"):
+            duplicate(broken)

@@ -41,16 +41,31 @@ def test_import_loads_no_numpy_and_leaves_environ():
     assert json.loads(fresh_python("-c", code)) == [False, True]
 
 
-@pytest.mark.parametrize("argv", [["limits"], ["figure", "vbar"]])
-def test_limits_and_figure_start_light(argv):
-    # Their work is float arithmetic, so they load none of these modules
-    # beyond those a bare interpreter already holds (a site may load some).
+def _modules_added(argv):
+    # The modules `main(argv)` loads in a fresh interpreter beyond those a
+    # bare one already holds (a site may load some).
     listing = "import sys; print(); print(' '.join(sorted(sys.modules)))"
     bare = set(fresh_python("-c", listing).split())
     run = fresh_python("-c", f"from digar.cli import main; main({argv!r}); {listing}")
-    added = set(run.splitlines()[-1].split()) - bare
+    return set(run.splitlines()[-1].split()) - bare
+
+
+@pytest.mark.parametrize("argv", [["limits"], ["figure", "vbar"]])
+def test_limits_and_figure_start_light(argv):
+    # Their work is float arithmetic, so they load none of these modules.
+    added = _modules_added(argv)
     assert added.isdisjoint({b"dataclasses", b"inspect", b"numpy", b"json", b"csv"}), added
     assert b"digar.cli" in added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "-T", "200"], ["experiment", "consistency", "-T", "100"], ["simulate", "-T", "50", "--format", "json"]],
+)
+def test_array_commands_load_no_dataclasses(argv):
+    # Every value of the package is a slotted model._Frozen.
+    added = _modules_added(argv)
+    assert b"dataclasses" not in added and b"numpy" in added, added
 
 
 def test_star_import_and_dir_in_a_fresh_interpreter():
