@@ -34,9 +34,13 @@ Row r's stream is normal_stream(mix_seed(master_seed, r)): a PCG64 whose
 seed (_pcg64_states), not numpy's integer seeding; each PCG64 is built
 from a fixed SeedSequence(0), so none draws OS entropy, before its state
 is set.  A batch block holds two chunk buffers of _CHUNK steps by its
-rows, the draws (then scratch for the sums) and the levels, in which each
-step makes xi_t and then Y_t over it, and sets its rows' states as they
-are made in one numpy pass.
+rows: the draw buffer holds the draws, then the chunk's xi_t at the
+steps a window keeps, then scratch for the sums; the other holds the
+levels, in which each other step makes xi_t before Y_t.  The block sets
+its rows' states as they are made in one numpy pass.  Both kernels walk
+every step with one body, which makes xi_t and then Y_t: step 1 is the
+common step with slope -0.0 and noise sd sigma_xi, since
+-0.0*Y_0 + sigma_xi*eps_1 is sigma_xi*eps_1, sign of zero included.
 
 Work in n pieces goes through one worker protocol, _chunk_map, in W
 processes: the CPUs in os.sched_getaffinity(0), at most n, but 1 where
@@ -324,21 +328,16 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
         level = 0.0  # Y_0
         for t0 in range(1, T + 1, _PATH_CHUNK):  # steps t = t0 .. t1-1
             t1 = min(t0 + _PATH_CHUNK, T + 1)
+            j0 = int(t0 == 1)  # V_{t-1} starts at t = 2
             eps = stream.standard_normal(t1 - t0)
+            noise = cond_sd * eps
+            noise[:j0] = params.sigma_xi * eps[:j0]  # step 1's noise sd; its slope is -0.0
+            v = next_v(t1 - t0 - j0)  # V_{t-1} of steps t = t0+j0 .. t1-1
+            slope = [-0.0] * j0 + (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             ys: list[float] = []
             xs: list[float] = []
-            first = t0
-            if t0 == 1:
-                x = params.sigma_xi * float(eps[0])  # xi_1 = sigma_xi*eps_1
-                level = phi * level + x
-                xs.append(x)
-                ys.append(level)
-                first = 2
-            noise = (cond_sd * eps[first - t0 :]).tolist()
-            v = next_v(t1 - first)  # V_{t-1} of steps t = first .. t1-1
-            slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             y_append, x_append = ys.append, xs.append
-            for s, e in zip(slope, noise):
+            for s, e in zip(slope, noise.tolist()):
                 x = s * level + e
                 x_append(x)
                 level = phi * level + x
@@ -357,28 +356,31 @@ def _block_writer(
     # chunks of _CHUNK steps with the rows contiguous at each step, each
     # row's normals drawn chunk by chunk from its own stream and V_{t-1}
     # chunk by chunk from the block's own walk of V_t.  Every operation is
-    # elementwise, so each row's arithmetic is simulate_path's.
+    # elementwise, so each row's arithmetic is simulate_path's, step 1 too:
+    # the common step with slope -0.0 and noise sd sigma_xi, as in _walk.
     #
     # keep=(lo, hi), 1 <= lo < hi, writes Y_t and xi_t for lo <= t < hi into
     # out[0] and out[1], (R, hi-lo) each, and the walk stops at the last
     # kept step.  Without keep it writes into out, (3, R), the sums over
     # t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each
-    # accumulated in time order, as np.cumsum adds.  The two chunk buffers,
-    # the draws and the levels, are allocated once, and a shorter last
-    # block uses prefixes of them.  Each step makes xi_t in the row of Y_t,
-    # copies it out only at a kept step, then makes Y_t over it: the same
-    # two roundings as simulate_path, since IEEE addition commutes.
+    # accumulated in time order, as np.cumsum adds.  The two chunk buffers
+    # are allocated once, and a shorter last block uses prefixes of them.
+    # The levels' buffer takes each step's noise, then its Y_t.  The draw
+    # buffer holds the chunk's draws, then, once they are in the levels,
+    # xi_t of a kept step t0+j in row j, copied out once per chunk, then
+    # scratch for the sums.  Each step makes xi_t, there at a kept step and
+    # in the row of Y_t at any other, then Y_t: the same two roundings as
+    # simulate_path, since IEEE addition commutes.
     params = spec.params
     T = spec.path_length
     rs = params.rho * params.sigma_xi
     cond_sd = params.sigma_xi * math.sqrt(1.0 - params.rho * params.rho)  # as in _walk
     phi = params.phi
-    sig = params.sigma_xi
     lo, hi = keep or (T + 1, T + 1)  # without keep, no step is kept
     last = min(T, hi - 1)
     c = min(_CHUNK, last)
     width = min(_BLOCK_SIZE, spec.replications)
-    raw_buf = np.empty(width * c)  # the chunk's draws, then scratch for the sums
+    raw_buf = np.empty(width * c)  # the chunk's draws, then its kept xi_t, then scratch for the sums
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
     seq = np.random.SeedSequence(0)  # seeds the holders without OS entropy; their states are set per block
@@ -395,10 +397,12 @@ def _block_writer(
         streams = gens[:n]
         raw = raw_buf[: n * c]
         eps = raw.reshape(n, c)
+        xi = raw.reshape(c, n)  # once the draws are in y, row j is xi_t of a kept step t0+j
         y = y_buf[: (c + 1) * n].reshape(c + 1, n)
         tmp = tmp_buf[:n]
         y[0] = 0.0
         eps_rows = list(eps)
+        xi_rows = list(xi)
         y_rows = list(y)
         rows = out[:, start : start + n]  # the sums, or the window's Y_t and xi_t
         if keep is None:
@@ -406,35 +410,28 @@ def _block_writer(
         next_v = _variance_walk(params)
         for t0 in range(1, last + 1, c):
             m = min(c, last + 1 - t0)  # steps t = t0 .. t0+m-1; y[j+1] is step t0+j
+            j0 = int(t0 == 1)  # V_{t-1} and the sums start at t = 2
             draws = eps_rows if m == c else [row[:m] for row in eps_rows]
             for row, stream in zip(draws, streams):
                 stream.standard_normal(out=row)
-            mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # cond_sd*eps_t, made into xi_t below
-            # out's column for xi_t at the kept steps
-            outs = [rows[1, :, t - lo] if lo <= t < hi else None for t in range(t0, t0 + m)]
-            j0 = 0
-            if t0 == 1:
-                mul(eps[:, 0], sig, out=y[1])  # xi_1 = sigma_xi*eps_1
-                if outs[0] is not None:
-                    outs[0][...] = y[1]
-                mul(y[0], phi, tmp)
-                add(tmp, y[1], y[1])
-                j0 = 1
+            mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # the noise of xi_t, as in _walk
+            mul(eps[:, :j0].T, params.sigma_xi, out=y[1 : 1 + j0])
             v = next_v(m - j0)  # V_{t-1} of steps t = t0+j0 .. t0+m-1
-            slope = (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
-            for lag, lead, s, col in zip(y_rows[j0:m], y_rows[j0 + 1 : m + 1], slope, outs[j0:]):
-                mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + cond_sd*eps_t
-                add(tmp, lead, lead)
-                if col is not None:
-                    col[...] = lead
-                mul(lag, phi, tmp)  # Y_t = phi*Y_{t-1} + xi_t
-                add(tmp, lead, lead)
-            if keep is None and m > j0:  # the sums start at t = 2
-                terms = raw[: (m - j0) * n].reshape(m - j0, n)
-                _add_sums(rows, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
+            slope = [-0.0] * j0 + (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             a, b = max(lo, t0), min(hi, t0 + m)  # the kept steps of the chunk
+            xs = y_rows[1 : m + 1]  # the row each step makes xi_t in: that of Y_t,
+            xs[a - t0 : b - t0] = xi_rows[a - t0 : b - t0]  # or row j of xi at kept step t0+j
+            for lag, lead, x, s in zip(y_rows, y_rows[1 : m + 1], xs, slope):
+                mul(lag, s, tmp)  # xi_t = (rho*sigma_xi/V_{t-1})*Y_{t-1} + noise
+                add(tmp, lead, x)
+                mul(lag, phi, tmp)  # Y_t = phi*Y_{t-1} + xi_t
+                add(tmp, x, lead)
             if a < b:
                 rows[0, :, a - lo : b - lo] = y[a - t0 + 1 : b - t0 + 1].T
+                rows[1, :, a - lo : b - lo] = xi[a - t0 : b - t0].T
+            if keep is None and m > j0:
+                terms = raw[: (m - j0) * n].reshape(m - j0, n)
+                _add_sums(rows, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
             y[0] = y[m]
         return b"\1"
 

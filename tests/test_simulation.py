@@ -366,6 +366,26 @@ class TestBatch:
             assert np.array_equal(y[r], solo.y[1:])
             assert np.array_equal(xi[r], solo.xi)
 
+    @pytest.mark.parametrize("phi", [0.5, -0.5])
+    @pytest.mark.parametrize("rho", [0.3, -0.3])
+    def test_step_one_keeps_the_sign_of_zero(self, phi, rho):
+        # Both kernels make xi_1 as the common step with slope -0.0 and
+        # noise sd sigma_xi: -0.0*Y_0 + sigma_xi*eps_1 is sigma_xi*eps_1,
+        # also where that product underflows to -0.0, as it does at sigma_xi
+        # = 5e-324 in 10 of these 40 rows.  Y_1 = phi*Y_0 + xi_1 is -0.0
+        # there only where phi < 0.  The window stops at step 1, so V_2,
+        # which underflows to 0, is never walked.
+        p = ModelParams(phi, rho, 5e-324)
+        out = np.empty((2, 40, 1))
+        _block_writer(BatchSpec(p, 2, 40, 9), out, keep=(1, 2))(0)
+        ys, xs = out[:, :, 0]
+        assert np.count_nonzero((xs == 0.0) & np.signbit(xs)) == 10
+        assert np.count_nonzero((ys == 0.0) & np.signbit(ys)) == (10 if phi < 0 else 0)
+        for r in range(40):
+            solo = simulate_path(p, 1, mix_seed(9, r))
+            assert out[0, r].tobytes() == solo.y[1:].tobytes()
+            assert out[1, r].tobytes() == solo.xi.tobytes()
+
     def test_batch_deterministic(self):
         # The second spec spans two full blocks and a shorter last one.
         for spec in (BatchSpec(P, 20, 7, 31), BatchSpec(P, 10, 1300, 5150)):
