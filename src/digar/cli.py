@@ -16,9 +16,9 @@ variance-path, simulate, estimate and experiment compute with arrays, and
 each starts by loading numpy and the array modules (estimation,
 experiments, simulation) through _load_arrays.  numpy loads there with
 one OpenBLAS thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set or numpy is already loaded: the commands' only BLAS
-call is a 2 x R np.corrcoef, and idle OpenBLAS workers spin about 0.1 s of
-CPU per process.  The variable is removed again, so child processes
+OMP_NUM_THREADS is set or numpy is already loaded: the commands make no
+BLAS call, and a process is forked (simulation._chunk_map) only while it
+runs one thread.  The variable is removed again, so child processes
 inherit nothing.
 
 simulate (csv), variance-path and estimate --in stream their rows chunk

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import platform
+import re
 import signal
 import subprocess
 import sys
@@ -781,21 +783,25 @@ class TestExperimentCli:
 # row's PCG64 state and increment came straight from four SplitMix64
 # outputs of its seed, in place of numpy's integer seeding, which moved
 # every random byte.  1203 replications cross two block edges and end in
-# a partial block.
+# a partial block.  Five were recorded again when the acf correlations
+# became sums of elementwise products, not np.corrcoef's BLAS product, and
+# the third and fourth moments products, not np.power: every acf digest
+# (y_empirical, y_mc_se, xi_empirical and xi_mc_se moved in their last
+# digits) and those of seed 0's consistency and clt (one skewness each).
 GOLDEN_RUNS = {
     "consistency": ("experiment", "consistency", "-T", "100", "-R", "1203"),
     "acf": ("experiment", "acf", "-T", "210", "-R", "1203", "--t-obs", "200"),
     "clt": ("experiment", "clt", "-T", "5000", "-R", "1000"),
 }
 GOLDEN_SHA256 = {
-    (0, "consistency"): "b679658051d05c2b4ad4ecd905be07331d2667caf1479d423c3d687c5c1080a5",
-    (0, "acf"): "5cebff367f739cf8e0002df46ff2d34e4186761dfb82d73dff9488112071a289",
-    (0, "clt"): "052a8f49ceb75bfcc44d305693ae33770bb6ad5a900062307f52744b426d1ba5",
+    (0, "consistency"): "30bf7a5cdf5b009d63efd8ffa39e8eb72d1a2d48ec1b72aa1e4dd599fbb7cb5e",
+    (0, "acf"): "7eebe8c58826fa75e2493394eb30669e1ab3f67ab7e8c77e6da2971be9bd6666",
+    (0, "clt"): "e305b8347cff714a9715547efdabf65f36ca21c229200d91d966e63a0fcfca26",
     (12345, "consistency"): "c6fbe4ba66263bc00ad87c296f95a3c8b87bfac36b2aca44cc758de42585d213",
-    (12345, "acf"): "164c3b594df16804c1f0a0ad797c9dfa86c2e1409bb6f590f002224cab86d309",
+    (12345, "acf"): "2c66580c498c9ee35b11c8f0f3395755907ec881ba8770472d30585b1db01ff1",
     (12345, "clt"): "5696dda54578803351b5a1a2bde1e667fb005d4daa7dbd46cd1a77fac53512cd",
     ((1 << 64) - 1, "consistency"): "178f8d8959966f4ec1697f2e215091eeb53c1dc4f53b39bd00e4d0015ffbf10f",
-    ((1 << 64) - 1, "acf"): "ec6a7706692e55f1e84efe1cd441e8dd9d1f7945e0bf657dd39d949cb43ad7a1",
+    ((1 << 64) - 1, "acf"): "fa1e85f4a7e8df0d0d8ec7652e9150f744617855f27ba01091d0d80f2fc40bec",
     ((1 << 64) - 1, "clt"): "12635e855f323080b37e11684de157f09bbb3b1371aa6ed4b5999ac33a6edc24",
 }
 
@@ -830,6 +836,18 @@ def golden_digest(capsys, seed, kind):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
+def _golden_runs(env=None):
+    # [exit status, stdout, stderr] of each of GOLDEN_RUNS at seed 12345,
+    # run in one fresh process with env added to its environment.
+    argvs = [[*GOLDEN_RUNS[kind], "--seed", "12345"] for kind in sorted(GOLDEN_RUNS)]
+    return [run for run, _, _ in json.loads(fresh_python("-c", _CLI_RUNS, json.dumps(argvs), env=env))[1:]]
+
+
+@pytest.fixture(scope="module")
+def golden_default():
+    return _golden_runs()
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("seed, kind", sorted(GOLDEN_SHA256))
     def test_experiment_bytes_unchanged(self, capsys, seed, kind):
@@ -841,6 +859,26 @@ class TestGoldenBytes:
         # digar.cli loads numpy itself, with one OpenBLAS thread.
         out = fresh_python("-m", "digar.cli", *GOLDEN_RUNS[kind], "--seed", "12345")
         assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[12345, kind]
+
+    @pytest.mark.parametrize("variant", ["openblas_coretype", "numpy_targets_off"])
+    def test_bytes_do_not_depend_on_cpu_kernels(self, golden_default, variant):
+        # OpenBLAS picks its kernels, and numpy its SIMD loops, by CPU at run
+        # time; each picks another under an environment variable that acts
+        # on the process it is given to.  Prescott's kernels run on every
+        # x86-64 CPU.  numpy's found targets are those its build dispatches
+        # to on this CPU, and turning them all off turns off the highest.
+        if variant == "openblas_coretype":
+            if platform.machine().lower() not in ("x86_64", "amd64"):
+                pytest.skip("OpenBLAS core types are named here for x86-64")
+            env = {"OPENBLAS_CORETYPE": "Prescott"}
+        else:
+            runtime = fresh_python("-c", "import numpy; numpy.show_runtime()").decode()
+            found = re.search(r"'found': \[([^\]]*)\]", runtime)
+            targets = re.findall(r"'(\w+)'", found.group(1)) if found else []
+            if not targets:
+                pytest.skip("numpy found no dispatch target on this CPU")
+            env = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+        assert _golden_runs(env) == golden_default
 
     @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS))
     def test_output_bytes_unchanged(self, capsys, tmp_path, argv):
