@@ -629,22 +629,33 @@ class TestReadPathCsv:
             pytest.param(1_000_000, True, id="1000000-crlf"),
         ],
     )
-    def test_memory_does_not_grow_with_horizon(self, tmp_path, T, crlf):
-        # A few copies of one read chunk and its sums' buffers, 0.44 MiB
-        # at either T; reading the path whole and then summing a (T-1, 3)
-        # array of its terms peaked at 46.7 MiB at T = 1e6.  A CRLF copy
-        # goes through the row loop from its first row to its last.
-        path_file = tmp_path / "path.csv"
-        assert main(["simulate", "-T", str(T), "--out", str(path_file)]) == 0
-        if crlf:
-            path_file.write_bytes(path_file.read_bytes().replace(b"\n", b"\r\n"))
-        tracemalloc.start()
-        try:
-            cli._estimate_csv(str(path_file), P)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+    def test_memory_does_not_grow_with_horizon(self, path_file, T, crlf):
+        # estimate --in holds a few copies of one read chunk and its sums'
+        # buffers: from T = 1e3 to 1e6 its peak RSS grew 0.2 MiB plain and
+        # 0.5 MiB CRLF on a 2-core Linux host with numpy 2.4; reading the
+        # file whole in one piece grew it 355 and 337 MiB.  A CRLF copy goes
+        # through the row loop from its first row to its last.  The process
+        # is measured from outside, as tracing its allocations would make
+        # each of the row loop's Python objects costly.
+        argv = ("-m", "digar.cli", "estimate", "--in")
+        assert peak_rss(*argv, path_file(T, crlf)) - peak_rss(*argv, path_file(1_000, crlf)) < 4 << 20
+
+    @pytest.fixture(scope="class")
+    def path_file(self, tmp_path_factory):
+        # path_file(T, crlf) names simulate's path file at T, with CRLF line
+        # ends if crlf, written once for the class.
+        root = tmp_path_factory.mktemp("paths")
+
+        def named(T, crlf):
+            path = root / f"path{T}{'-crlf' * crlf}.csv"
+            if not path.exists():
+                if crlf:
+                    path.write_bytes(Path(named(T, False)).read_bytes().replace(b"\n", b"\r\n"))
+                else:
+                    assert main(["simulate", "-T", str(T), "--out", str(path)]) == 0
+            return str(path)
+
+        return named
 
 
 class TestSinglePathRoute:
