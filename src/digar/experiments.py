@@ -127,11 +127,10 @@ def ks_distance(sample: Sequence[float]) -> float:
 
 def _moments(sample: np.ndarray) -> Moments:
     mean = float(np.mean(sample))
-    centered = sample - mean
-    sq = centered * centered  # products, since np.power's SIMD loops round by CPU
-    m2 = float(np.mean(sq))
-    m3 = float(np.mean(sq * centered))
-    m4 = float(np.mean(sq * sq))
+    c = sample - mean  # powers as products, since np.power's SIMD loops round by CPU
+    m2 = float(np.mean(c * c))
+    m3 = float(np.mean(c * c * c))
+    m4 = float(np.mean((c * c) * (c * c)))
     if m2 <= 0.0:
         raise DegenerateDenominatorError("sample has zero variance")
     return Moments(
@@ -207,11 +206,9 @@ def run_clt_experiment(spec: BatchSpec) -> ExperimentSummary:
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> float:
-    # Pearson's r, as np.corrcoef gives it, from centred columns by
-    # elementwise products and numpy's pairwise sums: no BLAS call, whose
-    # kernel, and so its order of additions, OpenBLAS picks by CPU.
-    a = a - np.mean(a)
-    b = b - np.mean(b)
+    # Pearson's r, as np.corrcoef gives it, by elementwise products and pairwise
+    # sums, not a BLAS product, whose order of additions OpenBLAS picks by CPU.
+    a, b = a - np.mean(a), b - np.mean(b)
     r = np.add.reduce(a * b) / np.sqrt(np.add.reduce(a * a)) / np.sqrt(np.add.reduce(b * b))
     return float(np.clip(r, -1.0, 1.0))
 

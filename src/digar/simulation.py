@@ -34,13 +34,12 @@ Row r's stream is normal_stream(mix_seed(master_seed, r)): a PCG64 whose
 seed (_pcg64_states), not numpy's integer seeding; each PCG64 is built
 from a fixed SeedSequence(0), so none draws OS entropy, before its state
 is set.  A batch block holds two chunk buffers of _CHUNK steps by its
-rows: the draw buffer holds the draws, then the chunk's xi_t at the
-steps a window keeps, then scratch for the sums; the other holds the
-levels, in which each other step makes xi_t before Y_t.  The block sets
-its rows' states as they are made in one numpy pass.  Both kernels walk
-every step with one body, which makes xi_t and then Y_t: step 1 is the
-common step with slope -0.0 and noise sd sigma_xi, since
--0.0*Y_0 + sigma_xi*eps_1 is sigma_xi*eps_1, sign of zero included.
+rows, the draws (then xi_t at the steps a window keeps, then scratch for
+the sums) and the levels, in which each other step makes xi_t before
+Y_t, and sets its rows' states as they are made in one numpy pass.  Both
+kernels walk every step with one body: step 1 is the common step with
+slope -0.0 and noise sd sigma_xi, since -0.0*Y_0 + sigma_xi*eps_1 is
+sigma_xi*eps_1, sign of zero included.
 
 Work in n pieces goes through one worker protocol, _chunk_map, in W
 processes: the CPUs in os.sched_getaffinity(0), at most n, but 1 where
@@ -365,12 +364,10 @@ def _block_writer(
     # t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each
     # accumulated in time order, as np.cumsum adds.  The two chunk buffers
     # are allocated once, and a shorter last block uses prefixes of them.
-    # The levels' buffer takes each step's noise, then its Y_t.  The draw
-    # buffer holds the chunk's draws, then, once they are in the levels,
-    # xi_t of a kept step t0+j in row j, copied out once per chunk, then
-    # scratch for the sums.  Each step makes xi_t, there at a kept step and
-    # in the row of Y_t at any other, then Y_t: the same two roundings as
-    # simulate_path, since IEEE addition commutes.
+    # Each step makes xi_t from its noise in the row of Y_t, or at a kept
+    # step t0+j in row j of the draws, which are then in the levels, and
+    # copies out once per chunk; then it makes Y_t: the same two roundings
+    # as simulate_path, since IEEE addition commutes.
     params = spec.params
     T = spec.path_length
     rs = params.rho * params.sigma_xi

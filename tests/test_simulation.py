@@ -462,8 +462,8 @@ class TestKernelChunking:
     @pytest.mark.parametrize("chunk", [1, 2, 7, 256])
     @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 31), (2, 9)])
     def test_windows_at_the_start_match_single_paths(self, monkeypatch, chunk, lo, hi):
-        # xi_1 = sigma_xi*eps_1 is made apart from the later steps, in the
-        # row where Y_1 then overwrites it; a window from t = 1 keeps it.
+        # Step 1 is the common step with slope -0.0, and a window from
+        # t = 1 keeps its xi_1 = sigma_xi*eps_1.
         for p in (P, MOVING):
             spec = BatchSpec(p, 30, 3, 17)
             y, xi = self._chunked(monkeypatch, chunk, spec, keep=(lo, hi))
@@ -474,9 +474,9 @@ class TestKernelChunking:
 
 
 class TestKernelMemory:
-    """A block holds two chunk buffers, the draws and the levels, in which
-    each xi_t is made, and writes its rows into the caller's out; the seed
-    states are set as they are computed."""
+    """A block holds two chunk buffers, the draws, in which a kept xi_t is
+    made, and the levels, in which any other is made, and writes its rows
+    into the caller's out; the seed states are set as they are computed."""
 
     @pytest.mark.parametrize("keep", [None, (200, 205)])
     def test_block_peak_below_three_chunk_buffers(self, keep):
