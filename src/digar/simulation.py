@@ -411,8 +411,8 @@ def _block_writer(
             draws = eps_rows if m == c else [row[:m] for row in eps_rows]
             for row, stream in zip(draws, streams):
                 stream.standard_normal(out=row)
-            mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # the noise of xi_t, as in _walk
-            mul(eps[:, :j0].T, params.sigma_xi, out=y[1 : 1 + j0])
+            mul(eps[:, :m].T, cond_sd, out=y[1 : m + 1])  # the noise of xi_t, as in _walk,
+            mul(eps[:, :j0].T, params.sigma_xi, out=y[1 : 1 + j0])  # of sd sigma_xi at step 1
             v = next_v(m - j0)  # V_{t-1} of steps t = t0+j0 .. t0+m-1
             slope = [-0.0] * j0 + (rs / v).tolist()  # rho*sigma_xi/V_{t-1}
             a, b = max(lo, t0), min(hi, t0 + m)  # the kept steps of the chunk
