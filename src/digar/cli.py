@@ -18,8 +18,9 @@ experiments, simulation) through _load_arrays.  numpy loads there with
 one OpenBLAS thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS is set or numpy is already loaded: the commands make no
 BLAS call, and a process is forked (simulation._chunk_map) only while it
-runs one thread.  The variable is removed again, so child processes
-inherit nothing.
+runs one thread.  A caller's variable is kept: above 1, OpenBLAS starts
+its threads, and the command then runs in one process.  The variable set
+here is removed again, so child processes inherit nothing.
 
 simulate (csv), variance-path and estimate --in stream their rows chunk
 by chunk, and a process with one thread spreads the chunks over W

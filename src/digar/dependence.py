@@ -8,8 +8,8 @@ the asymptotic standard deviation eta_bar of the corrected estimator, the
 geometric decay bound eta_hat, and the figure curves: vbar_curve and
 bias_curve, rows (phi, rho, vbar) and (phi, rho, bias) over a (phi, rho)
 grid, which `digar figure` takes as DEFAULT_PHI_GRID by DEFAULT_RHO_GRID
-unless told otherwise.  Only tau_lag_k, through variance_sequence, loads
-numpy.  tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat are
+unless told otherwise.  Only tau_lag_k, which walks V_t, loads numpy.
+tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat are
 scale-free and run at sigma_xi's binary mantissa, for any sigma_xi > 0.
 
 eta_hat = sup_t |tau_{t,t+1}| comes from a short walk of the variance map
@@ -31,7 +31,7 @@ import math
 from typing import Callable, Sequence
 
 from .errors import OutOfRangeError
-from .model import ModelParams, _Frozen, variance_sequence, vbar_limit
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen, vbar_limit
 
 __all__ = [
     "DependenceProfile",
@@ -105,10 +105,13 @@ def tau_lag_k(params: ModelParams, t: int, k: int) -> float:
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
     params = _unit_scale(params)
-    v = variance_sequence(params, t + k)
+    next_v = _check_variances(params, t + k)  # variance_sequence's refusals of V_1..V_{t+k}
+    for lo in range(1, t, _PATH_CHUNK):  # V_1..V_{t-1}, walked in pieces and dropped
+        next_v(min(_PATH_CHUNK, t - lo))
+    v = next_v(k + 1)  # V_t..V_{t+k}
     out = 1.0
-    for s in range(t, t + k):
-        out *= (params.phi * v[s - 1] + params.rho * params.sigma_xi) / v[s]
+    for i in range(k):
+        out *= (params.phi * v[i] + params.rho * params.sigma_xi) / v[i + 1]
     return out
 
 

@@ -49,14 +49,14 @@ one or one of W - 1 forked workers, each of which sends its results on its
 own pipe, leaves by os._exit and stops once its parent is gone.  The
 calling process does every piece whose result never arrived and reaps
 every worker, killed first where it raised, so the bytes do not depend on
-W.  A batch's pieces are its blocks, each writing its rows straight into
-the batch's arrays on an anonymous shared mapping, which the batch
-returns, so nothing is pickled.  V_1..V_T is checked before any fork, and
-the slopes are refused once, in the calling process, from the returned
-sums.  The CLI's single-path commands share out the chunks of a path, a
-variance walk or a path file: every process walks them all, or opens the
-file and reads it all, and does the costly step (formatting or parsing)
-of its own.
+W.  A batch's pieces are its blocks, each of which returns its rows as
+bytes, which the calling process copies into the batch's arrays, so
+nothing is pickled and no process writes memory another reads.  V_1..V_T
+is checked before any fork, and the slopes are refused once, in the
+calling process, from the returned sums.  The CLI's single-path commands
+share out the chunks of a path, a variance walk or a path file: every
+process walks them all, or opens the file and reads it all, and does the
+costly step (formatting or parsing) of its own.
 """
 
 from __future__ import annotations
@@ -346,28 +346,26 @@ def _walk(params: ModelParams, T: int, seed: int) -> Iterator[tuple[list[float],
     return chunks()
 
 
-def _block_writer(
-    spec: BatchSpec, out: np.ndarray, keep: tuple[int, int] | None = None
-) -> Callable[[int], bytes]:
-    # write(block), which writes that block of replications, _BLOCK_SIZE
-    # rows per block, into its own rows of out and returns b"\1", once the
-    # caller has checked V_1..V_T.  Each block is walked time-major: time in
-    # chunks of _CHUNK steps with the rows contiguous at each step, each
-    # row's normals drawn chunk by chunk from its own stream and V_{t-1}
-    # chunk by chunk from the block's own walk of V_t.  Every operation is
-    # elementwise, so each row's arithmetic is simulate_path's, step 1 too:
-    # the common step with slope -0.0 and noise sd sigma_xi, as in _walk.
+def _block_writer(spec: BatchSpec, keep: tuple[int, int] | None = None) -> Callable[[int], bytes]:
+    # write(block), which returns the rows of that block of replications,
+    # _BLOCK_SIZE rows per block, as bytes, once the caller has checked
+    # V_1..V_T.  Each block is walked time-major: time in chunks of _CHUNK
+    # steps with the rows contiguous at each step, each row's normals
+    # drawn chunk by chunk from its own stream and V_{t-1} chunk by chunk
+    # from the block's own walk of V_t.  Every operation is elementwise, so
+    # each row's arithmetic is simulate_path's, step 1 too: the common step
+    # with slope -0.0 and noise sd sigma_xi, as in _walk.
     #
-    # keep=(lo, hi), 1 <= lo < hi, writes Y_t and xi_t for lo <= t < hi into
-    # out[0] and out[1], (R, hi-lo) each, and the walk stops at the last
-    # kept step.  Without keep it writes into out, (3, R), the sums over
-    # t = 2..T of Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each
-    # accumulated in time order, as np.cumsum adds.  The two chunk buffers
+    # keep=(lo, hi), 1 <= lo < hi, returns Y_t and xi_t for lo <= t < hi,
+    # (2, n, hi-lo) for a block of n rows, and the walk stops at the last
+    # kept step.  Without keep it returns (3, n) sums over t = 2..T of
+    # Y_{t-1}^2, Y_t*Y_{t-1} and Y_{t-1}^2/V_{t-1}, each accumulated in time
+    # order, as np.cumsum adds.  The two chunk buffers and the result buffer
     # are allocated once, and a shorter last block uses prefixes of them.
     # Each step makes xi_t from its noise in the row of Y_t, or at a kept
     # step t0+j in row j of the draws, which are then in the levels, and
-    # copies out once per chunk; then it makes Y_t: the same two roundings
-    # as simulate_path, since IEEE addition commutes.
+    # copies them to the result once per chunk; then it makes Y_t: the same
+    # two roundings as simulate_path, since IEEE addition commutes.
     params = spec.params
     T = spec.path_length
     rs = params.rho * params.sigma_xi
@@ -380,6 +378,8 @@ def _block_writer(
     raw_buf = np.empty(width * c)  # the chunk's draws, then its kept xi_t, then scratch for the sums
     y_buf = np.empty((c + 1) * width)  # row 0 is the level before the chunk
     tmp_buf = np.empty(width)
+    per_row = 3 if keep is None else 2 * (hi - lo)  # a row's result: its sums, or its Y_t and xi_t
+    out_buf = np.empty(per_row * width)
     seq = np.random.SeedSequence(0)  # seeds the holders without OS entropy; their states are set per block
     gens = [np.random.Generator(np.random.PCG64(seq)) for _ in range(width)]
     bits = [g.bit_generator for g in gens]
@@ -401,7 +401,7 @@ def _block_writer(
         eps_rows = list(eps)
         xi_rows = list(xi)
         y_rows = list(y)
-        rows = out[:, start : start + n]  # the sums, or the window's Y_t and xi_t
+        rows = out_buf[: per_row * n].reshape((3, n) if keep is None else (2, n, hi - lo))
         if keep is None:
             rows[...] = -0.0  # -0.0 + x == x for every x, as cumsum starts
         next_v = _variance_walk(params)
@@ -430,15 +430,9 @@ def _block_writer(
                 terms = raw[: (m - j0) * n].reshape(m - j0, n)
                 _add_sums(rows, y[j0:m], y[j0 + 1 : m + 1], v[:, None], terms)
             y[0] = y[m]
-        return b"\1"
+        return rows.tobytes()
 
     return write
-
-
-def _shared_empty(*shape: int) -> np.ndarray:
-    # An uninitialised float array on an anonymous shared mapping, which forked workers write to.
-    import mmap  # loaded by the batch route alone
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _worker_count(blocks: int) -> int:
@@ -470,14 +464,15 @@ def _work(steps: Iterable, parent: int, close: Iterable[int] = ()) -> None:
 
 def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
     # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
-    # (2, R, hi-lo) window of Y_t and xi_t, in a _shared_empty out that
-    # every process of _chunk_map writes its blocks into by _block_writer.
+    # (2, R, hi-lo) window of Y_t and xi_t: each block's bytes from
+    # _block_writer, copied into its rows as _chunk_map yields them.
     _check_variances(spec.params, spec.path_length)
     R = spec.replications
-    out = _shared_empty(3, R) if keep is None else _shared_empty(2, R, keep[1] - keep[0])
+    out = np.empty((3, R) if keep is None else (2, R, keep[1] - keep[0]))
     n = -(-R // _BLOCK_SIZE)
-    for _ in _chunk_map(range(n), _block_writer(spec, out, keep), n):
-        pass
+    for block, raw in _chunk_map(range(n), _block_writer(spec, keep), n):
+        rows = out[:, block * _BLOCK_SIZE : (block + 1) * _BLOCK_SIZE]
+        rows[...] = np.frombuffer(raw).reshape(rows.shape)
     return out
 
 

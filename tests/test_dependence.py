@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -23,6 +24,7 @@ from digar import (
     vbar_limit,
 )
 from digar.dependence import _ROUNDING
+from digar.model import _PATH_CHUNK
 from conftest import boundary_params_strategy
 from oracles import decay_bound_scan, decimal_decay_bound, decimal_limits
 
@@ -78,6 +80,36 @@ class TestTauLagK:
     def test_bounded_by_decay_bound_power(self, p, t, k):
         bound = mixing_decay_bound(p)
         assert abs(tau_lag_k(p, t, k)) <= bound**k + 1e-15
+
+    @pytest.mark.parametrize("t", [4095, 4096, 4097])
+    @pytest.mark.parametrize("k", [1, 2, 4095, 4096, 8192])
+    def test_bits_at_the_chunk_edges_of_the_walk(self, t, k):
+        # tau_lag_k walks V_1..V_{t-1} in pieces of _PATH_CHUNK steps and
+        # keeps V_t..V_{t+k}; its product is the one over the whole sequence,
+        # bit for bit, at any scale.  V_t still moves at t = 4096 here.
+        assert _PATH_CHUNK == 4096
+        for p in (ModelParams(0.999, -0.9, 2.0**-40), ModelParams(-0.999, 0.5, 2.0**40),
+                  ModelParams(0.9995, 0.3, 1.0)):
+            q = ModelParams(p.phi, p.rho, math.frexp(p.sigma_xi)[0])  # the mantissa it runs at
+            v = variance_sequence(q, t + k)
+            want = 1.0
+            for s in range(t, t + k):
+                want *= (q.phi * v[s - 1] + q.rho * q.sigma_xi) / v[s]
+            assert float(tau_lag_k(p, t, k)).hex() == float(want).hex()
+
+    def test_memory_does_not_grow_with_t(self):
+        # V_1..V_{t-1} are walked in pieces and dropped: a whole V_1..V_{t+k}
+        # would be 8 MB at t = 1e6.
+        p = ModelParams(0.999, 0.3, 1.0)
+        tau_lag_k(p, 5, 3)  # loads what a first call loads
+        for t in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                tau_lag_k(p, t, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * _PATH_CHUNK * 8
 
 
 class TestTauBarAndBias:

@@ -204,14 +204,19 @@ class TestForkedWorkers:
         monkeypatch.setattr(simulation, "_worker_count", lambda blocks: min(w, blocks))
 
     def test_results_do_not_depend_on_worker_count(self, monkeypatch):
-        # 1203 rows are three blocks, the last one short.
+        # 1203 rows are three blocks, the last one short.  With a 91-step
+        # window blocks 0 and 1 return 728,000 bytes each and block 2
+        # 295,568, all past a pipe's 64 KiB, so a worker blocks on its pipe
+        # until this process reads it.
         spec = BatchSpec(P, 300, 1203, 99)
         runs = []
         for w in (1, 2, 3):
             self._workers(monkeypatch, w)
             hats, tildes = _collect_estimates(spec)
-            runs.append((hats.tobytes(), tildes.tobytes(), empirical_acf_experiment(spec, 200, 6)))
+            window = _run_batch(spec, keep=(200, 291)).tobytes()
+            runs.append((hats.tobytes(), tildes.tobytes(), empirical_acf_experiment(spec, 200, 6), window))
         no_child_left()
+        assert len(runs[0][3]) == 2 * 1203 * 91 * 8
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -234,21 +239,29 @@ class TestForkedWorkers:
             _collect_estimates(BatchSpec(ModelParams(0.5, 0.3, 1e200), 200, 1100, 5))
 
     def test_orphaned_worker_stops_at_its_next_block(self):
-        # A worker told that its parent is some other process writes the
+        # A worker told that its parent is some other process sends the
         # block it has made and stops before the next.
         spec = BatchSpec(P, 50, 1100, 5)
-        out = simulation._shared_empty(3, spec.replications)
-        out.fill(np.nan)
+        r, fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
-                write = simulation._block_writer(spec, out)
-                simulation._work((write(b) for b in range(3)), -1)
+                write = simulation._block_writer(spec)
+
+                def send(pipe):
+                    for b in range(3):
+                        pipe.write(write(b))
+                        pipe.flush()
+                        yield
+
+                simulation._work(send(open(fd, "wb")), -1, (r,))
             finally:
                 os._exit(99)
+        os.close(fd)
+        with open(r, "rb") as pipe:
+            sent = pipe.read()
         assert os.waitpid(pid, 0)[1] == 0
-        assert not np.isnan(out[:, :500]).any()
-        assert np.isnan(out[:, 500:]).all()
+        assert sent == _run_batch(spec)[:, :500].tobytes()
 
     def test_failed_worker_range_is_walked_again(self, monkeypatch):
         # A worker that dies without a refusal leaves no hole in the rows.
@@ -263,10 +276,8 @@ class TestForkedWorkers:
     def test_dead_worker_costs_the_parent_only_its_unsent_blocks(self, monkeypatch):
         # Five blocks at W = 2: the worker does blocks 1 and 3, and kills
         # itself once it has sent block 1, so this process writes block 3
-        # as well as its own 0, 2 and 4, and no block twice.
-        spec = BatchSpec(P, 50, 2003, 5)
-        self._workers(monkeypatch, 1)
-        serial = _run_batch(spec)
+        # as well as its own 0, 2 and 4, and no block twice.  The window's
+        # block 1 is 728,000 bytes, more than a pipe holds.
         parent, written, block_writer = os.getpid(), [], simulation._block_writer
 
         def dying(*args):
@@ -282,11 +293,16 @@ class TestForkedWorkers:
             return counted
 
         monkeypatch.setattr(simulation, "_block_writer", dying)
-        self._workers(monkeypatch, 2)
-        forked = _run_batch(spec)
-        no_child_left()
-        assert written == [0, 2, 3, 4]
-        assert forked.tobytes() == serial.tobytes()
+        for T, keep in ((50, None), (300, (200, 291))):
+            spec = BatchSpec(P, T, 2003, 5)
+            self._workers(monkeypatch, 1)
+            serial = _run_batch(spec, keep)
+            written.clear()
+            self._workers(monkeypatch, 2)
+            forked = _run_batch(spec, keep)
+            no_child_left()
+            assert written == [0, 2, 3, 4]
+            assert forked.tobytes() == serial.tobytes()
 
     def test_live_threads_keep_the_batch_in_process(self, monkeypatch):
         release = threading.Event()

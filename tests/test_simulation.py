@@ -32,15 +32,15 @@ _M = (1 << 64) - 1
 
 
 def _path_blocks(spec):
-    # (start, Y_1..Y_T, xi_1..xi_T) per block, as views of the block's rows
-    # in the batch's window of every step, each once the block is written.
-    ys, xs = out = np.empty((2, spec.replications, spec.path_length))
-    write = _block_writer(spec, out, keep=(1, spec.path_length + 1))
+    # (start, Y_1..Y_T, xi_1..xi_T) per block, read from the bytes the block
+    # returns for the window of every step, each once the block is made.
+    write = _block_writer(spec, keep=(1, spec.path_length + 1))
     size = simulation._BLOCK_SIZE
     for block in range(-(-spec.replications // size)):
-        assert write(block) == b"\1"
         start = block * size
-        yield start, ys[start : start + size], xs[start : start + size]
+        ys, xs = np.frombuffer(write(block)).reshape(2, -1, spec.path_length)
+        assert len(ys) == min(size, spec.replications - start)
+        yield start, ys, xs
 
 
 def _splitmix64_outputs(state: int, n: int) -> list[int]:
@@ -376,8 +376,7 @@ class TestBatch:
         # there only where phi < 0.  The window stops at step 1, so V_2,
         # which underflows to 0, is never walked.
         p = ModelParams(phi, rho, 5e-324)
-        out = np.empty((2, 40, 1))
-        _block_writer(BatchSpec(p, 2, 40, 9), out, keep=(1, 2))(0)
+        out = np.frombuffer(_block_writer(BatchSpec(p, 2, 40, 9), keep=(1, 2))(0)).reshape(2, 40, 1)
         ys, xs = out[:, :, 0]
         assert np.count_nonzero((xs == 0.0) & np.signbit(xs)) == 10
         assert np.count_nonzero((ys == 0.0) & np.signbit(ys)) == (10 if phi < 0 else 0)
@@ -405,26 +404,20 @@ class TestBatch:
         assert np.array_equal(small, big)
 
     def test_block_starts_cover_batch_in_order(self):
-        # Block b writes rows 500*b.. and no other, so blocks 0, 1, 2 fill
+        # Block b returns rows 500*b.. and no other, so blocks 0, 1, 2 cover
         # the batch's rows in order, the last block short.
         spec = BatchSpec(P, 10, 1300, 5150)
-        out = np.full((3, 1300), np.nan)
-        write = _block_writer(spec, out)
-        for block, stop in enumerate((500, 1000, 1300)):
-            write(block)
-            assert not np.isnan(out[:, :stop]).any() and np.isnan(out[:, stop:]).all()
+        write = _block_writer(spec)
+        out = np.concatenate([np.frombuffer(write(b)).reshape(3, -1) for b in range(3)], axis=1)
         assert np.array_equal(out, _run_batch(spec))
         assert [len(y) for _, y, _ in _path_blocks(spec)] == [500, 500, 300]
 
     @pytest.mark.parametrize("keep", [None, (3, 8)])
     def test_a_block_writes_only_its_own_rows(self, keep):
-        # The processes of a batch write disjoint blocks into one shared out.
+        # The processes of a batch each return whole blocks, and block 1's
+        # bytes are exactly rows 500..999 of the batch.
         spec = BatchSpec(P, 10, 1203, 5150)
-        out = np.full((3, 1203) if keep is None else (2, 1203, 5), np.nan)
-        assert _block_writer(spec, out, keep)(1) == b"\1"
-        assert not np.isnan(out[:, 500:1000]).any()
-        assert np.isnan(out[:, :500]).all() and np.isnan(out[:, 1000:]).all()
-        assert np.array_equal(out[:, 500:1000], _run_batch(spec, keep)[:, 500:1000])
+        assert _block_writer(spec, keep)(1) == _run_batch(spec, keep)[:, 500:1000].tobytes()
 
 
 class TestKernelChunking:
@@ -475,16 +468,17 @@ class TestKernelChunking:
 
 class TestKernelMemory:
     """A block holds two chunk buffers, the draws, in which a kept xi_t is
-    made, and the levels, in which any other is made, and writes its rows
-    into the caller's out; the seed states are set as they are computed."""
+    made, and the levels, in which any other is made, and a buffer of its
+    rows, which it returns as bytes; the seed states are set as they are
+    computed."""
 
     @pytest.mark.parametrize("keep", [None, (200, 205)])
     def test_block_peak_below_three_chunk_buffers(self, keep):
         spec = BatchSpec(P, 2000, simulation._BLOCK_SIZE, 7)
-        out = _run_batch(spec, keep)  # also makes the allocations of a first call
+        _run_batch(spec, keep)  # makes the allocations of a first call
         tracemalloc.start()
         try:
-            _block_writer(spec, out, keep)(0)  # the writer's buffers and holders count too
+            _block_writer(spec, keep)(0)  # the writer's buffers and holders, its rows and their bytes count too
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
