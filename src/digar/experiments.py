@@ -5,12 +5,16 @@ estimator consistency and its sqrt(T) normal limit, level and innovation
 autocorrelation limits) are checked here at finite (T, R) with explicit
 Monte Carlo standard errors.  Moments of non-stationary quantities are
 always computed cross-sectionally: across independent replications at a
-fixed time index, never along a single path.
+fixed time index, never along a single path.  The acf experiment holds no
+R-long array: each batch block's window of Y_t and xi_t is reduced to
+centred co-moments as it arrives, merged in block order by the pairwise
+update of Chan, Golub and LeVeque (1983, The American Statistician 37).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from typing import Sequence
 
 import numpy as np
@@ -162,7 +166,12 @@ def _summary(
 def _collect_estimates(spec: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     # Plain and corrected slopes of every replication, from the sums the
     # batch kernel accumulates, through the same step as infeasible_estimate.
-    hat, corr = _slopes(spec.params.rho * spec.params.sigma_xi, *_run_batch(spec))
+    sums, r = np.empty((3, spec.replications)), 0
+    with closing(_run_batch(spec)) as blocks:
+        for rows in blocks:
+            sums[:, r : r + rows.shape[1]] = rows
+            r += rows.shape[1]
+    hat, corr = _slopes(spec.params.rho * spec.params.sigma_xi, *sums)
     return hat, hat - corr
 
 
@@ -205,12 +214,28 @@ def run_clt_experiment(spec: BatchSpec) -> ExperimentSummary:
     return _summary(spec, spec.params.phi, tildes, statistic=stats)
 
 
-def _corr(a: np.ndarray, b: np.ndarray) -> float:
-    # Pearson's r, as np.corrcoef gives it, by elementwise products and pairwise
-    # sums, not a BLAS product, whose order of additions OpenBLAS picks by CPU.
-    a, b = a - np.mean(a), b - np.mean(b)
-    r = np.add.reduce(a * b) / np.sqrt(np.add.reduce(a * a)) / np.sqrt(np.add.reduce(b * b))
-    return float(np.clip(r, -1.0, 1.0))
+def _acf(spec: BatchSpec, lo: int, hi: int) -> np.ndarray:
+    # Pearson's r of (Y_lo, Y_t) and of (xi_lo, xi_t) across replications,
+    # for lo <= t < hi, as a (2, hi-lo) array, from centred co-moments: each
+    # block's column means, centred sums of squares and centred products
+    # with column lo, merged into the running ones in block order by the
+    # pairwise update of Chan, Golub and LeVeque (1983).  Sums are numpy's
+    # pairwise ones along the rows, not a BLAS product, whose order of
+    # additions OpenBLAS picks by CPU; no R-long array is held.
+    n, mean, m2, cross = 0, 0.0, 0.0, 0.0
+    with closing(_run_batch(spec, keep=(lo, hi))) as blocks:
+        for rows in blocks:
+            c = np.ascontiguousarray(rows.transpose(0, 2, 1))  # (series, t, row)
+            b = c.shape[2]
+            mean_b = np.add.reduce(c, axis=2) / b
+            c -= mean_b[..., None]
+            d = mean_b - mean
+            w = n * b / (n + b)
+            mean = mean + d * (b / (n + b))
+            m2 = m2 + np.add.reduce(c * c, axis=2) + d * d * w
+            cross = cross + np.add.reduce(c[:, :1] * c, axis=2) + d[:, :1] * d * w
+            n += b
+    return np.clip(cross / np.sqrt(m2[:, :1]) / np.sqrt(m2), -1.0, 1.0)
 
 
 def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTable:
@@ -239,13 +264,12 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
         )
     if spec.replications < 30:
         raise OutOfRangeError(f"need R >= 30, got {spec.replications}")
-    ys, xs = _run_batch(spec, keep=(t_obs, t_obs + k_max + 1))
+    r_y, r_xi = _acf(spec, t_obs, t_obs + k_max + 1).tolist()
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []
     for k in range(1, k_max + 1):
-        ry = _corr(ys[:, 0], ys[:, k])
-        rx = _corr(xs[:, 0], xs[:, k])
+        ry, rx = r_y[k], r_xi[k]
         rows.append(
             AcfRow(
                 k=k,

@@ -43,26 +43,30 @@ sigma_xi*eps_1, sign of zero included.
 
 Work in n pieces goes through one worker protocol, _chunk_map, in W
 processes: the CPUs in os.sched_getaffinity(0), at most n, but 1 where
-os.fork or sched_getaffinity is missing or the process runs more than one
-thread, which is never forked.  Piece k is done by process k mod W, this
-one or one of W - 1 forked workers, each of which sends its results on its
-own pipe, leaves by os._exit and stops once its parent is gone.  The
-calling process does every piece whose result never arrived and reaps
-every worker, killed first where it raised, so the bytes do not depend on
-W.  A batch's pieces are its blocks, each of which returns its rows as
-bytes, which the calling process copies into the batch's arrays, so
-nothing is pickled and no process writes memory another reads.  V_1..V_T
-is checked before any fork, and the slopes are refused once, in the
-calling process, from the returned sums.  The CLI's single-path commands
-share out the chunks of a path, a variance walk or a path file: every
-process walks them all, or opens the file and reads it all, and does the
-costly step (formatting or parsing) of its own.
+os.fork or sched_getaffinity is missing or the process runs more than
+one thread, which is never forked.  Piece k is done by process k mod W,
+this one or one of W - 1 forked workers, each of which sends its results
+on its own pipe, leaves by os._exit and stops once its parent is gone.
+The calling process does every piece whose result never arrived and
+reaps every worker, killed first where it raised, so the bytes do not
+depend on W.  A batch's pieces are its blocks, each of which returns its
+rows as bytes, which _run_batch hands on block by block, in block order,
+so nothing is pickled, no process writes memory another reads, and the
+caller decides what it holds: the estimator's sums, copied into one
+(3, R) array, or the acf window, folded into per-lag co-moments as each
+block arrives, so no R-long window is held.  V_1..V_T is checked before
+any fork, and the slopes are refused once, in the calling process, from
+the returned sums.  The CLI's single-path commands share out the chunks
+of a path, a variance walk or a path file: every process walks them all,
+or opens the file and reads it all, and does the costly step (formatting
+or parsing) of its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -462,18 +466,18 @@ def _work(steps: Iterable, parent: int, close: Iterable[int] = ()) -> None:
         os._exit(1)
 
 
-def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> np.ndarray:
-    # The batch's rows, the (3, R) sums or with keep=(lo, hi) the
-    # (2, R, hi-lo) window of Y_t and xi_t: each block's bytes from
-    # _block_writer, copied into its rows as _chunk_map yields them.
+def _run_batch(spec: BatchSpec, keep: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
+    # The batch's rows block by block, in block order: each block's (3, n)
+    # sums or with keep=(lo, hi) its (2, n, hi-lo) window of Y_t and xi_t,
+    # read from the bytes _block_writer returns as _chunk_map yields them.
+    # V_1..V_T is checked at the first next(), before any fork; a caller
+    # that may stop early closes the iterator, which reaps every worker.
     _check_variances(spec.params, spec.path_length)
-    R = spec.replications
-    out = np.empty((3, R) if keep is None else (2, R, keep[1] - keep[0]))
-    n = -(-R // _BLOCK_SIZE)
-    for block, raw in _chunk_map(range(n), _block_writer(spec, keep), n):
-        rows = out[:, block * _BLOCK_SIZE : (block + 1) * _BLOCK_SIZE]
-        rows[...] = np.frombuffer(raw).reshape(rows.shape)
-    return out
+    shape = (3, -1) if keep is None else (2, -1, keep[1] - keep[0])
+    n = -(-spec.replications // _BLOCK_SIZE)
+    with closing(_chunk_map(range(n), _block_writer(spec, keep), n)) as blocks:
+        for _, raw in blocks:
+            yield np.frombuffer(raw).reshape(shape)
 
 
 def _chunk_map(items: Iterable, work: Callable[[object], bytes], n: int) -> Iterator[tuple[object, bytes]]:

@@ -40,6 +40,15 @@ def fresh_python(*args: str, env: dict[str, str] | None = None, stdin: bytes | N
     return subprocess.run([sys.executable, *args], env=child, input=stdin, capture_output=True, check=True).stdout
 
 
+def batch_rows(spec, keep=None):
+    """A batch's rows whole, its blocks' rows side by side in block order:
+    the (3, R) sums, or with keep=(lo, hi) the (2, R, hi-lo) window."""
+    import numpy as np
+    from digar.simulation import _run_batch
+
+    return np.concatenate(list(_run_batch(spec, keep)), axis=1)
+
+
 def no_child_left() -> None:
     """Every child of this process has been reaped."""
     with pytest.raises(ChildProcessError):

@@ -175,6 +175,16 @@ def one_shot_sums(path: SamplePath) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
+def two_pass_corr(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson's r of two whole columns in two passes, means first, then
+    centred elementwise products and numpy's pairwise sums, clipped to
+    [-1, 1]: experiment acf's correlation as it was taken before the
+    co-moments of each block were merged."""
+    a, b = a - np.mean(a), b - np.mean(b)
+    r = np.add.reduce(a * b) / np.sqrt(np.add.reduce(a * a)) / np.sqrt(np.add.reduce(b * b))
+    return float(np.clip(r, -1.0, 1.0))
+
+
 def read_path_csv(infile: str, params: ModelParams) -> SamplePath:
     """A path CSV read row by row with csv.reader and float(), the whole
     file in one loop: the reader the CLI's chunked reader must agree with

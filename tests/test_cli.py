@@ -773,6 +773,16 @@ class TestExperimentCli:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_acf_memory_does_not_grow_with_replications(self):
+        # Each block's window is folded into per-lag co-moments as it
+        # arrives, so no R-long array is held: from R = 4,000 to 40,000 at
+        # k_max = 50 the peak RSS grew 0.1 MiB on a 2-core Linux host, and
+        # 28 MiB when the whole 32 MB window was held.  The process is
+        # measured from outside, as tracing its allocations made the test
+        # four times slower.
+        argv = ("-m", "digar.cli", "experiment", "acf", "-T", "250", "--k-max", "50", "-R")
+        assert peak_rss(*argv, "40000") - peak_rss(*argv, "4000") < 4 << 20
+
     def test_clt_precondition_via_cli(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "clt", "-T", "100", "-R", "1000")
         assert code == 3
@@ -799,6 +809,11 @@ class TestExperimentCli:
 # the third and fourth moments products, not np.power: every acf digest
 # (y_empirical, y_mc_se, xi_empirical and xi_mc_se moved in their last
 # digits) and those of seed 0's consistency and clt (one skewness each).
+# The three acf digests were recorded again when each block's co-moments
+# were merged in block order (Chan, Golub and LeVeque's update), not
+# summed over the whole window in two passes: the order of additions
+# changed, and y_empirical, xi_empirical and their MC SEs moved in their
+# last digits.
 GOLDEN_RUNS = {
     "consistency": ("experiment", "consistency", "-T", "100", "-R", "1203"),
     "acf": ("experiment", "acf", "-T", "210", "-R", "1203", "--t-obs", "200"),
@@ -806,13 +821,13 @@ GOLDEN_RUNS = {
 }
 GOLDEN_SHA256 = {
     (0, "consistency"): "30bf7a5cdf5b009d63efd8ffa39e8eb72d1a2d48ec1b72aa1e4dd599fbb7cb5e",
-    (0, "acf"): "7eebe8c58826fa75e2493394eb30669e1ab3f67ab7e8c77e6da2971be9bd6666",
+    (0, "acf"): "91effd849861cdef1ba5c066ea00096329a881d6b5f4d34bd34019272f547313",
     (0, "clt"): "e305b8347cff714a9715547efdabf65f36ca21c229200d91d966e63a0fcfca26",
     (12345, "consistency"): "c6fbe4ba66263bc00ad87c296f95a3c8b87bfac36b2aca44cc758de42585d213",
-    (12345, "acf"): "2c66580c498c9ee35b11c8f0f3395755907ec881ba8770472d30585b1db01ff1",
+    (12345, "acf"): "bea57f185021f7e74af76b78fb9913452d6c096ebd982d6fa1e74f6346f0927d",
     (12345, "clt"): "5696dda54578803351b5a1a2bde1e667fb005d4daa7dbd46cd1a77fac53512cd",
     ((1 << 64) - 1, "consistency"): "178f8d8959966f4ec1697f2e215091eeb53c1dc4f53b39bd00e4d0015ffbf10f",
-    ((1 << 64) - 1, "acf"): "fa1e85f4a7e8df0d0d8ec7652e9150f744617855f27ba01091d0d80f2fc40bec",
+    ((1 << 64) - 1, "acf"): "afb369c4ec56c418ed4a00ef4d5a0cbdb06e0f7efa410e3e1f3f3adecf697152",
     ((1 << 64) - 1, "clt"): "12635e855f323080b37e11684de157f09bbb3b1371aa6ed4b5999ac33a6edc24",
 }
 

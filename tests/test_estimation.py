@@ -23,8 +23,7 @@ from digar import (
 )
 from digar.experiments import _collect_estimates
 from digar import cli, estimation, simulation
-from digar.simulation import _run_batch
-from conftest import boundary_params_strategy, seeds_strategy
+from conftest import batch_rows, boundary_params_strategy, seeds_strategy
 from oracles import MartingaleDiagnostics, one_shot_sums, z_series
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -316,7 +315,7 @@ class TestZSeries:
         # Z_t has mean zero, variance sigma_t_sq, and is uncorrelated
         # across t; W_t has mean zero.  All checked at 3 MC standard
         # errors with R = 5000 replications.
-        ys, xs = _run_batch(BatchSpec(P, 15, 5000, 1618), keep=(1, 16))  # Y_t, xi_t for t = 1..15
+        ys, xs = batch_rows(BatchSpec(P, 15, 5000, 1618), keep=(1, 16))  # Y_t, xi_t for t = 1..15
         diags = [z_series(SamplePath(P, np.append(0.0, y), x, None)) for y, x in zip(ys, xs)]
         Z = np.stack([d.z for d in diags])
         W = np.stack([d.w for d in diags])

@@ -3,13 +3,14 @@ import os
 import signal
 import threading
 import tracemalloc
+from contextlib import closing
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 
 from digar import (
     DEFAULT_PHI_GRID,
@@ -39,9 +40,9 @@ from digar import (
     vbar_limit,
 )
 from digar import simulation
-from digar.experiments import _collect_estimates
-from digar.simulation import _run_batch
-from conftest import boundary_params_strategy, no_child_left, seeds_strategy
+from digar.experiments import _acf, _collect_estimates
+from conftest import batch_rows, boundary_params_strategy, no_child_left, seeds_strategy
+from oracles import two_pass_corr
 
 P = ModelParams(0.5, 0.3, 1.0)
 
@@ -213,7 +214,7 @@ class TestForkedWorkers:
         for w in (1, 2, 3):
             self._workers(monkeypatch, w)
             hats, tildes = _collect_estimates(spec)
-            window = _run_batch(spec, keep=(200, 291)).tobytes()
+            window = batch_rows(spec, keep=(200, 291)).tobytes()
             runs.append((hats.tobytes(), tildes.tobytes(), empirical_acf_experiment(spec, 200, 6), window))
         no_child_left()
         assert len(runs[0][3]) == 2 * 1203 * 91 * 8
@@ -227,6 +228,32 @@ class TestForkedWorkers:
         spec = BatchSpec(ModelParams(0.5, 0.3, 1e-160), 200, 1200, 5)
         with pytest.raises(DegenerateDenominatorError, match="is subnormal"):
             _collect_estimates(spec)
+        no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_a_batch_left_mid_way_reaps_every_worker(self, monkeypatch, w):
+        # A refusal at block 3, in whichever process writes it, leaves the
+        # acf fold mid-batch; a caller that closes the blocks after the
+        # first leaves it too.
+        block_writer = simulation._block_writer
+
+        def refusing(*args):
+            write = block_writer(*args)
+
+            def checked(b):
+                if b == 3:
+                    raise OutOfRangeError("block 3 refused")
+                return write(b)
+            return checked
+
+        self._workers(monkeypatch, w)
+        spec = BatchSpec(P, 300, 2003, 5)
+        with closing(simulation._run_batch(spec, (200, 291))) as blocks:
+            assert next(blocks).shape == (2, 500, 91)
+        no_child_left()
+        monkeypatch.setattr(simulation, "_block_writer", refusing)
+        with pytest.raises(OutOfRangeError, match="block 3 refused"):
+            empirical_acf_experiment(spec, 200, 90)
         no_child_left()
 
     def test_variance_refusal_forks_nothing(self, monkeypatch):
@@ -261,7 +288,7 @@ class TestForkedWorkers:
         with open(r, "rb") as pipe:
             sent = pipe.read()
         assert os.waitpid(pid, 0)[1] == 0
-        assert sent == _run_batch(spec)[:, :500].tobytes()
+        assert sent == batch_rows(spec)[:, :500].tobytes()
 
     def test_failed_worker_range_is_walked_again(self, monkeypatch):
         # A worker that dies without a refusal leaves no hole in the rows.
@@ -296,10 +323,10 @@ class TestForkedWorkers:
         for T, keep in ((50, None), (300, (200, 291))):
             spec = BatchSpec(P, T, 2003, 5)
             self._workers(monkeypatch, 1)
-            serial = _run_batch(spec, keep)
+            serial = batch_rows(spec, keep)
             written.clear()
             self._workers(monkeypatch, 2)
-            forked = _run_batch(spec, keep)
+            forked = batch_rows(spec, keep)
             no_child_left()
             assert written == [0, 2, 3, 4]
             assert forked.tobytes() == serial.tobytes()
@@ -412,11 +439,24 @@ class TestAcfExperiment:
         # The window the experiment asks the batch kernel for, Y_t and xi_t
         # at t_obs <= t <= t_obs + k_max, holds each row's single path.
         T = max(2, t_obs + k_max + extra)
-        ys, xs = _run_batch(BatchSpec(p, T, R, seed), keep=(t_obs, t_obs + k_max + 1))
+        ys, xs = batch_rows(BatchSpec(p, T, R, seed), keep=(t_obs, t_obs + k_max + 1))
         for r in range(R):
             solo = simulate_path(p, T, mix_seed(seed, r))
             assert np.array_equal(ys[r], solo.y[t_obs : t_obs + k_max + 1])
             assert np.array_equal(xs[r], solo.xi[t_obs - 1 : t_obs + k_max])
+
+    @pytest.mark.parametrize("R, k_max", [(30, 1), (30, 90), (1203, 7), (1203, 90)])
+    @settings(max_examples=5)
+    @given(boundary_params_strategy(), st.integers(1, 20), seeds_strategy())
+    def test_folded_r_matches_two_pass_r_of_whole_window(self, R, k_max, p, t_obs, seed):
+        # The co-moments are merged block by block; R = 30 is one partial
+        # block, and R = 1203 two full blocks and a partial last one.
+        spec = BatchSpec(p, t_obs + k_max, R, seed)
+        keep = (t_obs, t_obs + k_max + 1)
+        window, folded = batch_rows(spec, keep), _acf(spec, *keep)
+        for series, r in zip(window, folded):
+            for k in range(k_max + 1):
+                assert abs(r[k] - two_pass_corr(series[:, 0], series[:, k])) <= 1e-13
 
 
 class TestCurves:

@@ -20,8 +20,8 @@ from digar import (
     vbar_limit,
 )
 from digar import simulation
-from digar.simulation import _block_writer, _mix_seeds, _pcg64_states, _run_batch
-from conftest import boundary_params_strategy, peak_rss, seeds_strategy
+from digar.simulation import _block_writer, _mix_seeds, _pcg64_states
+from conftest import batch_rows, boundary_params_strategy, peak_rss, seeds_strategy
 
 P = ModelParams(0.5, 0.3, 1.0)
 # V_t reaches its fixed point at t = 36 at P, but only at t = 646 here,
@@ -409,7 +409,7 @@ class TestBatch:
         spec = BatchSpec(P, 10, 1300, 5150)
         write = _block_writer(spec)
         out = np.concatenate([np.frombuffer(write(b)).reshape(3, -1) for b in range(3)], axis=1)
-        assert np.array_equal(out, _run_batch(spec))
+        assert np.array_equal(out, batch_rows(spec))
         assert [len(y) for _, y, _ in _path_blocks(spec)] == [500, 500, 300]
 
     @pytest.mark.parametrize("keep", [None, (3, 8)])
@@ -417,7 +417,7 @@ class TestBatch:
         # The processes of a batch each return whole blocks, and block 1's
         # bytes are exactly rows 500..999 of the batch.
         spec = BatchSpec(P, 10, 1203, 5150)
-        assert _block_writer(spec, keep)(1) == _run_batch(spec, keep)[:, 500:1000].tobytes()
+        assert _block_writer(spec, keep)(1) == batch_rows(spec, keep)[:, 500:1000].tobytes()
 
 
 class TestKernelChunking:
@@ -427,7 +427,7 @@ class TestKernelChunking:
     @staticmethod
     def _chunked(monkeypatch, chunk, spec, keep=None):
         monkeypatch.setattr(simulation, "_CHUNK", chunk)
-        return _run_batch(spec, keep)
+        return batch_rows(spec, keep)
 
     def test_fused_sums_do_not_depend_on_chunk_length(self, monkeypatch):
         for p in (P, MOVING):
@@ -475,7 +475,7 @@ class TestKernelMemory:
     @pytest.mark.parametrize("keep", [None, (200, 205)])
     def test_block_peak_below_three_chunk_buffers(self, keep):
         spec = BatchSpec(P, 2000, simulation._BLOCK_SIZE, 7)
-        _run_batch(spec, keep)  # makes the allocations of a first call
+        batch_rows(spec, keep)  # makes the allocations of a first call
         tracemalloc.start()
         try:
             _block_writer(spec, keep)(0)  # the writer's buffers and holders, its rows and their bytes count too
