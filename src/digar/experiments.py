@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dependence import delta_limit, eta_bar, tau_bar
+from .dependence import _unit_scale, delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
 from .model import _Frozen
@@ -247,6 +247,10 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     errors use the (1-r^2)/sqrt(R-3) approximation for a correlation
     estimate.
 
+    The batch runs at sigma_xi's binary mantissa, as each row is a ratio
+    that does not depend on sigma_xi's scale, so no product overflows or
+    goes subnormal; the table's spec keeps the caller's sigma_xi.
+
     The theory columns are t -> infinity limits, so they describe t_obs
     only once V_t has settled near vbar.  That holds at t_obs = 200 for
     moderate parameters, but not near the boundary: at phi = rho = 0.99,
@@ -264,7 +268,8 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
         )
     if spec.replications < 30:
         raise OutOfRangeError(f"need R >= 30, got {spec.replications}")
-    r_y, r_xi = _acf(spec, t_obs, t_obs + k_max + 1).tolist()
+    unit = BatchSpec(_unit_scale(spec.params), spec.path_length, spec.replications, spec.master_seed)
+    r_y, r_xi = _acf(unit, t_obs, t_obs + k_max + 1).tolist()  # ratios: the same at any scale
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []

@@ -5,15 +5,17 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from digar import (
+    BatchSpec,
     DependenceProfile,
     ModelParams,
     OutOfRangeError,
     delta_limit,
     dependence_profile,
+    empirical_acf_experiment,
     eta_bar,
     mixing_decay_bound,
     ols_bias,
@@ -25,7 +27,7 @@ from digar import (
 )
 from digar.dependence import _ROUNDING
 from digar.model import _PATH_CHUNK
-from conftest import boundary_params_strategy
+from conftest import boundary_params_strategy, seeds_strategy
 from oracles import decay_bound_scan, decimal_decay_bound, decimal_limits
 
 P = ModelParams(0.5, 0.3, 1.0)
@@ -354,9 +356,9 @@ class TestDependenceProfile:
 
 
 class TestScaleFree:
-    """tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat do not
-    depend on sigma_xi's scale; they answer at every sigma_xi > 0 with the
-    same bits as at sigma_xi's binary mantissa."""
+    """tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar, eta_hat and the
+    acf experiment's rows do not depend on sigma_xi's scale; they answer at
+    every sigma_xi > 0 with the same bits as at sigma_xi's binary mantissa."""
 
     @given(boundary_params_strategy(), st.integers(-1000, 1000), st.integers(1, 40), st.integers(1, 8))
     def test_same_bits_at_every_power_of_two(self, p, e, t, k):
@@ -382,3 +384,18 @@ class TestScaleFree:
         assert (profile.tau_bar, profile.ols_bias, profile.eta_bar, profile.eta_hat) == (
             tau_bar(unit), ols_bias(unit), eta_bar(unit), mixing_decay_bound(unit)
         )
+
+    @settings(max_examples=10)
+    @given(boundary_params_strategy(), st.integers(-1000, 1000), st.integers(1, 3), seeds_strategy())
+    def test_acf_rows_same_at_every_power_of_two(self, p, e, k_max, seed):
+        # The batch runs at sigma_xi's mantissa, and the spec keeps sigma_xi.
+        scaled = ModelParams(p.phi, p.rho, math.ldexp(p.sigma_xi, e))
+        table = empirical_acf_experiment(BatchSpec(scaled, 200 + k_max, 30, seed), 200, k_max)
+        assert table.spec.params == scaled
+        assert table.rows == empirical_acf_experiment(BatchSpec(p, 200 + k_max, 30, seed), 200, k_max).rows
+
+    def test_acf_answers_where_the_products_would_overflow(self):
+        # At sigma_xi = 1e153 the window's products pass the largest double.
+        table = empirical_acf_experiment(BatchSpec(ModelParams(0.5, 0.3, 1e153), 204, 5000, 12345), 200, 1)
+        row, = table.rows
+        assert all(map(math.isfinite, (row.y_empirical, row.y_mc_se, row.xi_empirical, row.xi_mc_se)))
