@@ -269,7 +269,7 @@ def empirical_acf_experiment(spec: BatchSpec, t_obs: int, k_max: int) -> AcfTabl
     if spec.replications < 30:
         raise OutOfRangeError(f"need R >= 30, got {spec.replications}")
     unit = BatchSpec(_unit_scale(spec.params), spec.path_length, spec.replications, spec.master_seed)
-    r_y, r_xi = _acf(unit, t_obs, t_obs + k_max + 1).tolist()  # ratios: the same at any scale
+    r_y, r_xi = _acf(unit, t_obs, t_obs + k_max + 1).tolist()
     tb = tau_bar(spec.params)
     se_scale = 1.0 / math.sqrt(spec.replications - 3)
     rows = []
