@@ -225,7 +225,7 @@ def _acf(spec: BatchSpec, lo: int, hi: int) -> np.ndarray:
     n, mean, m2, cross = 0, 0.0, 0.0, 0.0
     with closing(_run_batch(spec, keep=(lo, hi))) as blocks:
         for rows in blocks:
-            c = np.ascontiguousarray(rows.transpose(0, 2, 1))  # (series, t, row)
+            c = rows.transpose(0, 2, 1).copy()  # (series, t, row), writable
             b = c.shape[2]
             mean_b = np.add.reduce(c, axis=2) / b
             c -= mean_b[..., None]

@@ -761,6 +761,14 @@ class TestExperimentCli:
         assert (code, out) == (3, "")
         assert err == f"seed = {DEFAULT_SEED}\n" + _SUMS_OVERFLOW
 
+    def test_acf_answers_with_a_one_row_last_block(self, capsys):
+        # R = 501 leaves one row in the last block, whose transposed window
+        # is already contiguous, so the fold must still copy it to centre it.
+        code, out, _ = run_cli(capsys, "experiment", "acf", "-T", "208", "-R", "501", "--k-max", "2")
+        assert code == 0
+        table = empirical_acf_experiment(BatchSpec(P, 208, 501, DEFAULT_SEED), 200, 2)
+        assert json.loads(out)["rows"] == table.as_tree()["rows"]
+
     def test_acf_memory_does_not_grow_with_horizon(self, tmp_path):
         # The batch kernel walks only to t_obs + k_max and checks V_t in
         # constant memory; holding V_1..V_T peaked at 43 MiB here.

@@ -445,12 +445,13 @@ class TestAcfExperiment:
             assert np.array_equal(ys[r], solo.y[t_obs : t_obs + k_max + 1])
             assert np.array_equal(xs[r], solo.xi[t_obs - 1 : t_obs + k_max])
 
-    @pytest.mark.parametrize("R, k_max", [(30, 1), (30, 90), (1203, 7), (1203, 90)])
+    @pytest.mark.parametrize("R, k_max", [(30, 1), (30, 90), (501, 7), (1203, 7), (1203, 90)])
     @settings(max_examples=5)
     @given(boundary_params_strategy(), st.integers(1, 20), seeds_strategy())
     def test_folded_r_matches_two_pass_r_of_whole_window(self, R, k_max, p, t_obs, seed):
         # The co-moments are merged block by block; R = 30 is one partial
-        # block, and R = 1203 two full blocks and a partial last one.
+        # block, R = 501 a full block and a one-row last one, and R = 1203
+        # two full blocks and a partial last one.
         spec = BatchSpec(p, t_obs + k_max, R, seed)
         keep = (t_obs, t_obs + k_max + 1)
         window, folded = batch_rows(spec, keep), _acf(spec, *keep)
