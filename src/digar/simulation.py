@@ -43,18 +43,15 @@ sigma_xi*eps_1, sign of zero included.
 
 Work in n pieces goes through one worker protocol, _chunk_map, in W
 processes: the CPUs in os.sched_getaffinity(0), at most n, but 1 where
-os.fork or sched_getaffinity is missing or the process runs more than
-one thread, which is never forked.  Piece k is done by process k mod W,
-this one or one of W - 1 forked workers, each of which sends its results
-on its own pipe, leaves by os._exit and stops once its parent is gone.
-The calling process does every piece whose result never arrived and
-reaps every worker, killed first where it raised, so the bytes do not
-depend on W.  A batch's pieces are its blocks, each of which returns its
-rows as bytes, which _run_batch hands on block by block, in block order,
-so nothing is pickled, no process writes memory another reads, and the
-caller decides what it holds: the estimator's sums, copied into one
-(3, R) array, or the acf window, folded into per-lag co-moments as each
-block arrives, so no R-long window is held.  V_1..V_T is checked before
+os.fork or sched_getaffinity is missing or the process runs more than one
+thread, which is never forked.  Piece k is done by process k mod W, this
+one or one of W - 1 forked workers, each of which sends its results on its
+own pipe, leaves by os._exit and stops once its parent is gone.  The
+calling process does every piece whose result never arrived and reaps
+every worker, killed first where it raised, so the bytes do not depend on
+W.  A batch's pieces are its blocks, each of which returns its rows as
+bytes, which _run_batch hands on in block order, so nothing is pickled
+and no process writes memory another reads.  V_1..V_T is checked before
 any fork, and the slopes are refused once, in the calling process, from
 the returned sums.  The CLI's single-path commands share out the chunks
 of a path, a variance walk or a path file: every process walks them all,
