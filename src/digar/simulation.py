@@ -482,7 +482,7 @@ def _chunk_map(items: Iterable, work: Callable[[object], bytes], n: int) -> Iter
     # k done by process k mod W: this one, or forked worker j = k mod W,
     # which walks its own copy of items by _work and sends each result down
     # its pipe after its length.  The workers fork before items is first
-    # advanced, so a generator that opens a file then (cli._texts) reads it
+    # advanced, so a generator that opens a file then (pathcsv._texts) reads it
     # in each process at an offset of its own.  This process does the items
     # whose result did not arrive.  Once the map ends the read ends close,
     # so a worker that would still write ends, and every worker is reaped,

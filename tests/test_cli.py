@@ -31,7 +31,7 @@ from digar import (
     vbar_curve,
     vbar_limit,
 )
-from digar import cli, estimation, model, simulation
+from digar import cli, estimation, model, pathcsv, simulation
 from digar.cli import DEFAULT_SEED, main
 from conftest import fresh_python, no_child_left, peak_rss
 from oracles import read_path_csv
@@ -525,7 +525,7 @@ class TestReadPathCsv:
         assert main(["simulate", "-T", "4", "--seed", "4", "--out", str(good)]) == 0
         bad = tmp_path / "bad.csv"
         bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))), newline="")
-        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
         capsys.readouterr()
         assert run_cli(capsys, "estimate", "--in", str(bad)) == (code, out, err.format(bad))
 
@@ -537,7 +537,7 @@ class TestReadPathCsv:
         rows = path_file.read_text().splitlines(keepends=True)
         rows[101] = "1e2" + rows[101][3:]
         path_file.write_text("".join(rows))
-        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
         capsys.readouterr()
         err = f"error: {path_file}:102: expected t = 100, got '1e2'\n"
         assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", err)
@@ -555,7 +555,7 @@ class TestReadPathCsv:
         def refuse(*args):
             raise AssertionError("a file written by simulate reached the csv row loop")
 
-        monkeypatch.setattr(cli, "_csv_rows", refuse)
+        monkeypatch.setattr(pathcsv, "_csv_rows", refuse)
         assert run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file)) == (0, direct, "")
 
     @settings(max_examples=300)
@@ -575,8 +575,7 @@ class TestReadPathCsv:
         # The chunked reader and its running checks and sums end as the
         # whole-file row loop, SamplePath and infeasible_estimate end: the
         # same estimate, or the same refusal.
-        cli._load_arrays()  # _path_csv calls what it binds
-        text = "".join(cli._path_csv(simulation._walk(P, 12, 4), 12))
+        text = "".join(pathcsv._path_csv(simulation._walk(P, 12, 4), 12))
         for op, pos, ch in edits:
             pos %= len(text) + 1
             text = text[:pos] + ("" if op == "delete" else ch) + text[pos + (op != "insert") :]
@@ -592,8 +591,8 @@ class TestReadPathCsv:
             with open(infile, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
             want = outcome(lambda f, p: infeasible_estimate(read_path_csv(f, p)), infile)
-            with mock.patch.object(cli, "_READ_CHARS", read_chars):
-                assert outcome(cli._estimate_csv, infile) == want
+            with mock.patch.object(pathcsv, "_READ_CHARS", read_chars):
+                assert outcome(pathcsv._estimate_csv, infile) == want
 
     @pytest.mark.parametrize("read_chars", [1, 40, 1 << 20])
     @pytest.mark.parametrize(
@@ -615,7 +614,7 @@ class TestReadPathCsv:
         assert main(["simulate", "-T", "4", "--seed", "4", "--out", str(path_file)]) == 0
         rows = path_file.read_text().splitlines(keepends=True)
         path_file.write_text("".join(edit(rows) if edit else rows))
-        monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+        monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
         capsys.readouterr()
         got = run_cli(capsys, "estimate", "--sigma", sigma, "--in", str(path_file))
         assert got == (3, "", err.format(path_file))
@@ -682,7 +681,7 @@ class TestSinglePathRoute:
                 # A path read from a file has no seed.
                 want = direct.replace(f'"seed": {DEFAULT_SEED}', '"seed": null')
                 for read_chars in (1, 7, 40):
-                    monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+                    monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
                     got = run_cli(capsys, "estimate", *flags, "--in", str(path_file), "--format", fmt)
                     assert got == (0, want, "")
 
@@ -965,13 +964,13 @@ class TestWorkerCountBytes:
             # One chunk of the walk, so no worker; then five.
             (("simulate", "-T", "1000"), 1),
             (("simulate", "-T", "20000"), 5),
-            # That path's file, in pieces of cli._READ_CHARS characters.
+            # That path's file, in pieces of pathcsv._READ_CHARS characters.
             (("estimate", "--in", "PATH"), "pieces"),
         ],
     )
     def test_pinned_and_unpinned_bytes_equal(self, path_file, argv, blocks):
         if blocks == "pieces":
-            blocks = -(-path_file.stat().st_size // cli._READ_CHARS)
+            blocks = -(-path_file.stat().st_size // pathcsv._READ_CHARS)
         argv = [str(path_file) if a == "PATH" else a for a in argv]
         pinned, forks_pinned = fresh_python("-c", _COUNTED_RUN, "pinned", *argv)[:-1].rsplit(b"\n", 1)
         free, forks_free = fresh_python("-c", _COUNTED_RUN, "free", *argv)[:-1].rsplit(b"\n", 1)
@@ -1030,7 +1029,8 @@ class TestSinglePathWorkers:
         # simulate's file of a 20,000-step path, read in some 200 pieces.
         path = tmp_path / "path.csv"
         assert main(["simulate", "-T", self.T, "--out", str(path)]) == 0
-        monkeypatch.setattr(cli, "_READ_CHARS", 4096)
+        monkeypatch.setattr(pathcsv, "_READ_CHARS", 4096)
+        assert len(list(pathcsv._texts(str(path)))) > 200
         return path
 
     def test_simulate_bytes(self, capsys, tmp_path, monkeypatch):
@@ -1093,7 +1093,7 @@ class TestSinglePathWorkers:
         # Each worker kills itself at its second chunk; this process does
         # the chunks the worker did not send.
         parent, name = os.getpid(), "_ascii_rows" if command == "simulate" else "_plain_piece"
-        work, calls = getattr(cli, name), []
+        work, calls = getattr(pathcsv, name), []
 
         def dying(piece):
             calls.append(piece)
@@ -1104,7 +1104,7 @@ class TestSinglePathWorkers:
         argv = ("simulate", "-T", self.T) if command == "simulate" else ("estimate", "--in", str(path_file))
         capsys.readouterr()
         want = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, name, dying)
+        monkeypatch.setattr(pathcsv, name, dying)
         assert self._runs(capsys, monkeypatch, *argv) == [want] * 3
 
     def test_file_grown_after_the_parent_read_it(self, capsys, monkeypatch, path_file):
@@ -1114,7 +1114,7 @@ class TestSinglePathWorkers:
         capsys.readouterr()
         want = run_cli(capsys, "estimate", "--in", str(path_file))
         extra = "".join(f"{t},0.5,0.5\n" for t in range(10**9, 10**9 + 10_000))  # 160 kB of results
-        parent, texts = os.getpid(), cli._texts
+        parent, texts = os.getpid(), pathcsv._texts
 
         def grown(infile):
             # Advanced first after the fork, so only in a worker does the file grow.
@@ -1122,7 +1122,7 @@ class TestSinglePathWorkers:
             if os.getpid() != parent:
                 yield from [(extra, 10**9, 10_000)] * 6
 
-        monkeypatch.setattr(cli, "_texts", grown)
+        monkeypatch.setattr(pathcsv, "_texts", grown)
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
 
     @pytest.mark.parametrize(
@@ -1307,15 +1307,18 @@ class TestStartWithoutNumpy:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUTS["figure", "vbar"]
 
     def test_limits_and_figure_load_neither_json_nor_csv(self):
-        # Only the commands that write JSON or read a path CSV load them.
+        # Only the commands that write JSON or read a path CSV load them,
+        # and only those that write or read a path CSV load its code, which
+        # digar.cli itself does not hold.
         code = (
             "import contextlib, io, sys\n"
-            "from digar.cli import main\n"
+            "from digar import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    main(['limits']), main(['figure', 'vbar']), main(['figure', 'bias'])\n"
-            "print(sorted(m for m in ('csv', 'json', 'numpy') if m in sys.modules))"
+            "    cli.main(['limits']), cli.main(['figure', 'vbar']), cli.main(['figure', 'bias'])\n"
+            "print(sorted(m for m in ('csv', 'json', 'numpy', 'digar.pathcsv') if m in sys.modules))\n"
+            "print(sorted(n for n in ('_plain_piece', '_texts', '_csv') if n in vars(cli)))"
         )
-        assert fresh_python("-c", code) == b"[]\n"
+        assert fresh_python("-c", code) == b"[]\n[]\n"
 
 
 class TestFigure:

@@ -22,7 +22,7 @@ from digar import (
     variance_sequence,
 )
 from digar.experiments import _collect_estimates
-from digar import cli, estimation, simulation
+from digar import estimation, pathcsv, simulation
 from conftest import batch_rows, boundary_params_strategy, seeds_strategy
 from oracles import MartingaleDiagnostics, one_shot_sums, z_series
 
@@ -144,11 +144,10 @@ class TestInfeasibleEstimate:
         res = infeasible_estimate(path)
         assert (res.phi_hat, res.correction, res.sample_size) == (hat, corr, 50)
         path_file = tmp_path / "path.csv"
-        cli._load_arrays()  # _path_csv calls what it binds
-        path_file.write_text("".join(cli._path_csv(simulation._walk(params, 50, 3), 50)))
+        path_file.write_text("".join(pathcsv._path_csv(simulation._walk(params, 50, 3), 50)))
         for read_chars in (1, 7, 40):
-            monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
-            assert cli._estimate_csv(str(path_file), params) == res
+            monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
+            assert pathcsv._estimate_csv(str(path_file), params) == res
         assert sums == [want.tobytes()] * 4
 
     @given(
@@ -195,11 +194,11 @@ class TestInfeasibleEstimate:
         rows = ["t,y,xi", "0,0,", "1,1,1", "2,2,1.5", "3,1,0"]  # HAND's rows
         path_file.write_text("\n".join(rows) + "\n")
         with pytest.raises(error, match=message):
-            cli._estimate_csv(str(path_file), params)
+            pathcsv._estimate_csv(str(path_file), params)
         rows[3] = "2,2,1.25"  # xi_2 no longer makes Y_2
         path_file.write_text("\n".join(rows) + "\n")
         with pytest.raises(OutOfRangeError, match="path violates"):
-            cli._estimate_csv(str(path_file), params)
+            pathcsv._estimate_csv(str(path_file), params)
 
     def test_result_invariants_enforced(self):
         with pytest.raises(OutOfRangeError):
