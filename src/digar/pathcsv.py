@@ -23,7 +23,7 @@ import re
 import stat
 import warnings
 from contextlib import closing
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -83,9 +83,16 @@ def _csv_rows(infile: str, texts: Iterable[str], t: int) -> Iterator[tuple[np.nd
     # _PATH_CHUNK rows.
     import csv
     lines = (line for text in texts for line in io.StringIO(text, newline="").readlines())
+    records = csv.reader(lines)
     y: list[float] = []
     xi: list[float] = []
-    for lineno, row in enumerate(csv.reader(lines), t + 2):
+    for lineno in count(t + 2):
+        try:
+            row = next(records)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # as a quote left open for more than csv's field size limit
+            raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
         if row:
             if len(row) != 3:
                 raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
@@ -150,6 +157,8 @@ def _texts(infile: str) -> Iterator[tuple[str, int, int]]:
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise OutOfRangeError(f"empty path file: {infile}")
+            except csv.Error as exc:
+                raise OutOfRangeError(f"{infile}:1: {exc}")
             if [h.strip() for h in header] != ["t", "y", "xi"]:
                 raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
             t = 0

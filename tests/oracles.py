@@ -1,6 +1,7 @@
 """Independent reference computations the tests check the package against."""
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -197,9 +198,17 @@ def read_path_csv(infile: str, params: ModelParams) -> SamplePath:
             header = next(reader)
         except StopIteration:
             raise OutOfRangeError(f"empty path file: {infile}")
+        except csv.Error as exc:
+            raise OutOfRangeError(f"{infile}:1: {exc}")
         if [h.strip() for h in header] != ["t", "y", "xi"]:
             raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in itertools.count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # as a quote left open for more than csv's field size limit
+                raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
             if not row:
                 continue
             if len(row) != 3:

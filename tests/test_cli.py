@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -540,6 +541,21 @@ class TestReadPathCsv:
         monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
         capsys.readouterr()
         err = f"error: {path_file}:102: expected t = 100, got '1e2'\n"
+        assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", err)
+
+    @pytest.mark.parametrize("row, lineno", [(0, 1), (10, 11)], ids=["header", "row_9"])
+    def test_unclosed_quote_refused_by_line(self, capsys, tmp_path, row, lineno):
+        # A quote opened in the header, or in row t = 9, that does not close
+        # within csv's field size limit (128 KiB) is refused at the record
+        # it opens in; the 5,000-row file runs on past that limit.
+        path_file = tmp_path / "path.csv"
+        assert main(["simulate", "-T", "5000", "--out", str(path_file)]) == 0
+        rows = path_file.read_text().splitlines(keepends=True)
+        t, rest = rows[row].split(",", 1)
+        rows[row] = f'{t},"{rest}' if row else f'"{rows[row]}'
+        path_file.write_text("".join(rows))
+        capsys.readouterr()
+        err = f"error: {path_file}:{lineno}: field larger than field limit ({csv.field_size_limit()})\n"
         assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", err)
 
     @pytest.mark.parametrize("sigma", ["1", "1e-100", "1e100"])
