@@ -31,7 +31,7 @@ import math
 from typing import Callable, Sequence
 
 from .errors import OutOfRangeError
-from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen, vbar_limit
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen, _unit_scale, vbar_limit
 
 __all__ = [
     "DependenceProfile",
@@ -55,12 +55,6 @@ DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
 # Relative rounding in vbar, tau_bar and H that mixing_decay_bound allows for
 _ROUNDING = 8 * math.ulp(1.0)
-
-
-def _unit_scale(params: ModelParams) -> ModelParams:
-    # params at sigma_xi's binary mantissa, in [0.5, 1).  Division by a power
-    # of two is exact: same bits wherever sigma_xi's own arithmetic is in range.
-    return ModelParams(params.phi, params.rho, math.frexp(params.sigma_xi)[0])
 
 
 class DependenceProfile(_Frozen):

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dependence import _unit_scale, delta_limit, eta_bar, tau_bar
+from .dependence import delta_limit, eta_bar, tau_bar
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
 from .estimation import _slopes
-from .model import _Frozen
+from .model import _Frozen, _unit_scale
 from .simulation import BatchSpec, _run_batch
 
 __all__ = [

@@ -126,19 +126,40 @@ class ModelParams(_Frozen):
             raise OutOfRangeError(f"sigma_xi > 0 required, got sigma_xi={self.sigma_xi!r}")
 
 
+def _unit_scale(params: ModelParams) -> ModelParams:
+    # params at sigma_xi's binary mantissa, in [0.5, 1).  Division by a power
+    # of two is exact: same bits wherever sigma_xi's own arithmetic is in range.
+    return ModelParams(params.phi, params.rho, math.frexp(params.sigma_xi)[0])
+
+
+def _at_scale(name: str, value: float, params: ModelParams) -> float:
+    # value, proportional to sigma_xi and computed at _unit_scale(params),
+    # at params' own scale: the bits of the same arithmetic at that scale
+    # wherever it stays in the normal range.  A result past it is refused.
+    try:
+        value = math.ldexp(value, math.frexp(params.sigma_xi)[1])
+    except OverflowError:
+        raise NonFiniteError(f"{name} overflows a double at sigma_xi={params.sigma_xi!r}")
+    if value < sys.float_info.min:
+        raise OutOfRangeError(
+            f"{name} is below the smallest normal double at sigma_xi={params.sigma_xi!r}, so its digits would be lost"
+        )
+    return value
+
+
 def stationary_sd(params: ModelParams) -> float:
     """Standard deviation sigma_xi/sqrt(1 - phi^2) of the classical AR(1).
 
     This is the rho = 0 value of the variance limit; with dependence it
     serves as the reference level the limit is compared against.  1 - phi^2
     is formed as (1 - phi)*(1 + phi), which keeps its digits as |phi|
-    nears 1.  Raises NonFiniteError if it overflows.
+    nears 1.  Computed at sigma_xi's binary mantissa and scaled back, so
+    every digit holds at any sigma_xi.  Raises NonFiniteError if it
+    overflows and OutOfRangeError if it is subnormal.
     """
     phi = params.phi
-    sd = params.sigma_xi / math.sqrt((1.0 - phi) * (1.0 + phi))
-    if math.isinf(sd):
-        raise NonFiniteError(f"S overflows a double at sigma_xi={params.sigma_xi!r}")
-    return sd
+    sd = math.frexp(params.sigma_xi)[0] / math.sqrt((1.0 - phi) * (1.0 + phi))
+    return _at_scale("S", sd, params)
 
 
 def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
@@ -241,16 +262,16 @@ def vbar_limit(params: ModelParams) -> float:
     rho*phi < 0 that sum cancels, so there the equal form
     sigma_xi/(sqrt(rho^2*phi^2 + (1-phi)*(1+phi)) - rho*phi) is used, whose
     terms are all positive.  Both forms take 1 - phi^2 as (1-phi)*(1+phi),
-    which keeps its digits as |phi| nears 1.  Raises NonFiniteError if vbar
-    overflows.
+    which keeps its digits as |phi| nears 1.  Computed at sigma_xi's binary
+    mantissa and scaled back, so every digit holds at any sigma_xi.  Raises
+    NonFiniteError if vbar overflows and OutOfRangeError if it is subnormal.
     """
     phi = params.phi
     rp = params.rho * phi
     d = (1.0 - phi) * (1.0 + phi)  # 1 - phi^2
+    sig = math.frexp(params.sigma_xi)[0]
     if rp < 0.0:
-        vbar = params.sigma_xi / (math.sqrt(rp * rp + d) - rp)
+        vbar = sig / (math.sqrt(rp * rp + d) - rp)
     else:
-        vbar = params.sigma_xi * (rp + math.sqrt(params.rho * params.rho * phi * phi + d)) / d
-    if math.isinf(vbar):
-        raise NonFiniteError(f"vbar overflows a double at sigma_xi={params.sigma_xi!r}")
-    return vbar
+        vbar = sig * (rp + math.sqrt(params.rho * params.rho * phi * phi + d)) / d
+    return _at_scale("vbar", vbar, params)

@@ -142,17 +142,31 @@ class TestLimits:
     @pytest.mark.parametrize("phi, rho", [("0.9", "-0.9"), ("0.5", "0.3"), ("0.9", "0.9")])
     def test_scale_free_lines_at_any_sigma(self, capsys, phi, rho, sigma):
         # tau_bar, bias, eta_bar and eta_hat do not depend on sigma_xi, down
-        # to the subnormal scales where sigma_xi's own arithmetic loses digits.
+        # to the scales where sigma_xi's own arithmetic loses digits.  At a
+        # subnormal sigma_xi, vbar is subnormal too, and refused by name
+        # (TestScaleFree checks the four at every sigma_xi).
         _, unit, _ = run_cli(capsys, "limits", "--phi", phi, "--rho", rho)
         code, out, err = run_cli(capsys, "limits", "--phi", phi, "--rho", rho, "--sigma", sigma)
-        assert (code, err) == (0, "")
-        assert out.splitlines()[2:] == unit.splitlines()[2:]
+        if float(sigma) < sys.float_info.min:
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: vbar is below the smallest normal double at sigma_xi={sigma}, ")
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[2:] == unit.splitlines()[2:]
 
     def test_overflowing_vbar_refused_by_name(self, capsys):
         # tau_bar and the rest are in range at this scale; vbar is not.
         code, out, err = run_cli(capsys, "limits", "--phi", "0.9", "--rho", "0.9", "--sigma", "1e308")
         assert (code, out) == (3, "")
         assert err == "error: vbar overflows a double at sigma_xi=1e+308\n"
+
+    def test_subnormal_vbar_refused_by_name(self, capsys):
+        # A subnormal double holds too few digits of vbar (about 6.78e-324).
+        code, out, err = run_cli(capsys, "limits", "--sigma", "5e-324")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: vbar is below the smallest normal double at sigma_xi=5e-324, so its digits would be lost\n"
+        )
 
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "limits", "--out", str(tmp_path / "no" / "dir.txt"))
@@ -1380,6 +1394,14 @@ class TestFigure:
         code, out, err = run_cli(capsys, "figure", "vbar", "--sigma", "1e308")
         assert (code, out) == (3, "")
         assert err == "error: vbar overflows a double at sigma_xi=1e+308\n"
+
+    def test_subnormal_vbar_refused_by_name(self, capsys):
+        # At (0.9, -0.9), vbar is sigma_xi/1.73.
+        code, out, err = run_cli(capsys, "figure", "vbar", "--sigma", "3e-308")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: vbar is below the smallest normal double at sigma_xi=3e-308, so its digits would be lost\n"
+        )
 
     def test_bad_float_list(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "vbar", "--phi-list", "0.5,oops")

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from digar import (
@@ -364,6 +364,31 @@ class TestVbarLimit:
         # Both forms: rho*phi >= 0, and rho*phi < 0 with a divisor below 1.
         with pytest.raises(NonFiniteError, match=r"^vbar overflows a double at sigma_xi=1\.7e\+308$"):
             vbar_limit(ModelParams(phi, rho, 1.7e308))
+
+
+class TestVbarAndSAtEveryScale:
+    """vbar and S are proportional to sigma_xi: at sigma_xi*2^e each is 2^e
+    times its value at sigma_xi, bit for bit, wherever that is a normal
+    double, and refused by name where it is not."""
+
+    @given(boundary_params_strategy(), st.integers(-1000, 1000))
+    @example(ModelParams(0.999999, 0.9, 1.0), -1030)  # sigma_xi subnormal, vbar and S normal
+    @example(ModelParams(0.5, 0.3, 1.0), -1074)  # sigma_xi 5e-324: both subnormal
+    @example(ModelParams(0.9, 0.3, 1.0), 1023)  # both overflow
+    def test_power_of_two_scales_the_value(self, p, e):
+        scaled = ModelParams(p.phi, p.rho, math.ldexp(p.sigma_xi, e))
+        for f, name in ((vbar_limit, "vbar"), (stationary_sd, "S")):
+            try:
+                want = math.ldexp(f(p), e)
+            except OverflowError:
+                with pytest.raises(NonFiniteError, match=rf"^{name} overflows a double at sigma_xi="):
+                    f(scaled)
+                continue
+            if want < sys.float_info.min:
+                with pytest.raises(OutOfRangeError, match=rf"^{name} is below the smallest normal double at "):
+                    f(scaled)
+            else:
+                assert f(scaled).hex() == want.hex()
 
 
 class TestFrozenValues:
