@@ -72,13 +72,16 @@ def seeds_strategy():
     return st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
-# scoreboard lines appended by tests/test_acceptance.py; echoed after the
-# run because fd-level capture would swallow prints from inside the tests
+# scoreboard lines appended by tests/test_acceptance.py, and outcome counts
+# by tests/test_domain.py; echoed after the run because fd-level capture
+# would swallow prints from inside the tests
 ACCEPTANCE_LINES: list[str] = []
+DOMAIN_LINES: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter):
-    if ACCEPTANCE_LINES:
-        terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
+    for title, lines in (("acceptance criteria", ACCEPTANCE_LINES), ("domain corners", DOMAIN_LINES)):
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)
