@@ -142,7 +142,8 @@ def _at_scale(name: str, value: float, params: ModelParams) -> float:
         raise NonFiniteError(f"{name} overflows a double at sigma_xi={params.sigma_xi!r}")
     if value < sys.float_info.min:
         raise OutOfRangeError(
-            f"{name} is below the smallest normal double at sigma_xi={params.sigma_xi!r}, so its digits would be lost"
+            f"{name} is below the smallest normal double at sigma_xi={params.sigma_xi!r}, "
+            "so its digits would be lost"
         )
     return value
 
