@@ -160,14 +160,6 @@ class TestLimits:
         assert (code, out) == (3, "")
         assert err == "error: vbar overflows a double at sigma_xi=1e+308\n"
 
-    def test_subnormal_vbar_refused_by_name(self, capsys):
-        # A subnormal double holds too few digits of vbar (about 6.78e-324).
-        code, out, err = run_cli(capsys, "limits", "--sigma", "5e-324")
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: vbar is below the smallest normal double at sigma_xi=5e-324, so its digits would be lost\n"
-        )
-
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "limits", "--out", str(tmp_path / "no" / "dir.txt"))
         assert code == 4

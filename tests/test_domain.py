@@ -2,8 +2,8 @@
 
 The grid takes |phi| and |rho| up to the largest double below 1 and
 sigma_xi from the smallest subnormal double to the largest double.  At
-each point a command either answers, printing no number that is nan,
-inf or subnormal, or exits 3 with one line from a fixed list of
+each point `digar limits` either answers, printing no number that is
+nan, inf or subnormal, or exits 3 with one line from a fixed list of
 refusals; a traceback fails the test.  The count of each outcome is
 pinned, so a change that turns refusals into answers shows as a count,
 and conftest echoes the counts after the run.
@@ -36,38 +36,29 @@ LIMITS_REFUSALS = {
 LIMITS_LINES = ["vbar", "S", "tau_bar", "bias", "eta_bar", "eta_hat"]
 
 
-def _run(*argv: str) -> tuple[int, str, str]:
+def _limits(phi: float, rho: float, sigma: float) -> str:
+    # "answer", or the name of the refusal, once limits' output at the
+    # point is checked to be one or the other.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def _outcome(code: int, out: str, err: str, refusals: dict[str, str]) -> str:
-    # "answer", or the name of the refusal, once the point's output is
-    # checked to be one or the other.
+        code = main(["limits", f"--phi={phi!r}", f"--rho={rho!r}", f"--sigma={sigma!r}"])
+    out, err = out.getvalue(), err.getvalue()
     if code == 0:
         assert err == ""
+        lines = [line.split("=") for line in out.splitlines()]
+        assert [name.strip() for name, _ in lines] == LIMITS_LINES
+        for _, value in lines:
+            assert float(value) == 0.0 or sys.float_info.min <= abs(float(value)) < math.inf, out
         return "answer"
     assert (code, out) == (3, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
-    names = [name for name, pattern in refusals.items() if re.match(pattern, err[len("error: "):])]
+    names = [name for name, pattern in LIMITS_REFUSALS.items() if re.match(pattern, err[len("error: "):])]
     assert len(names) == 1, err
     return names[0]
 
 
 def test_limits_answers_or_refuses_by_name():
-    counts = Counter()
-    for phi in PHIS:
-        for rho in RHOS:
-            for sigma in SIGMAS:
-                code, out, err = _run("limits", f"--phi={phi!r}", f"--rho={rho!r}", f"--sigma={sigma!r}")
-                counts[outcome := _outcome(code, out, err, LIMITS_REFUSALS)] += 1
-                if outcome == "answer":
-                    lines = [line.split("=") for line in out.splitlines()]
-                    assert [name.strip() for name, _ in lines] == LIMITS_LINES
-                    for _, value in lines:
-                        assert float(value) == 0.0 or sys.float_info.min <= abs(float(value)) < math.inf, out
+    counts = Counter(_limits(phi, rho, sigma) for phi in PHIS for rho in RHOS for sigma in SIGMAS)
     conftest.DOMAIN_LINES.append(
         f"limits: {sum(counts.values())} points, "
         + ", ".join(f"{n} {name}" for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])))
