@@ -32,13 +32,15 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .dependence import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, bias_curve, dependence_profile, vbar_curve
+from .dependence import dependence_profile, ols_bias
 from .errors import DigarError
 from .model import _PATH_CHUNK, ModelParams, _check_variances, stationary_sd, vbar_limit
 
-__all__ = ["DEFAULT_SEED", "build_parser", "main"]
+__all__ = ["DEFAULT_SEED", "DEFAULT_PHI_GRID", "DEFAULT_RHO_GRID", "build_parser", "main"]
 
 DEFAULT_SEED = 12345
+DEFAULT_PHI_GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)  # figure's grid: six phi values by seven rho values
+DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -157,10 +159,10 @@ def _cmd_experiment(ns: argparse.Namespace, params: ModelParams) -> list[str]:
 
 
 def _cmd_figure(ns: argparse.Namespace, params: None) -> list[str]:
-    build = vbar_curve if ns.kind == "vbar" else bias_curve
-    rows = build(ns.phi_list, ns.rho_grid, ns.sigma)
-    lines = ["phi,rho,value", *(f"{phi!r},{rho!r},{value!r}" for phi, rho, value in rows)]
-    return ["\n".join(lines) + "\n"]
+    # Rows phi-major, all built before any is written; ModelParams refuses a point outside the domain.
+    value = vbar_limit if ns.kind == "vbar" else ols_bias
+    points = (ModelParams(phi, rho, ns.sigma) for phi in ns.phi_list for rho in ns.rho_grid)
+    return ["phi,rho,value\n" + "".join(f"{p.phi!r},{p.rho!r},{value(p)!r}\n" for p in points)]
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:

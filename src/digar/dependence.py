@@ -5,10 +5,8 @@ copula parameter tau_{t,t+k} between levels k steps apart, which derives
 V_t itself, the large-t limit tau_bar of tau_{t,t+1}, the induced
 innovation autocorrelation limit, the asymptotic bias of least squares,
 the asymptotic standard deviation eta_bar of the corrected estimator, the
-geometric decay bound eta_hat, and the figure curves: vbar_curve and
-bias_curve, rows (phi, rho, vbar) and (phi, rho, bias) over a (phi, rho)
-grid, which `digar figure` takes as DEFAULT_PHI_GRID by DEFAULT_RHO_GRID
-unless told otherwise.  Only tau_lag_k, which walks V_t, loads numpy.
+geometric decay bound eta_hat.  Only tau_lag_k, which walks V_t, loads
+numpy.
 tau_lag_k, tau_bar, delta_limit, ols_bias, eta_bar and eta_hat are
 scale-free and run at sigma_xi's binary mantissa, for any sigma_xi > 0.
 
@@ -28,7 +26,6 @@ floating-point fixed point V_{t+1} == V_t.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 from .errors import OutOfRangeError
 from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen, _unit_scale, vbar_limit
@@ -42,16 +39,7 @@ __all__ = [
     "eta_bar",
     "mixing_decay_bound",
     "dependence_profile",
-    "DEFAULT_PHI_GRID",
-    "DEFAULT_RHO_GRID",
-    "vbar_curve",
-    "bias_curve",
 ]
-
-# Grid behind the exported curves: six phi values by seven rho values
-# at unit innovation scale.
-DEFAULT_PHI_GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
-DEFAULT_RHO_GRID = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
 
 # Relative rounding in vbar, tau_bar and H that mixing_decay_bound allows for
 _ROUNDING = 8 * math.ulp(1.0)
@@ -174,13 +162,21 @@ def mixing_decay_bound(params: ModelParams) -> float:
     tb = abs(tau_bar(params))
     u_bar = tb * vb
     sign_slack = u_bar - _ROUNDING * (abs(phi) * vb + abs(rs))
+
+    def step(v: float) -> float:
+        # V_{t+1}; a sum cancelled to 0 or below, as in _variance_walk, or NaN is refused
+        s = a * v * v + b * v + c
+        if not s > 0.0:
+            raise OutOfRangeError("every V_t must be positive")
+        return math.sqrt(s)
+
     v, head = sig, 0.0
     while True:
-        w = math.sqrt(a * v * v + b * v + c)
+        w = step(v)
         head = max(head, abs(phi * v + rs) / w)
         reach = abs(phi) * abs(v - vb)  # bounds |u(V_s) - u(vbar)| for s >= t
         if reach <= sign_slack:
-            return max(head, abs(phi * w + rs) / math.sqrt(a * w * w + b * w + c), tb)
+            return max(head, abs(phi * w + rs) / step(w), tb)
         x = u_bar + reach
         if w == v or x / math.sqrt(x * x + s2) * (1.0 + _ROUNDING) <= head:
             return max(head, tb)
@@ -196,33 +192,3 @@ def dependence_profile(params: ModelParams) -> DependenceProfile:
         eta_hat=mixing_decay_bound(params),
     )
 
-
-def _curve(
-    value: Callable[[ModelParams], float],
-    phi_list: Sequence[float],
-    rho_grid: Sequence[float],
-    sigma_xi: float,
-) -> tuple[tuple[float, float, float], ...]:
-    # Rows (phi, rho, value(params)), phi-major; ModelParams refuses any
-    # grid point outside the domain.
-    rows = []
-    for phi in phi_list:
-        for rho in rho_grid:
-            p = ModelParams(phi, rho, sigma_xi)
-            rows.append((p.phi, p.rho, value(p)))
-    return tuple(rows)
-
-
-def vbar_curve(
-    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (phi, rho, vbar) of the variance limit over a (phi, rho) grid."""
-    return _curve(vbar_limit, phi_list, rho_grid, sigma_xi)
-
-
-def bias_curve(
-    phi_list: Sequence[float], rho_grid: Sequence[float], sigma_xi: float
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows (phi, rho, bias) of the asymptotic slope bias rho*sigma_xi/vbar
-    over a (phi, rho) grid."""
-    return _curve(ols_bias, phi_list, rho_grid, sigma_xi)

@@ -30,14 +30,11 @@ __all__ = [
     "ExperimentSummary",
     "AcfRow",
     "AcfTable",
-    "normal_cdf",
     "ks_distance",
     "run_consistency_experiment",
     "run_clt_experiment",
     "empirical_acf_experiment",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class Moments(_Frozen):
@@ -102,14 +99,14 @@ def _tree(result: ExperimentSummary | AcfTable) -> dict:
     return tree
 
 
-def normal_cdf(x: float) -> float:
+def _normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
     Accurate to well below 1e-12 absolute over the whole real line.
     """
     if not math.isfinite(x):
         raise NonFiniteError(f"x must be finite, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def ks_distance(sample: Sequence[float]) -> float:
@@ -122,7 +119,7 @@ def ks_distance(sample: Sequence[float]) -> float:
     n = x.size
     if n < 1:
         raise OutOfRangeError("sample must be nonempty")
-    fx = np.array([normal_cdf(float(v)) for v in x])
+    fx = np.array([_normal_cdf(float(v)) for v in x])
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - fx))
     d_minus = float(np.max(fx - (grid - 1.0 / n)))

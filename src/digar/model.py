@@ -182,7 +182,8 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
     Raises
     ------
     OutOfRangeError
-        If T < 1, or if an entry is zero, as when sigma_xi^2 underflows.
+        If T < 1, or if an entry is zero, as when sigma_xi^2 underflows or
+        the sum under the root cancels to 0 or below, near phi*rho = -1.
     NonFiniteError
         If an entry is not finite, as when sigma_xi^2 overflows.
     """
@@ -215,15 +216,19 @@ def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
         if fixed:
             values[:] = v
             return values
-        for t in range(start, n):
-            nxt = sqrt(a * v * v + b * v + c)
-            if nxt == v:
-                # An exact fixed point of the map: every later entry equals it.
-                fixed = True
-                values[t:] = v
-                break
-            v = nxt
-            out[t] = v
+        try:
+            for t in range(start, n):
+                nxt = sqrt(a * v * v + b * v + c)
+                if nxt == v:
+                    # An exact fixed point of the map: every later entry equals it.
+                    fixed = True
+                    values[t:] = v
+                    break
+                v = nxt
+                out[t] = v
+        except ValueError:  # the sum cancelled below 0, as it can where phi*rho < 0 and |rho| nears 1
+            fixed, v = True, 0.0  # V_t and every later entry read 0, which _check_variances refuses
+            values[t:] = v
         return values
 
     return next_v

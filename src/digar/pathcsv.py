@@ -23,7 +23,7 @@ import re
 import stat
 import warnings
 from contextlib import closing
-from itertools import chain, count
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -75,46 +75,47 @@ def _path_csv(chunks: Iterable[tuple[list[float], list[float], np.ndarray]], T: 
     return _csv("t,y,xi\n0,0,\n", ((ys, xs) for ys, xs, _ in chunks), T)
 
 
-def _csv_rows(infile: str, texts: Iterable[str], t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _csv_rows(
+    infile: str, texts: Iterable[str], t: int, line: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # The row loop: it alone decides which rows a path file may hold and
-    # words every FILE:LINE refusal.  Reads the CSV records of texts, pieces
-    # that each end with a line, to the end, the first numbered t + 2 and
-    # expected to be row t, and yields their y and xi values every
-    # _PATH_CHUNK rows.
+    # words every FILE:LINE refusal, at the line its record opens on.  Reads
+    # the CSV records of texts, pieces that each end with a line, to the
+    # end, the first on the file's line `line` and expected to be row t,
+    # and yields their y and xi values every _PATH_CHUNK rows.
     import csv
-    lines = (line for text in texts for line in io.StringIO(text, newline="").readlines())
+    lines = (text_line for text in texts for text_line in io.StringIO(text, newline="").readlines())
     records = csv.reader(lines)
     y: list[float] = []
     xi: list[float] = []
-    for lineno in count(t + 2):
-        try:
-            row = next(records)
-        except StopIteration:
-            break
-        except csv.Error as exc:  # as a quote left open for more than csv's field size limit
-            raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
-        if row:
-            if len(row) != 3:
-                raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
-            if row[0] != str(t):
-                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {t}, got {row[0]!r}")
-            try:
-                y.append(float(row[1]))
-                if row[2].strip() != "":
-                    xi.append(float(row[2]))
-                elif t != 0:
-                    raise ValueError("xi may be empty only at t=0")
-            except ValueError as exc:
-                raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
-            t += 1
-            if len(y) == _PATH_CHUNK:
-                yield np.array(y), np.array(xi)
-                y, xi = [], []
+    opened = line  # the line the record being read opens on
+    try:
+        for row in records:
+            if row:
+                if len(row) != 3:
+                    raise OutOfRangeError(f"{infile}:{opened}: expected 3 fields, got {len(row)}")
+                if row[0] != str(t):
+                    raise OutOfRangeError(f"{infile}:{opened}: expected t = {t}, got {row[0]!r}")
+                try:
+                    y.append(float(row[1]))
+                    if row[2].strip() != "":
+                        xi.append(float(row[2]))
+                    elif t != 0:
+                        raise ValueError("xi may be empty only at t=0")
+                except ValueError as exc:
+                    raise OutOfRangeError(f"{infile}:{opened}: {exc}")
+                t += 1
+                if len(y) == _PATH_CHUNK:
+                    yield np.array(y), np.array(xi)
+                    y, xi = [], []
+            opened = line + records.line_num
+    except csv.Error as exc:  # as a quote left open for more than csv's field size limit
+        raise OutOfRangeError(f"{infile}:{opened}: {exc}")
     yield np.array(y), np.array(xi)
 
 
-def _plain_piece(piece: tuple[str, int, int]) -> bytes:
-    # The y values, then the xi values, of a piece (text, t, n) of _texts, as
+def _plain_piece(piece: tuple[str, int, int, int]) -> bytes:
+    # The y values, then the xi values, of a piece (text, t, n, line) of _texts, as
     # float64 bytes, if its rows are plain; else b"".  A piece at t = 0
     # first holds the t = 0 row as simulate writes it.  Its other n rows,
     # lines that each end in "\n", are plain if every line is "t,y,xi" as
@@ -124,7 +125,7 @@ def _plain_piece(piece: tuple[str, int, int]) -> bytes:
     # float() then read the same values, so the row loop would take the
     # rows as they are.  Whitespace is refused because numpy reads a field
     # of only whitespace as -1.
-    text, t, n = piece
+    text, t, n, _ = piece
     y0: list[float] = []
     if t == 0 and text.startswith("0,0,\n"):
         y0, text, t, n = [0.0], text[5:], 1, n - 1
@@ -143,18 +144,18 @@ def _plain_piece(piece: tuple[str, int, int]) -> bytes:
     return np.concatenate((y0, cells[1::3], cells[2::3])).tobytes()
 
 
-def _texts(infile: str) -> Iterator[tuple[str, int, int]]:
+def _texts(infile: str) -> Iterator[tuple[str, int, int, int]]:
     # The rest of the path file infile after its header, in pieces of
-    # _READ_CHARS characters and the rest of their last line, each with the
-    # t its first line has if every line before it, after the header, is a
-    # row, and its number of lines.  The file opens, and its header is
-    # checked, once the generator is first advanced: in every process of
-    # _chunk_map, each with a file description of its own.
+    # _READ_CHARS characters and the rest of their last line, each with its
+    # first line's t if every line before it, after the header, is a row,
+    # its number of lines and its first line's number in the file.  The
+    # file opens, and its header is checked, once first advanced: in every
+    # process of _chunk_map, each with a file description of its own.
     import csv
     try:
         with open(infile, newline="", encoding="utf-8") as fh:
             try:
-                header = next(csv.reader(fh))
+                header = next(reader := csv.reader(fh))
             except StopIteration:
                 raise OutOfRangeError(f"empty path file: {infile}")
             except csv.Error as exc:
@@ -165,7 +166,7 @@ def _texts(infile: str) -> Iterator[tuple[str, int, int]]:
             while text := fh.read(_READ_CHARS):
                 if not text.endswith("\n"):
                     text += fh.readline()  # end the piece with its last line
-                yield text, t, (n := text.count("\n"))
+                yield text, t, (n := text.count("\n")), reader.line_num + 1 + t
                 t += n
     except UnicodeDecodeError as exc:  # no line number: the decoder counts within a block
         raise OutOfRangeError(f"{infile} is not UTF-8 text ({exc.reason})")
@@ -190,7 +191,7 @@ def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     n = -(-st.st_size // _READ_CHARS) if stat.S_ISREG(st.st_mode) else 1
     with closing(texts := _texts(infile)):
         with closing(_chunk_map(texts, _plain_piece, n)) as plain:
-            for (text, t, _), raw in plain:
+            for (text, t, _, line), raw in plain:
                 if not raw:
                     break
                 values = np.frombuffer(raw)
@@ -199,4 +200,4 @@ def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             else:
                 return
         # Every line before the piece was one row, so its first line is row t.
-        yield from _csv_rows(infile, chain([text], (later for later, _, _ in texts)), t)
+        yield from _csv_rows(infile, chain([text], (later for later, *_ in texts)), t, line)

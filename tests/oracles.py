@@ -1,7 +1,6 @@
 """Independent reference computations the tests check the package against."""
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -202,25 +201,23 @@ def read_path_csv(infile: str, params: ModelParams) -> SamplePath:
             raise OutOfRangeError(f"{infile}:1: {exc}")
         if [h.strip() for h in header] != ["t", "y", "xi"]:
             raise OutOfRangeError(f"expected header t,y,xi in {infile}, got {header}")
-        for lineno in itertools.count(2):
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:  # as a quote left open for more than csv's field size limit
-                raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
-            if not row:
-                continue
-            if len(row) != 3:
-                raise OutOfRangeError(f"{infile}:{lineno}: expected 3 fields, got {len(row)}")
-            if row[0] != str(len(y)):
-                raise OutOfRangeError(f"{infile}:{lineno}: expected t = {len(y)}, got {row[0]!r}")
-            try:
-                y.append(float(row[1]))
-                if row[2].strip() != "":
-                    xi.append(float(row[2]))
-                elif len(y) != 1:
-                    raise ValueError("xi may be empty only at t=0")
-            except ValueError as exc:
-                raise OutOfRangeError(f"{infile}:{lineno}: {exc}")
+        opened = reader.line_num + 1  # the line the record being read opens on
+        try:
+            for row in reader:
+                if row:
+                    if len(row) != 3:
+                        raise OutOfRangeError(f"{infile}:{opened}: expected 3 fields, got {len(row)}")
+                    if row[0] != str(len(y)):
+                        raise OutOfRangeError(f"{infile}:{opened}: expected t = {len(y)}, got {row[0]!r}")
+                    try:
+                        y.append(float(row[1]))
+                        if row[2].strip() != "":
+                            xi.append(float(row[2]))
+                        elif len(y) != 1:
+                            raise ValueError("xi may be empty only at t=0")
+                    except ValueError as exc:
+                        raise OutOfRangeError(f"{infile}:{opened}: {exc}")
+                opened = reader.line_num + 1
+        except csv.Error as exc:  # as a quote left open for more than csv's field size limit
+            raise OutOfRangeError(f"{infile}:{opened}: {exc}")
     return SamplePath(params, y, xi, None)

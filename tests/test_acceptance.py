@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from digar import (
-    DEFAULT_PHI_GRID,
-    DEFAULT_RHO_GRID,
     BatchSpec,
     ModelParams,
     delta_limit,
@@ -30,7 +28,7 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
-from digar.cli import main
+from digar.cli import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, main
 from oracles import variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)

@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 
 from digar import (
-    DEFAULT_PHI_GRID,
-    DEFAULT_RHO_GRID,
     BatchSpec,
     ModelParams,
+    OutOfRangeError,
     dependence_profile,
     empirical_acf_experiment,
     infeasible_estimate,
@@ -29,11 +28,10 @@ from digar import (
     simulate_path,
     stationary_sd,
     variance_sequence,
-    vbar_curve,
     vbar_limit,
 )
 from digar import cli, estimation, model, pathcsv, simulation
-from digar.cli import DEFAULT_SEED, main
+from digar.cli import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, DEFAULT_SEED, main
 from conftest import fresh_python, no_child_left, peak_rss
 from oracles import read_path_csv
 
@@ -489,14 +487,22 @@ READER_CONTRACT = {
     ),
     "y_infinity": (_set_field(3, 1, "infinity"), 3, "", "error: path contains non-finite values\n"),
     "y_inf": (_set_field(3, 1, "inf"), 3, "", "error: path contains non-finite values\n"),
-    # A record that spans two lines counts once: line 6 is record 5.
+    # A refusal names the line its record opens on: a record that spans
+    # two lines counts both, so row t = 3 opens on line 6.
     "blank_line_before_t0_row_then_bad_t": (
         lambda rows: _set_field(3, 0, "x")(rows[:1] + ["\n"] + rows[1:]),
         3, "", "error: {}:4: expected t = 1, got 'x'\n",
     ),
     "bad_t_after_two_line_record": (
         lambda rows: _set_field(4, 0, "x")(_quote_y("\n")(rows)),
-        3, "", "error: {}:5: expected t = 3, got 'x'\n",
+        3, "", "error: {}:6: expected t = 3, got 'x'\n",
+    ),
+    "bad_y_in_two_line_record": (
+        _set_field(3, 1, '"x\n"'), 3, "", "error: {}:4: could not convert string to float: 'x\\n'\n",
+    ),
+    "two_line_header_then_bad_t": (
+        lambda rows: _set_field(3, 0, "x")(['"t\n",y,xi\n'] + rows[1:]),
+        3, "", "error: {}:5: expected t = 2, got 'x'\n",
     ),
     "header_only": (
         lambda rows: rows[:1], 3, "",
@@ -563,6 +569,18 @@ class TestReadPathCsv:
         capsys.readouterr()
         err = f"error: {path_file}:{lineno}: field larger than field limit ({csv.field_size_limit()})\n"
         assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", err)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_refusal_after_two_line_record_names_its_line(self, capsys, tmp_path, newline):
+        # Row t = 1's quoted y spans lines 3 and 4, so row t = 2 is on line
+        # 5: the row loop and the oracle count lines, not records.
+        path_file = tmp_path / "path.csv"
+        path_file.write_text(newline.join(["t,y,xi", "0,0,", '1,"1', '",1', "2,x,1", ""]), newline="")
+        msg = f"{path_file}:5: could not convert string to float: 'x'"
+        assert run_cli(capsys, "estimate", "--in", str(path_file)) == (3, "", f"error: {msg}\n")
+        with pytest.raises(OutOfRangeError) as refusal:
+            read_path_csv(str(path_file), P)
+        assert str(refusal.value) == msg
 
     @pytest.mark.parametrize("sigma", ["1", "1e-100", "1e100"])
     def test_simulate_output_never_reaches_row_loop(self, capsys, tmp_path, monkeypatch, sigma):
@@ -1142,7 +1160,7 @@ class TestSinglePathWorkers:
             # Advanced first after the fork, so only in a worker does the file grow.
             yield from texts(infile)
             if os.getpid() != parent:
-                yield from [(extra, 10**9, 10_000)] * 6
+                yield from [(extra, 10**9, 10_000, 10**9 + 2)] * 6
 
         monkeypatch.setattr(pathcsv, "_texts", grown)
         assert self._runs(capsys, monkeypatch, "estimate", "--in", str(path_file)) == [want] * 3
@@ -1350,9 +1368,10 @@ class TestFigure:
         lines = out.strip().split("\n")
         assert lines[0] == "phi,rho,value"
         assert len(lines) == 43
-        for line, row in zip(lines[1:], vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)):
+        grid = [(phi, rho) for phi in DEFAULT_PHI_GRID for rho in DEFAULT_RHO_GRID]
+        for line, (phi, rho) in zip(lines[1:], grid):
             phi_s, rho_s, val_s = line.split(",")
-            assert (float(phi_s), float(rho_s), float(val_s)) == row
+            assert (float(phi_s), float(rho_s), float(val_s)) == (phi, rho, vbar_limit(ModelParams(phi, rho, 1.0)))
 
     def test_bias_custom_grid(self, capsys):
         code, out, _ = run_cli(

@@ -13,8 +13,6 @@ import scipy.stats
 from hypothesis import given, settings
 
 from digar import (
-    DEFAULT_PHI_GRID,
-    DEFAULT_RHO_GRID,
     BatchSpec,
     DegenerateDenominatorError,
     ExperimentSummary,
@@ -22,13 +20,11 @@ from digar import (
     Moments,
     NonFiniteError,
     OutOfRangeError,
-    bias_curve,
     delta_limit,
     empirical_acf_experiment,
     eta_bar,
     ks_distance,
     mix_seed,
-    normal_cdf,
     normal_stream,
     ols_bias,
     run_clt_experiment,
@@ -36,11 +32,11 @@ from digar import (
     simulate_path,
     stationary_sd,
     tau_bar,
-    vbar_curve,
     vbar_limit,
 )
 from digar import simulation
-from digar.experiments import _acf, _collect_estimates
+from digar.cli import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, main
+from digar.experiments import _acf, _collect_estimates, _normal_cdf
 from conftest import batch_rows, boundary_params_strategy, no_child_left, seeds_strategy
 from oracles import two_pass_corr
 
@@ -49,31 +45,31 @@ P = ModelParams(0.5, 0.3, 1.0)
 
 class TestNormalCdf:
     def test_center(self):
-        assert normal_cdf(0.0) == 0.5
+        assert _normal_cdf(0.0) == 0.5
 
     @pytest.mark.parametrize("x", [0.1, 0.7, 1.959964, 3.5, 17.0])
     def test_symmetry(self, x):
-        assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
+        assert _normal_cdf(x) + _normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
     def test_upper_tail_quantile(self):
-        assert normal_cdf(1.959964) == pytest.approx(0.9750000009035576, abs=1e-12)
+        assert _normal_cdf(1.959964) == pytest.approx(0.9750000009035576, abs=1e-12)
 
     @pytest.mark.parametrize("x", [-3.0, -1.0, -0.5, 0.3, 1.0, 2.5])
     def test_against_quadrature(self, x):
         pdf = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         area, err = scipy.integrate.quad(pdf, 0.0, x)
         assert err < 1e-13
-        assert normal_cdf(x) == pytest.approx(0.5 + area, abs=1e-12)
+        assert _normal_cdf(x) == pytest.approx(0.5 + area, abs=1e-12)
 
     def test_monotone(self):
         xs = [-5.0, -1.0, 0.0, 0.5, 2.0, 6.0]
-        vals = [normal_cdf(x) for x in xs]
+        vals = [_normal_cdf(x) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteError):
-            normal_cdf(bad)
+            _normal_cdf(bad)
 
 
 class TestKsDistance:
@@ -461,12 +457,25 @@ class TestAcfExperiment:
 
 
 class TestCurves:
-    def test_default_grids(self):
+    """The curves of `digar figure`, read from its CSV output."""
+
+    @staticmethod
+    def rows(capsys, kind, *argv):
+        # figure's rows as (phi, rho, value), in the order printed.
+        assert main(["figure", kind, *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "phi,rho,value"
+        return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+    def test_default_grids(self, capsys):
         assert DEFAULT_PHI_GRID == (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
         assert DEFAULT_RHO_GRID == (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
+        grid = [(phi, rho) for phi in DEFAULT_PHI_GRID for rho in DEFAULT_RHO_GRID]
+        for kind in ("vbar", "bias"):
+            assert [row[:2] for row in self.rows(capsys, kind)] == grid
 
-    def test_vbar_curve_values(self):
-        rows = vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
+    def test_vbar_curve_values(self, capsys):
+        rows = self.rows(capsys, "vbar")
         assert len(rows) == 42
         assert rows[0][:2] == (-0.9, -0.9)
         values = {(phi, rho): v for phi, rho, v in rows}
@@ -476,8 +485,8 @@ class TestCurves:
             s = stationary_sd(ModelParams(phi, 0.0, 1.0))
             assert values[(phi, 0.0)] == pytest.approx(s, rel=1e-14)
 
-    def test_vbar_exceeds_classical_sd_iff_feedback_reinforces(self):
-        for phi, rho, v in vbar_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0):
+    def test_vbar_exceeds_classical_sd_iff_feedback_reinforces(self, capsys):
+        for phi, rho, v in self.rows(capsys, "vbar"):
             s = stationary_sd(ModelParams(phi, rho, 1.0))
             if phi * rho > 0:
                 assert v > s
@@ -486,29 +495,30 @@ class TestCurves:
             else:
                 assert v == pytest.approx(s, rel=1e-14)
 
-    def test_bias_curve_values(self):
-        rows = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
+    def test_bias_curve_values(self, capsys):
+        rows = self.rows(capsys, "bias")
         values = {(phi, rho): v for phi, rho, v in rows}
         assert values[(0.9, 0.3)] == pytest.approx(0.07282132491953122, rel=1e-12)
         assert values[(-0.9, 0.3)] == pytest.approx(0.23482132491953125, rel=1e-12)
         for (phi, rho), v in values.items():
             assert v == ols_bias(ModelParams(phi, rho, 1.0))
 
-    def test_bias_increasing_in_rho(self):
-        rows = bias_curve(DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, 1.0)
-        values = {(phi, rho): v for phi, rho, v in rows}
+    def test_bias_increasing_in_rho(self, capsys):
+        values = {(phi, rho): v for phi, rho, v in self.rows(capsys, "bias")}
         for phi in DEFAULT_PHI_GRID:
             col = [values[(phi, rho)] for rho in DEFAULT_RHO_GRID]
             assert all(a < b for a, b in zip(col, col[1:]))
 
-    def test_scale_linearity(self):
-        base = vbar_curve((0.5,), (0.3,), 1.0)[0][2]
-        doubled = vbar_curve((0.5,), (0.3,), 2.0)[0][2]
+    def test_scale_linearity(self, capsys):
+        argv = ("--phi-list", "0.5", "--rho-grid", "0.3")
+        (*_, base), = self.rows(capsys, "vbar", *argv, "--sigma", "1.0")
+        (*_, doubled), = self.rows(capsys, "vbar", *argv, "--sigma", "2.0")
         assert doubled == pytest.approx(2.0 * base, rel=1e-14)
         assert doubled == pytest.approx(2.0 * vbar_limit(P), rel=1e-14)
 
-    def test_invalid_grid_point_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            vbar_curve((1.0,), (0.3,), 1.0)
-        with pytest.raises(OutOfRangeError):
-            bias_curve((0.5,), (-1.0,), 1.0)
+    def test_invalid_grid_point_rejected(self, capsys):
+        # The whole grid is refused before any row is printed.
+        assert main(["figure", "vbar", "--phi-list", "0.5,1.0", "--rho-grid", "0.3"]) == 3
+        assert capsys.readouterr() == ("", "error: |phi| < 1 required, got phi=1.0\n")
+        assert main(["figure", "bias", "--phi-list", "0.5", "--rho-grid=0.3,-1.0"]) == 3
+        assert capsys.readouterr() == ("", "error: |rho| < 1 required, got rho=-1.0\n")
