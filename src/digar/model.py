@@ -169,9 +169,9 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
     Uses V_t^2 = phi^2*V_{t-1}^2 + 2*phi*rho*sigma_xi*V_{t-1} + sigma_xi^2
     with V_1 = sigma_xi, which is Var(phi*Y_{t-1} + xi_t) with
     Cov(Y_{t-1}, xi_t) = rho*sigma_xi*V_{t-1}.  O(T) cost.  Once an entry
-    maps exactly onto itself, the rest of the sequence is filled with it
-    instead of iterating further; the values are the same.  Returns a
-    read-only float array whose entry t-1 is V_t.
+    equals one of the two before it, the rest repeats that fixed point or
+    2-cycle and is filled, not iterated; the values are the same.  Returns
+    a read-only float array whose entry t-1 is V_t.
 
     Parameters
     ----------
@@ -194,41 +194,40 @@ def variance_sequence(params: ModelParams, T: int) -> np.ndarray:
 
 def _variance_walk(params: ModelParams) -> Callable[[int], np.ndarray]:
     # next_v(n) returns the next n >= 0 entries of V_1, V_2, ... as a float
-    # array, by variance_sequence's recursion and fixed-point fill; a walk
-    # taken in pieces yields the same entries as one taken whole.
+    # array, by variance_sequence's recursion and repeat fill; a walk taken
+    # in pieces yields the same entries as one taken whole.
     import numpy as np
     a = params.phi * params.phi
     b = 2.0 * params.phi * params.rho * params.sigma_xi
     c = params.sigma_xi * params.sigma_xi
     sqrt = math.sqrt
-    v = None  # the last entry returned
-    fixed = False
+    u = v = None  # the last two entries returned, v the last
+    periodic = False  # once set, the entries go on u, v, u, v, ...
 
     def next_v(n: int) -> np.ndarray:
-        nonlocal v, fixed
+        nonlocal u, v, periodic
         out = array("d", [0.0]) * n  # cheaper to store into from Python than numpy
         values = np.frombuffer(out)
-        start = 0
+        t = 0
         if v is None and n:
-            v = params.sigma_xi
-            out[0] = v
-            start = 1
-        if fixed:
-            values[:] = v
-            return values
+            v = out[0] = params.sigma_xi
+            t = 1
         try:
-            for t in range(start, n):
+            for t in range(t, 0 if periodic else n):  # no step once periodic
                 nxt = sqrt(a * v * v + b * v + c)
-                if nxt == v:
-                    # An exact fixed point of the map: every later entry equals it.
-                    fixed = True
-                    values[t:] = v
+                if nxt == v or nxt == u:
+                    # V_{t+1} depends on V_t alone, so the walk repeats from
+                    # here: a fixed point (v, v) or a 2-cycle (u, v).
+                    periodic, u = True, v if nxt == v else u
                     break
-                v = nxt
+                u, v = v, nxt
                 out[t] = v
         except ValueError:  # the sum cancelled below 0, as it can where phi*rho < 0 and |rho| nears 1
-            fixed, v = True, 0.0  # V_t and every later entry read 0, which _check_variances refuses
-            values[t:] = v
+            periodic, u, v = True, 0.0, 0.0  # V_t and every later entry read 0, which _check_variances refuses
+        if periodic:
+            values[t::2], values[t + 1 :: 2] = u, v
+            if (n - t) % 2:
+                u, v = v, u  # the next entry is the other of the pair
         return values
 
     return next_v
@@ -238,21 +237,19 @@ def _check_variances(params: ModelParams, T: int) -> Callable[[int], np.ndarray]
     # variance_sequence's refusals, T < 1 first and then V_1..V_T's, and
     # the only code that decides them: a non-finite entry, else an entry
     # <= 0.  Returns a fresh _variance_walk once they pass.  It walks V_t in
-    # pieces and stops at the first entry equal to one of the two before
-    # it: V_{t+1} is a function of V_t alone, so every later entry repeats
-    # a checked one.
+    # pieces and stops after a piece whose last entry equals the one two
+    # before it, where the walk repeats a checked pair.
     import numpy as np
     if T < 1:
         raise OutOfRangeError(f"T must be >= 1, got {T}")
     next_v = _variance_walk(params)
-    w = np.empty(0)  # the last two entries checked, then the next piece
     positive = True
     for lo in range(0, T, _PATH_CHUNK):
-        w = np.concatenate((w[-2:], next_v(min(_PATH_CHUNK, T - lo))))
+        w = next_v(min(_PATH_CHUNK, T - lo))
         if not np.all(np.isfinite(w)):
             raise NonFiniteError("variance sequence contains non-finite entries")
         positive = positive and bool(np.all(w > 0.0))
-        if np.any(w[2:] == w[1:-1]) or np.any(w[2:] == w[:-2]):
+        if w.size > 2 and w[-1] == w[-3]:
             break
     if not positive:
         raise OutOfRangeError("every V_t must be positive")

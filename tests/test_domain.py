@@ -5,10 +5,13 @@ sigma_xi from the smallest subnormal double to the largest double.  At
 each point a command either answers, printing its output's form with no
 number that is nan, inf or subnormal, or exits 3 with one line from a
 fixed list of refusals; a traceback fails the test.  `limits`,
-`estimate -T 300` and `variance-path -T 5` run over the whole grid,
-`experiment consistency` over a subset of it.  The count of each outcome
-is pinned, so a change that turns refusals into answers shows as a
-count, and conftest echoes the counts after the run.
+`estimate -T 300`, `variance-path -T 5` and `simulate -T 5` run over the
+whole grid, and `estimate --in` on each path that `simulate` wrote;
+`experiment consistency` and `experiment acf` over a subset of it,
+`experiment clt` at a few points and `figure` at a corner grid of phi
+and rho for each sigma_xi.  The count of each outcome is pinned, so a
+change that turns refusals into answers shows as a count, and conftest
+echoes the counts after the run.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import math
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,7 @@ GRID = list(itertools.product(PHIS, RHOS, SIGMAS))
 SUBSET = list(
     itertools.product((0.5, -0.999999, EDGE), (0.3, 0.999999, -EDGE), (1e-160, 1.0, 1e150, sys.float_info.max))
 )
+CORNERS = ",".join(map(repr, (0.999999, -0.999999, EDGE, -EDGE)))  # figure's phi and rho grid
 
 # Every refusal a command may give, by name: the pattern its message starts with.
 REFUSALS = {
@@ -52,7 +57,9 @@ ANSWERS = {
     "limits": "".join(rf"{name} *= \S+\n" for name in LIMITS_LINES),
     "estimate": r"phi_hat,phi_tilde,correction,sample_size\n\S+\n",
     "variance-path": r"t,v\n(?:\d+,\S+\n)+",
+    "simulate": r"t,y,xi\n0,0,\n(?:\d+,\S+,\S+\n)+",
     "experiment": r"\{\n.*\}\n",
+    "figure": r"phi,rho,value\n(?:\S+,\S+,\S+\n)+",
 }
 
 
@@ -63,6 +70,9 @@ def _outcome(*argv: str) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     out, err = out.getvalue(), err.getvalue()
+    if code == 0 and "--out" in argv:  # the answer is in the file
+        assert out == ""
+        out = Path(argv[argv.index("--out") + 1]).read_text()
     if argv[0] in ("simulate", "estimate", "experiment") and "--in" not in argv:  # a seeded run
         assert err.startswith(f"seed = {DEFAULT_SEED}\n"), err
         err = err.split("\n", 1)[1]
@@ -83,11 +93,15 @@ def _outcome(*argv: str) -> str:
     return names[0]
 
 
-def _counts(*argv: str, points=GRID) -> Counter:
-    # The outcomes of `digar argv` over points, echoed after the run.
-    counts = Counter(
-        _outcome(*argv, f"--phi={phi!r}", f"--rho={rho!r}", f"--sigma={sigma!r}") for phi, rho, sigma in points
-    )
+def _flags(points) -> list[tuple[str, ...]]:
+    # The --phi, --rho and --sigma flags of each (phi, rho, sigma) point.
+    return [(f"--phi={phi!r}", f"--rho={rho!r}", f"--sigma={sigma!r}") for phi, rho, sigma in points]
+
+
+def _counts(*argv: str, points=GRID, tails=None) -> Counter:
+    # The outcomes of `digar argv tail` for each tail, by default the
+    # flags of each point, echoed after the run.
+    counts = Counter(_outcome(*argv, *tail) for tail in (_flags(points) if tails is None else tails))
     conftest.DOMAIN_LINES.append(
         f"{' '.join(argv)}: {sum(counts.values())} points, "
         + ", ".join(f"{n} {name}" for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])))
@@ -124,6 +138,18 @@ def test_variance_path_answers_or_refuses_by_name():
     }
 
 
+def test_simulate_and_estimate_in_answer_or_refuse_by_name(tmp_path):
+    # estimate --in reads each path simulate wrote, at the point's flags.
+    tails = [(*flags, "--out", str(tmp_path / f"{i}.csv")) for i, flags in enumerate(_flags(GRID))]
+    assert _counts("simulate", "-T", "5", tails=tails) == {
+        "answer": 177,
+        "V_t not positive": 138,
+        "V_t not finite": 126,
+    }
+    tails = [(tail[-1], *tail[:3]) for tail in tails if Path(tail[-1]).exists()]
+    assert _counts("estimate", "--in", tails=tails) == {"answer": 126, "sums subnormal": 51}
+
+
 def test_consistency_answers_or_refuses_by_name():
     assert _counts("experiment", "consistency", "-T", "100", "-R", "100", points=SUBSET) == {
         "answer": 18,
@@ -132,6 +158,32 @@ def test_consistency_answers_or_refuses_by_name():
         "V_t not positive": 2,
         "sums zero": 1,
     }
+
+
+def test_acf_answers_over_the_subset():
+    # experiment acf runs at sigma_xi's binary mantissa.
+    assert _counts("experiment", "acf", "-T", "210", "-R", "30", "--k-max", "2", points=SUBSET) == {"answer": 36}
+
+
+def test_clt_answers_or_refuses_by_name():
+    # One point of each of consistency's outcomes but the rare "sums zero":
+    # clt's smallest run costs too much for the subset.
+    points = [(0.5, 0.3, 1.0), (0.5, 0.3, 1e-160), (0.5, 0.3, sys.float_info.max), (EDGE, -EDGE, 1e-160)]
+    assert _counts("experiment", "clt", "-T", "5000", "-R", "1000", points=points) == {
+        "answer": 1,
+        "sums subnormal": 1,
+        "V_t not finite": 1,
+        "V_t not positive": 1,
+    }
+
+
+@pytest.mark.parametrize("kind, counts", [
+    ("bias", {"answer": 7}),
+    ("vbar", {"answer": 3, "vbar subnormal": 2, "vbar overflows": 2}),
+])
+def test_figure_answers_or_refuses_by_name(kind, counts):
+    tails = [(f"--sigma={sigma!r}",) for sigma in SIGMAS]
+    assert _counts("figure", kind, f"--phi-list={CORNERS}", f"--rho-grid={CORNERS}", tails=tails) == counts
 
 
 # Points where phi*rho < 0 and |rho| is within a few ulps of 1, at which

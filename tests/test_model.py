@@ -32,6 +32,17 @@ from conftest import boundary_params_strategy, fresh_python
 from oracles import variance_sum_form, variance_sum_sequence
 
 P = ModelParams(0.5, 0.3, 1.0)
+# Points at sigma_xi = 1 whose V_t ends in a 2-cycle, not a fixed point.
+TWO_CYCLES = [(0.72, -0.84, 1.0), (0.82, -0.89, 1.0), (0.72, -0.87, 1.0)]
+# A point where phi*rho < 0 and |rho| is within an ulp of 1: the sum under
+# the root cancels below 0 at V_2, and V_2 on read 0.
+CANCELLING = (-0.9999999999999778, 0.9999999999999999, 0.6840502069801166)
+
+
+def _point_id(point):
+    # phi-rho, and sigma_xi too where it is not 1.
+    return "-".join(map(str, point if point[2] != 1.0 else point[:2]))
+
 
 _ROW = AcfRow(1, 0.7, 0.71, 0.01, 0.1, 0.11, 0.02)
 _PARAMS_REPR = "ModelParams(phi=0.5, rho=0.3, sigma_xi=1.0)"
@@ -252,41 +263,62 @@ class TestVarianceSequence:
             assert gaps[t + 1] <= abs(p.phi) * gaps[t] + 1e-15 * vb
 
     @pytest.mark.parametrize(
-        "phi, rho",
-        [(0.5, 0.3), (0.0, 0.5), (0.9999, 0.999), (0.999999, 0.999999), (-0.999, 0.9)],
+        "point",
+        [(0.5, 0.3, 1.0), (0.0, 0.5, 1.0), (0.9999, 0.999, 1.0), (0.999999, 0.999999, 1.0), (-0.999, 0.9, 1.0),
+         *TWO_CYCLES],
+        ids=_point_id,
     )
-    def test_fixed_point_exit_matches_plain_loop(self, phi, rho):
-        # (-0.999, 0.9) never reaches an exact fixed point, so the loop
-        # runs to T there; the others stop early and fill.
-        p = ModelParams(phi, rho, 1.0)
+    def test_fixed_point_exit_matches_plain_loop(self, point):
+        # (-0.999, 0.9) never repeats an entry, so the loop runs to T there;
+        # the others stop early and fill a fixed point or a 2-cycle.
+        p = ModelParams(*point)
         T = 200_000
-        assert np.array_equal(variance_sequence(p, T), _plain_recursion(p, T))
+        assert variance_sequence(p, T).tobytes() == _plain_recursion(p, T).tobytes()
 
     @given(boundary_params_strategy())
     def test_fixed_point_exit_matches_plain_loop_generic(self, p):
         assert np.array_equal(variance_sequence(p, 3000), _plain_recursion(p, 3000))
 
-    @pytest.mark.parametrize("piece", [1, 2, 7, 49])
-    @pytest.mark.parametrize("phi, rho", [(0.5, 0.3), (0.9999, 0.999), (-0.999, 0.9)])
-    def test_walk_in_pieces_matches_whole(self, phi, rho, piece):
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 49, 4096])
+    @pytest.mark.parametrize(
+        "point", [(0.5, 0.3, 1.0), (0.9999, 0.999, 1.0), (-0.999, 0.9, 1.0), *TWO_CYCLES, CANCELLING], ids=_point_id
+    )
+    def test_walk_in_pieces_matches_whole(self, point, piece):
         # The estimator takes V_t piece by piece from the recursion that
         # builds variance_sequence; at (0.5, 0.3) the fixed point is hit
-        # inside a piece, and later pieces are only filled.
-        p = ModelParams(phi, rho, 1.0)
+        # inside a piece, and later pieces are only filled.  A 2-cycle's
+        # pair keeps its phase across the ends of the pieces, and the
+        # pieces equal the plain loop whole, also where the sum cancels.
+        p = ModelParams(*point)
         next_v = _variance_walk(p)
         pieces = [next_v(piece) for _ in range(0, 300, piece)]
-        assert np.concatenate(pieces)[:300].tobytes() == variance_sequence(p, 300).tobytes()
+        assert np.concatenate(pieces)[:300].tobytes() == _plain_recursion(p, 300).tobytes()
+
+    def test_two_cycle_walk_stops_stepping(self, monkeypatch):
+        # At (0.72, -0.84) V_t alternates between two doubles from step 41,
+        # so a 1e6-entry walk evaluates the square root about 41 times.  The
+        # walk binds math.sqrt when it is made.
+        calls = []
+        monkeypatch.setattr(math, "sqrt", lambda x, sqrt=math.sqrt: calls.append(x) or sqrt(x))
+        next_v = _variance_walk(ModelParams(*TWO_CYCLES[0]))
+        values = next_v(1_000_000)
+        assert len(calls) < 100
+        assert values[-1] == values[-3] != values[-2]
 
 
 def _plain_recursion(p, T):
-    # Reference: the one-step recursion iterated T-1 times, no early exit.
+    # Reference: the one-step recursion iterated T-1 times, no early exit;
+    # from a sum that cancels below 0 on, every entry reads 0.
     a = p.phi * p.phi
     b = 2.0 * p.phi * p.rho * p.sigma_xi
     c = p.sigma_xi * p.sigma_xi
-    out = np.empty(T)
+    out = np.zeros(T)
     v = out[0] = p.sigma_xi
     for t in range(1, T):
-        v = math.sqrt(a * v * v + b * v + c)
+        s = a * v * v + b * v + c
+        if s < 0.0:
+            break
+        v = math.sqrt(s)
         out[t] = v
     return out
 
