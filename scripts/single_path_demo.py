@@ -14,6 +14,7 @@ from digar import (
     simulate_path,
     stationary_sd,
     variance_sequence,
+    vbar_limit,
 )
 
 
@@ -32,7 +33,8 @@ def main() -> int:
 
     print(f"params: phi={params.phi}, rho={params.rho}, sigma_xi={params.sigma_xi}")
     print(f"classical stationary sd S = {stationary_sd(params):.6f}")
-    print(f"variance limit vbar       = {v_last:.6f} (V_T at T={args.T})")
+    print(f"variance limit vbar       = {vbar_limit(params):.6f}")
+    print(f"V_T at T={args.T:<16} = {v_last:.6f}")
     print(f"slope limit tau_bar       = {prof.tau_bar:.6f} (bias {prof.ols_bias:+.6f})")
 
     path = simulate_path(params, args.T, args.seed)

@@ -11,13 +11,13 @@ takes the true parameters from the path.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NonFiniteError, OutOfRangeError
-from .model import ModelParams, _check_variances, _Frozen, _variance_walk
-from .simulation import SamplePath, _add_sums, _checked_steps, _path_pieces
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _Frozen
+from .simulation import SamplePath, _add_sums
 
 __all__ = [
     "EstimateResult",
@@ -67,31 +67,19 @@ def infeasible_estimate(path: SamplePath) -> EstimateResult:
     almost surely to rho*sigma_xi/vbar and is exactly zero when rho = 0.
     V_t comes from variance_sequence's recursion.  Sums run over t=2..T
     and add their terms in time order, chunk by chunk, as the batch kernel
-    does, so a batch row's estimates equal its path's bit for bit.
+    does, so a batch row's estimates equal its path's bit for bit.  A
+    SamplePath is checked when it is made and never again, so only
+    V_1..V_T is checked here, before the stored levels are summed.
 
     Raises
     ------
     DegenerateDenominatorError
         If T < 2, or the squared lagged values sum to zero or a subnormal.
     """
-    return _estimate(path.params, _path_pieces(path.y, path.xi))
-
-
-def _estimate(params: ModelParams, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> EstimateResult:
-    # infeasible_estimate of the path whose (Y, xi) pieces these are, in
-    # time order, summed by _walk_estimate from the Y_t that _checked_steps
-    # hands out and V_{t-1} from a walk begun at step t = 2.  SamplePath's
-    # refusals come first, then V_1..V_T's; no T-long array is held.
-    next_v = _variance_walk(params)
-
-    def chunks() -> Iterator[tuple[np.ndarray, None, np.ndarray]]:
-        T = 0
-        for ys in _checked_steps(params, pieces):
-            yield ys, None, next_v(ys.size - (T == 0))  # V_{t-1} of the steps t >= 2
-            T += ys.size
-        _check_variances(params, T)
-
-    return _walk_estimate(params, chunks())
+    y, T = path.y, path.horizon
+    next_v = _check_variances(path.params, T)  # then V_{t-1} of each chunk's steps t >= 2
+    pieces = (y[t : t + _PATH_CHUNK] for t in range(1, T + 1, _PATH_CHUNK))  # Y_t of each chunk's steps
+    return _walk_estimate(path.params, ((ys, None, next_v(ys.size - (k == 0))) for k, ys in enumerate(pieces)))
 
 
 def _walk_estimate(
@@ -100,7 +88,8 @@ def _walk_estimate(
     # The single-path summer: infeasible_estimate of the path whose chunks
     # these are, in _walk's (ys, xs, v) form, summed chunk by chunk from Y_t
     # and V_{t-1} as _block_writer sums its rows.  `estimate -T` passes _walk's
-    # own chunks, so the walk's checks are its only ones.
+    # own chunks, so the walk's checks are its only ones; infeasible_estimate
+    # and `estimate --in` pass the levels of a checked path.
     acc = np.full((3, 1), -0.0)  # -0.0 + x == x for every x
     level = 0.0  # Y_0, then the last Y_t of the chunk before
     T = 0
@@ -110,10 +99,5 @@ def _walk_estimate(
             _add_sums(acc, y[:-1], y[1:], v[:, None], np.empty((v.size, 1)))
         level = ys[-1]
         T += len(ys)
-    return _result(params, acc, T)
-
-
-def _result(params: ModelParams, sums: np.ndarray, n: int) -> EstimateResult:
-    # The estimate of an n-step path from its (3, 1) sums.
-    hat, corr = _slopes(params.rho * params.sigma_xi, *sums[:, 0].tolist())
-    return EstimateResult(phi_hat=hat, correction=corr, sample_size=n)
+    hat, corr = _slopes(params.rho * params.sigma_xi, *acc[:, 0].tolist())
+    return EstimateResult(phi_hat=hat, correction=corr, sample_size=T)

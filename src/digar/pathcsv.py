@@ -29,9 +29,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import OutOfRangeError
-from .estimation import EstimateResult, _estimate
-from .model import _PATH_CHUNK, ModelParams
-from .simulation import _chunk_map
+from .estimation import EstimateResult, _walk_estimate
+from .model import _PATH_CHUNK, ModelParams, _check_variances, _variance_walk
+from .simulation import _checked_steps, _chunk_map
 
 # Characters of a path CSV read per chunk (rounded up to a line end), so
 # estimate --in holds a few copies of one chunk and nothing T-long.  Chunks
@@ -173,10 +173,20 @@ def _texts(infile: str) -> Iterator[tuple[str, int, int, int]]:
 
 
 def _estimate_csv(infile: str, params: ModelParams) -> EstimateResult:
-    # The estimate of the path in a CSV file, read and summed chunk by
-    # chunk; the file's path is never held whole.
+    # The estimate of the path in a CSV file, read, checked and summed chunk
+    # by chunk, so the file's path is never held whole.  SamplePath's
+    # refusals come first, then V_1..V_T's, once the file's T is known.
+    next_v = _variance_walk(params)
+
+    def chunks(pieces: Iterable) -> Iterator[tuple[np.ndarray, None, np.ndarray]]:
+        T = 0
+        for ys in _checked_steps(params, pieces):
+            yield ys, None, next_v(ys.size - (T == 0))  # V_{t-1} of the steps t >= 2
+            T += ys.size
+        _check_variances(params, T)
+
     with closing(_csv_pieces(infile)) as pieces:
-        return _estimate(params, pieces)
+        return _walk_estimate(params, chunks(pieces))
 
 
 def _csv_pieces(infile: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -19,9 +19,9 @@ constant memory, before their first chunk, and take V_t chunk by chunk
 from a fresh model._variance_walk, so none holds a T-long V.  The
 single-path kernel, _walk, hands out its path and V_{t-1} a chunk at a
 time: simulate_path stores the chunks, and `digar simulate` formats and
-`digar estimate -T` sums each one.  _checked_steps only checks: it runs
-SamplePath's checks on a path fed in pieces (a stored one, or the chunks
-`digar estimate --in` parses) and hands out its levels, walking no V_t.
+`digar estimate -T` sums each one.  _checked_steps checks a path once:
+SamplePath's checks on the arrays it is made from, or on the chunks
+`digar estimate --in` parses, handing out its levels and walking no V_t.
 Replication r of a batch uses the derived seed mix_seed(master_seed, r),
 a SplitMix64 step, so batch output is independent of execution order and
 batch rows are bit-identical to the corresponding single-path calls.  The
@@ -106,7 +106,8 @@ class SamplePath(_Frozen):
     def __init__(self, params: ModelParams, y: np.ndarray, xi: np.ndarray, seed: int | None) -> None:
         y, xi = np.array(y, dtype=float), np.array(xi, dtype=float)
         _check_lengths(y.shape, xi.shape)
-        for _ in _checked_steps(params, _path_pieces(y, xi)):
+        pieces = ((y[t : t + _PATH_CHUNK], xi[t : t + _PATH_CHUNK]) for t in range(0, y.size, _PATH_CHUNK))
+        for _ in _checked_steps(params, pieces):  # Y_0.. and xi_1.., a chunk at a time
             pass
         if seed is not None:
             _check_seed(seed)
@@ -122,12 +123,6 @@ class SamplePath(_Frozen):
 def _check_lengths(y_shape: tuple[int, ...], xi_shape: tuple[int, ...]) -> None:
     if len(y_shape) != 1 or len(xi_shape) != 1 or y_shape[0] != xi_shape[0] + 1 or xi_shape[0] < 1:
         raise OutOfRangeError(f"need len(y) = len(xi)+1 >= 2, got len(y)={y_shape} len(xi)={xi_shape}")
-
-
-def _path_pieces(y: np.ndarray, xi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # Y_0.. and xi_1.. of a stored path in pieces of _PATH_CHUNK, for _checked_steps.
-    for lo in range(0, y.shape[0], _PATH_CHUNK):
-        yield y[lo : lo + _PATH_CHUNK], xi[lo : lo + _PATH_CHUNK]
 
 
 def _checked_steps(

@@ -30,7 +30,7 @@ from digar import (
     variance_sequence,
     vbar_limit,
 )
-from digar import cli, estimation, model, pathcsv, simulation
+from digar import cli, model, pathcsv, simulation
 from digar.cli import DEFAULT_PHI_GRID, DEFAULT_RHO_GRID, DEFAULT_SEED, main
 from conftest import fresh_python, no_child_left, peak_rss
 from oracles import read_path_csv
@@ -750,7 +750,8 @@ class TestSinglePathRoute:
         monkeypatch.setattr(model, "_variance_walk", counted_walk)
         monkeypatch.setattr(simulation, "_variance_walk", counted_walk)
         monkeypatch.setattr(simulation, "_check_variances", counted_check)
-        monkeypatch.setattr(estimation, "_checked_steps", mock.Mock(side_effect=AssertionError("checked a path")))
+        for module in (simulation, pathcsv):  # SamplePath's checker and estimate --in's
+            monkeypatch.setattr(module, "_checked_steps", mock.Mock(side_effect=AssertionError("checked a path")))
         code, out, _ = run_cli(capsys, "estimate", "-T", str(T), "--phi", "0.999999", "--rho", "0.9")
         assert code == 0 and out.startswith("phi_hat,")
         assert T <= sum(drawn) <= 2 * T

@@ -127,20 +127,21 @@ class TestInfeasibleEstimate:
     @pytest.mark.parametrize("chunk", [1, 2, 7, 49])
     def test_sums_equal_one_shot_reduction(self, monkeypatch, tmp_path, params, chunk):
         # infeasible_estimate and estimate --in add the terms chunk by
-        # chunk; the (3, 1) sums their summer hands to _result equal those
+        # chunk; the three sums their summer hands to _slopes equal those
         # of one (T-1, 3) reduction bit for bit, whatever the chunk and
         # read lengths.
         path = simulate_path(params, 50, 3)
         want = one_shot_sums(path)
         hat, corr = want[1] / want[0], params.rho * params.sigma_xi * want[2] / want[0]
         monkeypatch.setattr(simulation, "_PATH_CHUNK", chunk)
-        sums, result = [], estimation._result
+        monkeypatch.setattr(estimation, "_PATH_CHUNK", chunk)  # infeasible_estimate's chunks
+        sums, slopes = [], estimation._slopes
 
-        def captured(params, acc, n):
-            sums.append(acc.tobytes())
-            return result(params, acc, n)
+        def captured(coef, *three):
+            sums.append(np.array(three).tobytes())
+            return slopes(coef, *three)
 
-        monkeypatch.setattr(estimation, "_result", captured)
+        monkeypatch.setattr(estimation, "_slopes", captured)
         res = infeasible_estimate(path)
         assert (res.phi_hat, res.correction, res.sample_size) == (hat, corr, 50)
         path_file = tmp_path / "path.csv"
@@ -149,6 +150,17 @@ class TestInfeasibleEstimate:
             monkeypatch.setattr(pathcsv, "_READ_CHARS", read_chars)
             assert pathcsv._estimate_csv(str(path_file), params) == res
         assert sums == [want.tobytes()] * 4
+
+    def test_stored_path_is_not_checked_again(self, monkeypatch):
+        # A SamplePath is checked once, when it is made from arrays; summing
+        # it runs no path checker and gives the estimate it gave before.
+        made = simulate_path(P, 10_000, 5)  # more than two chunks of steps
+        path = SamplePath(P, made.y, made.xi, None)
+        want = infeasible_estimate(path)
+        for module in (simulation, estimation):
+            if hasattr(module, "_checked_steps"):
+                monkeypatch.setattr(module, "_checked_steps", mock.Mock(side_effect=AssertionError("checked again")))
+        assert infeasible_estimate(path) == want
 
     @given(
         boundary_params_strategy(),

@@ -34,6 +34,9 @@ from oracles import variance_sum_form, variance_sum_sequence
 P = ModelParams(0.5, 0.3, 1.0)
 # Points at sigma_xi = 1 whose V_t ends in a 2-cycle, not a fixed point.
 TWO_CYCLES = [(0.72, -0.84, 1.0), (0.82, -0.89, 1.0), (0.72, -0.87, 1.0)]
+# Points at sigma_xi = 1 whose V_t ends in a cycle of 3 doubles (from step
+# 34) and of 4 (from step 123); the walk steps through them to the end.
+LONGER_CYCLES = [(-0.4465441426144512, 0.8809911261572532, 1.0), (-0.9702708022003272, 0.9391605554251163, 1.0)]
 # A point where phi*rho < 0 and |rho| is within an ulp of 1: the sum under
 # the root cancels below 0 at V_2, and V_2 on read 0.
 CANCELLING = (-0.9999999999999778, 0.9999999999999999, 0.6840502069801166)
@@ -265,12 +268,13 @@ class TestVarianceSequence:
     @pytest.mark.parametrize(
         "point",
         [(0.5, 0.3, 1.0), (0.0, 0.5, 1.0), (0.9999, 0.999, 1.0), (0.999999, 0.999999, 1.0), (-0.999, 0.9, 1.0),
-         *TWO_CYCLES],
+         *TWO_CYCLES, *LONGER_CYCLES],
         ids=_point_id,
     )
     def test_fixed_point_exit_matches_plain_loop(self, point):
-        # (-0.999, 0.9) never repeats an entry, so the loop runs to T there;
-        # the others stop early and fill a fixed point or a 2-cycle.
+        # (-0.999, 0.9) never repeats an entry, and the longer cycles never
+        # repeat one of the two before it, so the loop runs to T there; the
+        # others stop early and fill a fixed point or a 2-cycle.
         p = ModelParams(*point)
         T = 200_000
         assert variance_sequence(p, T).tobytes() == _plain_recursion(p, T).tobytes()
@@ -281,7 +285,9 @@ class TestVarianceSequence:
 
     @pytest.mark.parametrize("piece", [1, 2, 3, 7, 49, 4096])
     @pytest.mark.parametrize(
-        "point", [(0.5, 0.3, 1.0), (0.9999, 0.999, 1.0), (-0.999, 0.9, 1.0), *TWO_CYCLES, CANCELLING], ids=_point_id
+        "point",
+        [(0.5, 0.3, 1.0), (0.9999, 0.999, 1.0), (-0.999, 0.9, 1.0), *TWO_CYCLES, *LONGER_CYCLES, CANCELLING],
+        ids=_point_id,
     )
     def test_walk_in_pieces_matches_whole(self, point, piece):
         # The estimator takes V_t piece by piece from the recursion that

@@ -99,3 +99,14 @@ def test_single_path_demo_runs(monkeypatch, capsys):
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
     assert "path seed 12345, length 2000" in capsys.readouterr().out
+    # At phi = rho = 0.99, V_200 = 85.754129 is still 13 % below vbar: the
+    # demo prints the limit as vbar and V_T on a line of its own.
+    params = digar.ModelParams(0.99, 0.99, 1.0)
+    monkeypatch.setattr(sys, "argv", [str(script), "-T", "200", "--phi", "0.99", "--rho", "0.99"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert f"variance limit vbar       = {digar.vbar_limit(params):.6f}\n" in out
+    assert f"V_T at T=200              = {digar.variance_sequence(params, 200)[-1]:.6f}\n" in out
+    assert "= 99.010049\n" in out and "= 85.754129\n" in out
